@@ -18,7 +18,9 @@ What it measures:
   topology (ring16, spidergon16, mesh4x4 under uniform traffic),
   simulated cycles/second and kernel events/second **per engine**
   (the ``wheel`` event kernel and the ``batched`` cycle-synchronous
-  engine), plus the batched-over-wheel speedup per point.
+  engine), plus the batched-over-wheel speedup per point.  A
+  ``mesh4x4_watched`` row repeats mesh4x4 with a ``StallWatchdog``
+  and a ``TimelineObserver`` attached on both engines.
 
 Usage::
 
@@ -30,7 +32,8 @@ Usage::
 
 Exit codes: 0 ok, 1 the ping-pong speedup vs the recorded baseline
 fell below ``--min-speedup``, or the batched engine's mesh4x4
-speedup over the wheel fell below ``--min-batched-speedup`` (both
+speedup over the wheel, watched or not, fell below
+``--min-batched-speedup`` (both
 default 0: informational only for absolute rates, but the batched
 ratio is machine-independent, so CI pins it — see
 ``.github/workflows/ci.yml``).
@@ -109,6 +112,9 @@ def bench_queue_churn() -> float:
 
 FIGURE_ENGINES = ("wheel", "batched")
 
+#: Rows ``--min-batched-speedup`` pins.
+PINNED_POINTS = ("mesh4x4", "mesh4x4_watched")
+
 
 def bench_figure_points() -> dict:
     """One representative figure point per paper topology, measured
@@ -117,6 +123,8 @@ def bench_figure_points() -> dict:
     cycles/second."""
     from repro.noc.config import NocConfig
     from repro.noc.network import Network
+    from repro.obs import TimelineObserver
+    from repro.resilience import StallWatchdog
     from repro.topology import (
         MeshTopology,
         RingTopology,
@@ -124,13 +132,15 @@ def bench_figure_points() -> dict:
     )
     from repro.traffic import TrafficSpec, UniformTraffic
 
+    # name -> (topology factory, attach the watchdog and timeline).
     factories = {
-        "ring16": lambda: RingTopology(16),
-        "spidergon16": lambda: SpidergonTopology(16),
-        "mesh4x4": lambda: MeshTopology(4, 4),
+        "ring16": (lambda: RingTopology(16), False),
+        "spidergon16": (lambda: SpidergonTopology(16), False),
+        "mesh4x4": (lambda: MeshTopology(4, 4), False),
+        "mesh4x4_watched": (lambda: MeshTopology(4, 4), True),
     }
     points = {}
-    for name, factory in factories.items():
+    for name, (factory, watched) in factories.items():
         engines = {}
         for engine in FIGURE_ENGINES:
             best_cycles = 0.0
@@ -146,6 +156,9 @@ def bench_figure_points() -> dict:
                     seed=FIGURE_SEED,
                     engine=engine,
                 )
+                if watched:
+                    TimelineObserver(network, window=100)
+                    StallWatchdog(network, stall_cycles=200)
                 start = time.perf_counter()
                 network.run(cycles=FIGURE_CYCLES)
                 elapsed = time.perf_counter() - start
@@ -199,8 +212,9 @@ def main(argv: list[str] | None = None) -> int:
         default=0.0,
         help=(
             "fail (exit 1) if the batched engine's mesh4x4 "
-            "cycles/sec divided by the wheel engine's is below this "
-            "(default 0: report only); the ratio is machine-"
+            "cycles/sec divided by the wheel engine's, with or "
+            "without the watchdog and timeline attached, is below "
+            "this (default 0: report only); the ratio is machine-"
             "independent, so CI can pin it"
         ),
     )
@@ -276,17 +290,23 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.min_speedup:.2f}x"
         )
     if args.min_batched_speedup > 0:
-        ratio = points["mesh4x4"]["batched_speedup"]
-        if ratio < args.min_batched_speedup:
-            print(
-                f"FAIL: batched mesh4x4 speedup {ratio:.2f}x is "
-                f"below the required {args.min_batched_speedup:.2f}x"
-            )
+        failed = False
+        for name in PINNED_POINTS:
+            ratio = points[name]["batched_speedup"]
+            if ratio < args.min_batched_speedup:
+                print(
+                    f"FAIL: batched {name} speedup {ratio:.2f}x is "
+                    f"below the required "
+                    f"{args.min_batched_speedup:.2f}x"
+                )
+                failed = True
+            else:
+                print(
+                    f"OK: batched {name} speedup {ratio:.2f}x meets "
+                    f"the required {args.min_batched_speedup:.2f}x"
+                )
+        if failed:
             return 1
-        print(
-            f"OK: batched mesh4x4 speedup {ratio:.2f}x meets the "
-            f"required {args.min_batched_speedup:.2f}x"
-        )
     return 0
 
 

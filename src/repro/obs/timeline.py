@@ -11,7 +11,10 @@ draining over time, which end-of-run aggregates cannot.
 The observer is pure kernel-side: it maps each flit delivery to its
 link via the arrival gate, so routers and interfaces need no
 instrumentation hooks and the model's behaviour is bit-identical with
-or without a timeline attached.
+or without a timeline attached.  The per-link counters double as
+:meth:`~repro.sim.observers.Observer.arrival_taps`, so the batched
+engine keeps its fast path and calls them on each arrival instead of
+handing over events; the timeline comes out byte-identical.
 
 Usage::
 
@@ -59,15 +62,15 @@ class TimelineObserver(Observer):
         self.network = network
         self.window = window
         self.include_local = include_local
-        # arrival gate of a link -> (src node, src output port, dst).
-        self._link_of_gate: dict = {
-            gate: (node, port_name, dst)
+        # (node, port, dst, vc) -> {window index: flit count}.
+        self._counts: dict[tuple[int, str, int, int], dict[int, int]] = {}
+        # arrival gate of a link -> its counter, tap(now, wire_vc).
+        self._taps: dict = {
+            gate: self._make_tap(node, port_name, dst)
             for node, port_name, dst, gate in network.link_arrival_gates(
                 include_local=include_local
             )
         }
-        # (node, port, dst, vc) -> {window index: flit count}.
-        self._counts: dict[tuple[int, str, int, int], dict[int, int]] = {}
         # node -> [(window index, buffered flits)].
         self._occupancy: dict[int, list[tuple[int, int]]] = {
             router.node: [] for router in network.routers
@@ -86,7 +89,27 @@ class TimelineObserver(Observer):
         if self._attached:
             self.drain_events += 1
 
+    def _make_tap(self, node: int, port: str, dst: int):
+        """The windowed flit counter of one link."""
+        counts = self._counts
+        window = self.window
+
+        def tap(now: int, wire_vc: int) -> None:
+            key = (node, port, dst, wire_vc)
+            windows = counts.get(key)
+            if windows is None:
+                counts[key] = windows = {}
+            index = now // window
+            windows[index] = windows.get(index, 0) + 1
+
+        return tap
+
     # -- observer hooks -----------------------------------------------
+
+    def arrival_taps(self) -> dict:
+        """The per-link counters, which let the batched engine keep
+        its fast path: it calls them on each tracked arrival."""
+        return self._taps
 
     def on_event_delivered(
         self, simulator: Simulator, event: Event
@@ -94,14 +117,9 @@ class TimelineObserver(Observer):
         message = event.message
         if not isinstance(message, FlitMessage):
             return
-        link = self._link_of_gate.get(message.arrival_gate)
-        if link is None:
-            return
-        node, port, dst = link
-        key = (node, port, dst, message.wire_vc)
-        windows = self._counts.setdefault(key, {})
-        index = event.time // self.window
-        windows[index] = windows.get(index, 0) + 1
+        tap = self._taps.get(message.arrival_gate)
+        if tap is not None:
+            tap(event.time, message.wire_vc)
 
     def on_time_advanced(
         self, simulator: Simulator, old_time: int, new_time: int

@@ -331,10 +331,11 @@ class DrainController(Observer):
         self._progress_mark = -1
         self._shield_from: int | None = None
         network.drain_controller = self
-        # Observer registration is what forces the batched engine to
-        # fall back loudly to the classic event loop: forced moves
-        # bypass its per-link record tables.  The hooks stay no-ops —
-        # all work happens in self-rescheduling kernel timers.
+        # Registering without arrival taps (the Observer default) is
+        # what forces the batched engine to fall back loudly to the
+        # classic event loop: forced moves bypass its per-link record
+        # tables.  The hooks stay no-ops — all work happens in
+        # self-rescheduling kernel timers.
         network.simulator.add_observer(self)
         self._schedule(network.simulator.now + detect_cycles)
 

@@ -12,7 +12,9 @@ with a snapshot of where everything is stuck.  The network's
 ``RunResult.degraded = True`` plus ``extra["stall"]``.
 
 The per-cycle cost is an integer compare; the O(network) snapshot is
-built only when the watchdog actually trips.
+built only when the watchdog actually trips.  The watchdog reads only
+cycle boundaries, so the batched engine keeps its fast path with it
+attached and trips at the identical cycle (docs/engines.md).
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ class StallWatchdog(Observer):
         """
         stats = self.network.stats
         return stats.flits_consumed + stats.warmup_flits_consumed
+
+    def arrival_taps(self) -> dict:
+        """Cycle boundaries are all the watchdog reads, so it keeps
+        the batched engine on its fast path."""
+        return {}
 
     def on_time_advanced(
         self, simulator, old_time: int, new_time: int

@@ -33,23 +33,31 @@ heap and wheel oracles.
 Fast path vs slow path
 ----------------------
 
-Observer hooks fire per delivery, and the fast path has no per-event
-``Event`` to hand them.  The mode is decided at the **first**
-``run()``:
+The fast path has no per-event ``Event`` to hand
+``on_event_delivered``.  The mode is decided at the **first**
+``run()``, from each attached observer's
+:meth:`~repro.sim.observers.Observer.arrival_taps`:
 
-* observers attached → **slow path**: the classic per-event loop
-  (:meth:`~repro.sim.kernel.Simulator._event_loop`) runs over the
-  :class:`CycleCalendar`, every send goes through gates as a real
-  ``Event``, and delivery traces are byte-identical to the wheel's.
-* no observers → **fast path**: sinks are installed on the model and
-  records replace messages.  Attaching an observer *after* that
-  raises :class:`~repro.sim.errors.SimulationError` — loudly, instead
-  of silently missing callbacks.
+* every observer supplies taps (no observers at all, or only
+  ``StallWatchdog``, whose taps are empty, and ``TimelineObserver``,
+  whose taps are its per-link counters) → **fast path**: sinks are
+  installed on the model and records replace messages.  Before each
+  cycle holding a live item the loop advances the clock and calls
+  ``on_time_advanced``, exactly where the event loop does; the
+  receivers of tapped links call the taps after each arrival.
+  Attaching an observer *after* that raises
+  :class:`~repro.sim.errors.SimulationError` — loudly, instead of
+  silently missing callbacks.
+* any observer returns ``None`` (the default: ``FlitTracer``,
+  ``KernelProfiler``, ``InvariantAuditor``, ``DrainController``,
+  plain ``Observer`` subclasses) → **slow path**: the classic
+  per-event loop (:meth:`~repro.sim.kernel.Simulator._event_loop`)
+  runs over the :class:`CycleCalendar`, every send goes through gates
+  as a real ``Event``, and delivery traces are byte-identical to the
+  wheel's.
 
 Fault plans work on both paths (the injector uses timers, not
-observers); ``StallWatchdog``/``InvariantAuditor``/``KernelProfiler``/
-``TimelineObserver`` are observers and therefore imply the slow path.
-See docs/engines.md.
+observers).  See docs/engines.md.
 """
 
 from __future__ import annotations
@@ -68,6 +76,18 @@ except ImportError:  # pragma: no cover - depends on environment
 
 #: Sentinel upper bound, as in :mod:`repro.sim.events`.
 _NO_LIMIT = float("inf")
+
+
+def _opaque_view(time: int, record: tuple) -> Event:
+    """A fast-path record as a read-only :class:`Event` carrying its
+    time but no message (the payload is not materialised)."""
+    return Event(
+        time=time,
+        priority=0,
+        sequence=0,
+        target=getattr(record[0], "__self__", None),
+        message=None,
+    )
 
 
 class CycleCalendar:
@@ -113,6 +133,7 @@ class CycleCalendar:
         "_overflow",
         "_sequence",
         "_live",
+        "record_view",
     )
 
     def __init__(self) -> None:
@@ -130,6 +151,10 @@ class CycleCalendar:
         self._overflow: list[Event] = []
         self._sequence = 0
         self._live = 0
+        #: ``view(time, record) -> Event`` rendering fast-path records
+        #: for :meth:`live_events`; the engine installs one that
+        #: rebuilds flit messages.
+        self.record_view = _opaque_view
 
     def __len__(self) -> int:
         return self._live
@@ -230,12 +255,13 @@ class CycleCalendar:
         """Iterate over live items, in storage order.
 
         Fast-path records surface as synthesized read-only
-        :class:`Event` views carrying the time and target but no
-        message (the flit/credit payload is not materialised); full
-        in-flight introspection needs the slow path.
+        :class:`Event` views built by :attr:`record_view`: flits on
+        the wire as the ``FlitMessage`` the event engines would hold,
+        credits without a message.
         """
         base = self._base
         mask = self._mask
+        view = self.record_view
         for offset in range(self._size):
             t = base + offset
             l0 = self._lane0[t & mask]
@@ -243,13 +269,7 @@ class CycleCalendar:
             for index in range(start, len(l0)):
                 item = l0[index]
                 if item.__class__ is tuple:
-                    yield Event(
-                        time=t,
-                        priority=0,
-                        sequence=0,
-                        target=getattr(item[0], "__self__", None),
-                        message=None,
-                    )
+                    yield view(t, item)
                 elif not item.cancelled:
                     yield item
             for event in self._rest[t & mask]:
@@ -413,8 +433,8 @@ class CycleCalendar:
 @register_engine(
     "batched",
     description=(
-        "cycle-synchronous batched phases; fastest, observers force "
-        "the slow path"
+        "cycle-synchronous batched phases; fastest, observers other "
+        "than the stall watchdog and timeline force the slow path"
     ),
 )
 class BatchedEngine(Engine):
@@ -467,35 +487,67 @@ class BatchedEngine(Engine):
         if self._mode == "fast":
             raise SimulationError(
                 "the batched engine committed to its fast path on the "
-                "first run() because no observers were attached; "
-                "attach observers before running, or select "
-                "engine='wheel'/'heap' (docs/engines.md)"
+                "first run(); attach observers before running, or "
+                "select engine='wheel'/'heap' (docs/engines.md)"
             )
 
     def run(self, simulator, until, max_events):
         if self._mode is None:
             # Decided once: the fast path rewires the model with
-            # record sinks and cannot honour per-event observers.
-            self._mode = "slow" if simulator._observers else "fast"
-            if self._mode == "fast" and self._network is not None:
-                self._install_fast_path()
+            # record sinks, and serves only observers whose arrival
+            # taps stand in for per-event callbacks.
+            taps = self._observer_taps(simulator)
+            self._mode = "slow" if taps is None else "fast"
+            if taps is not None and self._network is not None:
+                self._install_fast_path(taps)
         if self._mode == "slow":
             return simulator._event_loop(until, max_events)
         return self._run_fast(simulator, until, max_events)
+
+    def _observer_taps(self, simulator) -> dict | None:
+        """``{arrival gate: [(observer, tap), ...]}`` over the attached
+        observers, or ``None`` when one of them needs the event loop
+        (no taps, or taps on a gate the fast path does not wire)."""
+        taps: dict = {}
+        for observer in simulator._observers:
+            supplied = observer.arrival_taps()
+            if supplied is None:
+                return None
+            for gate, tap in supplied.items():
+                taps.setdefault(gate, []).append((observer, tap))
+        if taps:
+            network = self._network
+            if network is None:
+                return None
+            wired = {
+                port.data_gate.peer
+                for router in network.routers
+                for port in router._output_order
+            }
+            wired.update(ni.data_out.peer for ni in network.interfaces)
+            if not wired.issuperset(taps):
+                return None
+        return taps
 
     # -- fast path -------------------------------------------------------
 
     def _run_fast(self, sim, until, max_events):
         """The cycle loop.  Mirrors ``Simulator._event_loop``'s
-        unobserved contract exactly: stop/cap checks between
-        deliveries, time advanced only when something is delivered,
-        the end-of-run jump to ``until``, and ``events_processed``
-        committed when the loop ends."""
+        contract exactly: stop/cap checks between deliveries, the
+        end-of-run jump to ``until``, and ``events_processed``
+        committed when the loop ends.  Unobserved, time advances only
+        when something is delivered; observed, it advances to the next
+        cycle holding a live item and notifies the observers before
+        delivering any of it, as the event loop's observed branch
+        does."""
         sim._ensure_initialized()
         cal = self._calendar
         mask = cal._mask
         lane0_ring = cal._lane0
         rest_ring = cal._rest
+        # Shared with add/remove_observer, so a mid-run detach of the
+        # last observer takes effect at the next cycle.
+        observers = sim._observers
         processed = 0
         events_base = sim._events_processed
         cap = -1 if max_events is None else max_events
@@ -505,14 +557,31 @@ class BatchedEngine(Engine):
             while not interrupted:
                 if sim._stop_requested or processed == cap:
                     break
-                t = cal.begin_cycle(limit)
-                if t is None:
-                    break
+                previous_now = sim._now
+                if observers:
+                    t = cal._peek(limit)  # skips cancelled items
+                    if t is None:
+                        break
+                    if t > previous_now:
+                        sim._now = t
+                        sim._events_processed = events_base + processed
+                        for observer in sim._observer_snapshot:
+                            observer.on_time_advanced(
+                                sim, previous_now, t
+                            )
+                        # The clock moved for good, as in the event
+                        # loop, whether or not anything is delivered.
+                        previous_now = t
+                        if sim._stop_requested:
+                            break
+                else:
+                    t = cal.begin_cycle(limit)
+                    if t is None:
+                        break
                 i = t & mask
                 l0 = lane0_ring[i]
                 rest = rest_ring[i]
                 i0 = cal._cursor0
-                previous_now = sim._now
                 sim._now = t
                 before_slot = processed
                 consumed = 0
@@ -585,7 +654,7 @@ class BatchedEngine(Engine):
 
     # -- model wiring ----------------------------------------------------
 
-    def _install_fast_path(self) -> None:
+    def _install_fast_path(self, taps: dict) -> None:
         """Rewire the model for the fast path.  Called once, at the
         first fast run:
 
@@ -598,6 +667,9 @@ class BatchedEngine(Engine):
           inlined, with invariants (buffer overflow, misroute,
           switching-state integrity) still enforced by delegating the
           anomalous branches to the canonical methods;
+        * the receivers of links in *taps* (see
+          :meth:`_observer_taps`) also call the observers' arrival
+          taps; every other link keeps the bare closure;
         * the scheduler's phase dispatch is replaced by a driver that
           runs the specialised phase closures over the same agent
           dict, preserving activation/pruning order exactly.
@@ -607,8 +679,8 @@ class BatchedEngine(Engine):
         and the equivalence suite pins the two implementations
         together byte for byte.
         """
-        from repro.noc.interface import NetworkInterface  # noqa: F401
         from repro.noc.router import Router
+        from repro.noc.signals import FlitMessage
 
         network = self._network
         sched = network.scheduler
@@ -638,23 +710,49 @@ class BatchedEngine(Engine):
             record = _make_ni_credit(target, sched, agents)
             return [record] * num_vcs
 
+        # Receiver closure -> the arrival gate its records cross, so
+        # pending-event views carry the message the event engines
+        # would hold (the stall snapshot and invariant checks count
+        # flits on the wire through them).
+        gate_of_receiver: dict = {}
+
         def receiver_for(gate):
             peer = gate.peer
             target = peer.module
-            if isinstance(target, Router):
-                return (
-                    _make_router_receiver(
-                        target,
-                        target._input_of_gate[peer],
-                        sched,
-                        agents,
-                    ),
-                    True,
+            is_router = isinstance(target, Router)
+            if is_router:
+                receive = _make_router_receiver(
+                    target, target._input_of_gate[peer], sched, agents
                 )
-            return (
-                _make_ni_receiver(target, sched, agents, append_now),
-                False,
+            else:
+                receive = _make_ni_receiver(
+                    target, sched, agents, append_now
+                )
+            if peer in taps:
+                receive = _make_tapped_receiver(
+                    receive, is_router, taps[peer], sim
+                )
+            gate_of_receiver[receive] = peer
+            return receive, is_router
+
+        def record_view(time, record):
+            gate = gate_of_receiver.get(record[0])
+            if gate is None:  # a credit
+                return _opaque_view(time, record)
+            if len(record) == 3:
+                message = FlitMessage(record[2], record[1])
+            else:
+                message = FlitMessage(record[1], record[1].wire_vc)
+            message.arrival_gate = gate
+            return Event(
+                time=time,
+                priority=0,
+                sequence=0,
+                target=gate.module,
+                message=message,
             )
+
+        cal.record_view = record_view
 
         def make_sink(idx):
             def sink(flit, vc, _append=pending_append, _idx=idx):
@@ -901,6 +999,34 @@ def _make_ni_receiver(ni, sched, agents, append_now):
             stats.record_packet_delivered(packet, now)
 
     return receive
+
+
+def _make_tapped_receiver(receive, is_router, taps, sim):
+    """*receive* followed by the arrival taps of the observers still
+    registered: the fast-path ``on_event_delivered``, which the event
+    loop also fires after the handler (killed packets' flits
+    included)."""
+    if is_router:
+
+        def tapped(wire_vc, flit):
+            receive(wire_vc, flit)
+            now = sim._now
+            registered = sim._observer_snapshot
+            for observer, tap in taps:
+                if observer in registered:
+                    tap(now, wire_vc)
+
+        return tapped
+
+    def tapped_ni(flit):
+        receive(flit)
+        now = sim._now
+        registered = sim._observer_snapshot
+        for observer, tap in taps:
+            if observer in registered:
+                tap(now, flit.wire_vc)
+
+    return tapped_ni
 
 
 def _make_router_advance(router, sim, append_now):

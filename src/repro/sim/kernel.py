@@ -259,7 +259,8 @@ class Simulator:
 
         The engine owns the drive loop.  The event engines (wheel,
         heap) use :meth:`_event_loop`; the batched engine substitutes
-        its cycle-synchronous fast path when no observers are attached
+        its cycle-synchronous fast path when every attached observer
+        supplies :meth:`~repro.sim.observers.Observer.arrival_taps`
         and falls back to :meth:`_event_loop` otherwise.  Every engine
         preserves the stop/:attr:`events_processed`/time-jump
         semantics documented here.

@@ -14,8 +14,9 @@ import pytest
 from repro.experiments.specs import available_topologies, parse_topology
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
+from repro.obs import TimelineObserver
 from repro.resilience.injector import FaultInjector
-from repro.resilience.plan import FaultPlan
+from repro.resilience.plan import FaultEvent, FaultPlan
 from repro.resilience.watchdog import StallWatchdog
 from repro.sim.events import Event, HeapEventQueue
 from repro.sim.kernel import Simulator
@@ -38,13 +39,15 @@ def _run_point(
     rate=0.15,
     fault_plan=None,
     observer_factory=None,
+    seed=11,
+    num_vcs=None,
 ):
     topology = parse_topology(spec)
     network = Network(
         topology,
-        config=NocConfig(source_queue_packets=8),
+        config=NocConfig(source_queue_packets=8, num_vcs=num_vcs),
         traffic=TrafficSpec(UniformTraffic(topology), rate),
-        seed=11,
+        seed=seed,
         engine=engine,
     )
     if fault_plan is not None:
@@ -80,9 +83,8 @@ class TestRunResultEquivalence:
 
     @pytest.mark.parametrize("engine", OTHER_ENGINES)
     def test_stall_truncated_equivalence(self, engine):
-        """A watchdog-aborted run (the watchdog is an observer, so
-        the batched engine runs its slow path) truncates at the
-        identical cycle with the identical result."""
+        """A watchdog-aborted run truncates at the identical cycle
+        with the identical result."""
         plan = FaultPlan.single(0, 1, at=50)
 
         def attach(network):
@@ -104,6 +106,81 @@ class TestRunResultEquivalence:
         )
         assert wd_wheel.tripped == wd_other.tripped
         assert wheel.to_dict() == other.to_dict()
+
+
+def _watched_runs(spec, stall_cycles=200, **kwargs):
+    """*spec* run on every engine with a timeline and a watchdog
+    attached: ``({engine: RunResult}, {engine: mode})``, the timeline
+    exported into ``extra["timeline"]`` as the sweep runner does."""
+
+    def attach(network):
+        TimelineObserver(network, window=50)
+        StallWatchdog(network, stall_cycles=stall_cycles)
+        return network
+
+    runs, modes = {}, {}
+    for engine in ("wheel", "heap", "batched"):
+        result, network = _run_point(
+            spec, engine, observer_factory=attach, **kwargs
+        )
+        timeline, _ = network.simulator.observers
+        result.extra["timeline"] = timeline.timeline().to_dict()
+        runs[engine] = result
+        modes[engine] = getattr(network.simulator.engine, "mode", None)
+    return runs, modes
+
+
+#: A fault plan isolating ring8's node 0: traffic to and from it is
+#: killed on the spot (kill-churn) until the watchdog trips, with
+#: flits still on the wire.
+ISOLATE_NODE0 = FaultPlan((FaultEvent(100, 0, 1), FaultEvent(100, 0, 7)))
+
+TRIPPED_RUNS = {
+    "ring16-1vc-wedge-20": dict(
+        spec="ring16", rate=0.4, num_vcs=1, cycles=3000, stall_cycles=20
+    ),
+    "ring16-1vc-wedge-50": dict(
+        spec="ring16", rate=0.4, num_vcs=1, cycles=3000, stall_cycles=50
+    ),
+    "ring8-kill-churn-30": dict(
+        spec="ring8", rate=0.3, seed=3, cycles=3000,
+        fault_plan=ISOLATE_NODE0, stall_cycles=30,
+    ),
+    "ring8-kill-churn-80": dict(
+        spec="ring8", rate=0.3, seed=3, cycles=3000,
+        fault_plan=ISOLATE_NODE0, stall_cycles=80,
+    ),
+}
+
+
+class TestWatchedFastPathEquivalence:
+    """The stall watchdog and utilization timeline keep the batched
+    engine on its fast path, with results byte-identical to the event
+    engines — the timeline and the stall snapshot included."""
+
+    @pytest.mark.parametrize("spec", FAMILY_EXAMPLES)
+    def test_every_family(self, spec):
+        runs, modes = _watched_runs(spec)
+        assert modes["batched"] == "fast"
+        wheel = runs["wheel"].to_dict()
+        assert wheel == runs["heap"].to_dict()
+        assert wheel == runs["batched"].to_dict()
+        links = wheel["extra"]["timeline"]["links"]
+        assert any(any(link["counts"]) for link in links)
+
+    @pytest.mark.parametrize("case", sorted(TRIPPED_RUNS))
+    def test_tripped_runs(self, case):
+        kwargs = dict(TRIPPED_RUNS[case])
+        runs, modes = _watched_runs(kwargs.pop("spec"), **kwargs)
+        assert modes["batched"] == "fast"
+        wheel = runs["wheel"]
+        assert wheel.degraded
+        assert wheel.extra["stall"]["stall_cycles"] == kwargs["stall_cycles"]
+        assert (
+            wheel.to_dict()
+            == runs["heap"].to_dict()
+            == runs["batched"].to_dict()
+        )
 
 
 class _DeliveryTrace(Observer):

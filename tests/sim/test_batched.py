@@ -12,12 +12,15 @@ import pytest
 
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
+from repro.obs import FlitTracer, KernelProfiler, TimelineObserver, TraceSink
+from repro.resilience import DrainController, InvariantAuditor, StallWatchdog
 from repro.sim.batched import BatchedEngine, CycleCalendar
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event, HeapEventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import SimModule
+from repro.sim.observers import Observer
 from repro.topology import MeshTopology, RingTopology
 from repro.traffic import TrafficSpec, UniformTraffic
 
@@ -207,6 +210,128 @@ class TestModeSelection:
         _network(engine)
         with pytest.raises(SimulationError, match="fresh engine"):
             _network(engine)
+
+    @pytest.mark.parametrize(
+        "attach",
+        [
+            pytest.param(lambda n: StallWatchdog(n, 200), id="watchdog"),
+            pytest.param(lambda n: TimelineObserver(n), id="timeline"),
+            pytest.param(
+                lambda n: (TimelineObserver(n), StallWatchdog(n, 200)),
+                id="both",
+            ),
+        ],
+    )
+    def test_watchdog_and_timeline_keep_fast_mode(self, attach):
+        network = _network("batched")
+        attach(network)
+        network.run(cycles=100)
+        assert network.simulator.engine.mode == "fast"
+
+    @pytest.mark.parametrize(
+        "attach",
+        [
+            pytest.param(
+                lambda n: FlitTracer(n, TraceSink(None)), id="tracer"
+            ),
+            pytest.param(
+                lambda n: KernelProfiler(n.simulator), id="profiler"
+            ),
+            pytest.param(
+                lambda n: InvariantAuditor(n, 50), id="auditor"
+            ),
+            pytest.param(lambda n: DrainController(n), id="drain"),
+            pytest.param(
+                lambda n: (
+                    StallWatchdog(n, 200),
+                    n.simulator.add_observer(Observer()),
+                ),
+                id="watchdog+bare",
+            ),
+        ],
+    )
+    def test_other_observers_force_slow_mode(self, attach):
+        network = _network("batched")
+        attach(network)
+        network.run(cycles=100)
+        assert network.simulator.engine.mode == "slow"
+
+    @pytest.mark.parametrize(
+        "late",
+        [
+            pytest.param(
+                lambda n: n.simulator.add_observer(Observer()), id="bare"
+            ),
+            pytest.param(lambda n: StallWatchdog(n, 100), id="watchdog"),
+            pytest.param(lambda n: TimelineObserver(n), id="timeline"),
+        ],
+    )
+    def test_observer_after_watched_fast_start_raises(self, late):
+        network = _network("batched")
+        StallWatchdog(network, 200)
+        network.simulator.run(until=50)
+        assert network.simulator.engine.mode == "fast"
+        with pytest.raises(SimulationError, match="fast path"):
+            late(network)
+
+    def test_timeline_detach_mid_run_matches_wheel(self):
+        """Detached from another observer's callback mid-run, the
+        timeline stops counting at the same delivery as on the
+        wheel."""
+
+        class Detacher(Observer):
+            def __init__(self, timeline):
+                self.timeline = timeline
+
+            def arrival_taps(self):
+                return {}
+
+            def on_time_advanced(self, simulator, old, new):
+                if new >= 250:
+                    self.timeline.detach()
+
+        def run(engine):
+            network = _network(engine)
+            timeline = TimelineObserver(network, window=50)
+            network.simulator.add_observer(Detacher(timeline))
+            result = network.run(cycles=600)
+            return result, timeline.timeline(), network.simulator.engine
+
+        wheel, wheel_timeline, _ = run("wheel")
+        batched, batched_timeline, engine = run("batched")
+        assert engine.mode == "fast"
+        assert wheel.to_dict() == batched.to_dict()
+        assert wheel_timeline.to_dict() == batched_timeline.to_dict()
+        counts = [link.counts for link in batched_timeline.links]
+        assert any(c[4] for c in counts)  # [200, 250) was counted
+        assert not any(any(c[5:]) for c in counts)
+
+    def test_watched_max_events_resume_matches_wheel(self):
+        """A watched fast-path run drained in ``max_events`` chunks —
+        across the watchdog's trip — equals one continuous wheel
+        run."""
+
+        def network(engine):
+            topology = RingTopology(16)
+            net = Network(
+                topology,
+                config=NocConfig(source_queue_packets=8, num_vcs=1),
+                traffic=TrafficSpec(UniformTraffic(topology), 0.4),
+                seed=11,
+                engine=engine,
+            )
+            StallWatchdog(net, stall_cycles=50)
+            return net
+
+        whole = network("wheel").run(cycles=3000)
+        chunked = network("batched")
+        sim = chunked.simulator
+        while sim.run(until=3000, max_events=97) == 97:
+            pass
+        assert sim.engine.mode == "fast"
+        segmented = chunked.run(cycles=3000)
+        assert whole.degraded
+        assert whole.to_dict() == segmented.to_dict()
 
     def test_fast_path_max_events_resume(self):
         """Draining the identical horizon in small ``max_events``

@@ -134,6 +134,7 @@ class Campaign:
         timeline_window = spec.get("timeline_window")
         stall_cycles = spec.get("stall_cycles")
         fault_plan = spec.get("fault_plan")
+        engine = spec.get("engine")
         self.settings = SimulationSettings(
             cycles=int(spec.get("cycles", 20_000)),
             warmup=int(spec.get("warmup", 4_000)),
@@ -159,7 +160,7 @@ class Campaign:
             invariant_check_interval=int(
                 spec.get("invariant_check_interval", 0)
             ),
-            engine=str(spec.get("engine", "wheel")),
+            engine=str(engine) if engine is not None else None,
         )
         # Per-topology random fault plans are resolved lazily in
         # sweep_points (the picks depend on each topology's links):
@@ -187,9 +188,15 @@ class Campaign:
                 the campaign before any simulation runs (and before
                 any CSV row is written), not mid-sweep.
         """
-        from repro.sim.engines import resolve_engine
+        from repro.sim.engines import (
+            NETWORK_DEFAULT,
+            resolve_engine,
+            select_engine,
+        )
 
-        resolve_engine(self.settings.engine)
+        resolve_engine(
+            select_engine(self.settings.engine, NETWORK_DEFAULT)
+        )
         for topo_spec in self.spec["topologies"]:
             topology, _ = parse_topology_routing(topo_spec)
             for pattern_spec in self.spec["patterns"]:

@@ -103,17 +103,21 @@ def derive_seed(
 def point_key(point: SweepPoint) -> str:
     """Stable cache key: sha256 over the point's canonical JSON form.
 
-    Includes every model parameter (the full settings dataclass, and
-    with it the seed), so two points collide only if they would run
-    the exact same simulation.  This is also the address of the
-    point's entry in the content-addressed
+    Includes every parameter that decides the result (the settings
+    dataclass, and with it the seed), so two points collide only if
+    they would run the exact same simulation.  The engine is left
+    out: every engine gives a byte-identical result, so a point
+    stored under one engine is a hit under any other.  This is also
+    the address of the point's entry in the content-addressed
     :class:`~repro.serve.store.ResultStore`.
     """
+    settings = dataclasses.asdict(point.settings)
+    del settings["engine"]
     payload = {
         "topology": point.topology,
         "pattern": point.pattern,
         "rate": canonical_rate(point.rate),
-        "settings": dataclasses.asdict(point.settings),
+        "settings": settings,
     }
     blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()

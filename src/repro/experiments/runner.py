@@ -51,12 +51,12 @@ class SimulationSettings:
             are O(model state) each).
         engine: Simulation engine name (``"wheel"``, ``"heap"`` or
             ``"batched"`` — see :func:`repro.sim.available_engines`
-            and docs/engines.md).  Part of the settings so campaign
-            manifests and sweep cache keys record which engine
-            produced a result; every engine yields byte-identical
-            ``RunResult``s, so cached results stay valid across
-            engine switches only if the key distinguishes them
-            explicitly — which this field guarantees.
+            and docs/engines.md), or ``None`` for ``REPRO_ENGINE``
+            and then the network default, batched.  A pure
+            performance choice: every engine yields byte-identical
+            ``RunResult``s, so the sweep cache key leaves the engine
+            out and a result stored under one engine is a hit under
+            any other.
         link_delay: **Deprecated.** Global link-latency multiplier,
             folded into ``config.link_delay`` for back compatibility.
             It can only retime *every* link at once; per-link timing
@@ -73,7 +73,7 @@ class SimulationSettings:
     fault_plan: FaultPlan | None = None
     stall_cycles: int | None = None
     invariant_check_interval: int = 0
-    engine: str = "wheel"
+    engine: str | None = None
     link_delay: int | None = None
 
     def __post_init__(self) -> None:

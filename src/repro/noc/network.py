@@ -13,7 +13,10 @@ Each data link carries the latency its topology assigns it
 multiplied by the global ``config.link_delay`` knob; credit links are
 zero-delay (signal-based flow control).  The routing algorithm
 defaults to the paper's scheme for the given topology
-(:func:`repro.routing.routing_for`).
+(:func:`repro.routing.routing_for`), and the engine to the batched
+cycle-synchronous one (:data:`repro.sim.engines.NETWORK_DEFAULT`;
+``REPRO_ENGINE`` overrides it, an explicit ``engine=`` overrides
+both).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.noc.router import Router
 from repro.noc.scheduler import CycleScheduler
 from repro.routing import RoutingAlgorithm, routing_for
 from repro.routing.base import LOCAL_PORT
+from repro.sim.engines import NETWORK_DEFAULT, select_engine
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStream
 from repro.stats.collectors import NetworkStats
@@ -64,9 +68,11 @@ class Network:
             if self.config.num_vcs is not None
             else self.routing.required_vcs
         )
-        # engine/event_queue are forwarded verbatim: the equivalence
-        # tests run the same network on every engine and require
-        # byte-identical results.
+        # The equivalence tests run the same network on every engine
+        # and require byte-identical results; with none named, the
+        # network default (batched) applies, after REPRO_ENGINE.
+        if event_queue is None:
+            engine = select_engine(engine, NETWORK_DEFAULT)
         self.simulator = Simulator(
             engine=engine, event_queue=event_queue
         )
@@ -581,4 +587,6 @@ class Network:
                 "reason": self.simulator.stop_reason,
                 **details,
             }
+        # Single use: the engine may drop its per-run wiring now.
+        self.simulator.engine.release_network(self)
         return result

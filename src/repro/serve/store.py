@@ -6,7 +6,9 @@ is now a thin point-hashing adapter over it).  Keys are the sha256
 hex digests produced by
 :func:`~repro.experiments.parallel.point_key` — a stable hash over a
 point's canonical JSON form, covering topology, pattern, rate and the
-full settings dataclass (seed, engine, fault plan, ... included).
+settings dataclass (seed, fault plan, ... included) — but not the
+engine, which never changes a result, so a point simulated under one
+engine is served to a request naming any other.
 Content addressing is what makes the serving layer's economics work:
 a million submissions of the same (topology, pattern, rate, settings)
 cell resolve to the same key, so at most one simulation ever runs and
@@ -20,7 +22,9 @@ crashed processes never leave a torn entry visible; a corrupt or
 unreadable file reads as a miss and is simply overwritten by the next
 simulation of that key.  The layout is byte-compatible with the
 ``.repro-cache`` directories earlier campaign runs wrote, so a server
-can be pointed at an existing cache and serve it immediately.
+can be pointed at an existing cache and serve it immediately.  (Keys
+written before the engine left the key no longer match: such a store
+misses once per point and is refilled under the new keys.)
 
 Only finished :class:`~repro.stats.summary.RunResult` objects are
 stored.  Failures are deliberately *not*: a

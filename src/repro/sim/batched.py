@@ -57,7 +57,15 @@ The fast path has no per-event ``Event`` to hand
   wheel's.
 
 Fault plans work on both paths (the injector uses timers, not
-observers).  See docs/engines.md.
+observers).
+
+This is the engine a :class:`~repro.noc.network.Network` gets when
+none is named (:data:`~repro.sim.engines.NETWORK_DEFAULT`), so its
+fixed cost per network matters as much as its loop: the calendar
+ring starts at 256 slots and grows only for links longer than that,
+and once ``Network.run`` has its result the engine releases the fast
+path's wiring (:meth:`BatchedEngine.release_network`).  See
+docs/engines.md.
 """
 
 from __future__ import annotations
@@ -109,8 +117,11 @@ class CycleCalendar:
     * ``rest`` — a small binary heap of events with priority ≠ 0
       (normally just the scheduler's advance/send phase events).
 
-    Events beyond the window (far-future timers of low-rate sources)
-    live in an overflow heap and migrate when the window reaches them.
+    The ring starts at the timing wheel's 256 slots and
+    :meth:`grow` widens it when the fast path's link table holds a
+    longer latency.  Events beyond the window (far-future timers of
+    low-rate sources) live in an overflow heap and migrate when the
+    window reaches them.
     A migrated slot's events are *prepended*: an event could only
     overflow while the slot was beyond the horizon, i.e. before any
     in-window push for that slot existed, so it sorts strictly first.
@@ -120,7 +131,10 @@ class CycleCalendar:
     already enforces times ≥ now ≥ base).
     """
 
-    WINDOW = 4096  # power of two; must exceed every link latency
+    #: Initial ring size in slots: a power of two, as the timing
+    #: wheel's.  The fast path files link arrivals straight into the
+    #: ring, so :meth:`grow` widens it past the longest link latency.
+    WINDOW = 256
 
     __slots__ = (
         "_lane0",
@@ -158,6 +172,46 @@ class CycleCalendar:
 
     def __len__(self) -> int:
         return self._live
+
+    def grow(self, span: int) -> None:
+        """Widen the ring to the smallest power of two above *span*
+        cycles, refiling every pending item into its slot of the
+        wider ring (a no-op when the ring already covers *span*)."""
+        old_size, old_mask = self._size, self._mask
+        size = old_size
+        while size <= span:
+            size *= 2
+        if size == old_size:
+            return
+        mask = size - 1
+        lane0: list[list] = [[] for _ in range(size)]
+        rest: list[list[Event]] = [[] for _ in range(size)]
+        for offset in range(old_size):
+            t = self._base + offset
+            start = self._cursor0 if offset == 0 else 0
+            lane0[t & mask] = self._lane0[t & old_mask][start:]
+            rest[t & mask] = self._rest[t & old_mask]
+        self._lane0, self._rest = lane0, rest
+        self._size, self._mask = size, mask
+        self._cursor0 = 0
+
+    def materialize_records(self) -> None:
+        """Replace every pending fast-path record with its
+        :attr:`record_view` event, in place, then restore the opaque
+        view: afterwards the calendar references none of the fast
+        path's closures, and :meth:`live_events` yields the same
+        views as before."""
+        view = self.record_view
+        # The base slot's drained prefix (a stop mid-cycle) goes too.
+        del self._lane0[self._base & self._mask][: self._cursor0]
+        self._cursor0 = 0
+        for offset in range(self._size):
+            t = self._base + offset
+            l0 = self._lane0[t & self._mask]
+            for index, item in enumerate(l0):
+                if item.__class__ is tuple:
+                    l0[index] = view(t, item)
+        self.record_view = _opaque_view
 
     def __bool__(self) -> bool:
         return self._live > 0
@@ -433,8 +487,9 @@ class CycleCalendar:
 @register_engine(
     "batched",
     description=(
-        "cycle-synchronous batched phases; fastest, observers other "
-        "than the stall watchdog and timeline force the slow path"
+        "cycle-synchronous batched phases; fastest, the default for "
+        "networks, sweeps and campaigns; observers other than the "
+        "stall watchdog and timeline force the slow path"
     ),
 )
 class BatchedEngine(Engine):
@@ -452,6 +507,8 @@ class BatchedEngine(Engine):
         self._network = None
         self._calendar: CycleCalendar | None = None
         self._mode: str | None = None  # None until the first run()
+        #: Set by :meth:`release_network`; no run may follow.
+        self._released = False
         self._pending: list[tuple] = []
         self._recv: list[tuple] = []
         self._delays: list[int] = []
@@ -491,7 +548,54 @@ class BatchedEngine(Engine):
                 "select engine='wheel'/'heap' (docs/engines.md)"
             )
 
+    def release_network(self, network) -> None:
+        """Undo :meth:`_install_fast_path` once the network's single
+        run is over.  Records still in flight become the event views
+        :meth:`Simulator.pending_events` already showed, so
+        post-run inspection (invariant checks, flits on the wire) is
+        unchanged; then the receiver, credit, sink and phase closures
+        are dropped, and the model's canonical methods serve any
+        later call.  Without this the closures stay reachable only
+        through reference cycles until a full collection."""
+        if (
+            self._mode != "fast"
+            or self._released
+            or network is not self._network
+        ):
+            return
+        self._released = True
+        self._calendar.materialize_records()
+        self._recv = []
+        self._pending = []
+        self._delays = []
+        self._np_delays = None
+        for router in network.routers:
+            router._fast_append = None
+            router._fast_advance = None
+            router._fast_send = None
+            router._fast_deques = None
+            for port in router._input_order:
+                port.credit_records = None
+            for port in router._output_order:
+                port.flit_sink = None
+        for ni in network.interfaces:
+            ni._fast_append = None
+            ni._fast_advance = None
+            ni._fast_send = None
+            ni._fast_deques = None
+            ni.credit_records = None
+            ni.flit_sink = None
+        # The phase driver shadowed the class methods per instance.
+        del network.scheduler.activate
+        del network.scheduler.handle_message
+
     def run(self, simulator, until, max_events):
+        if self._released:
+            raise SimulationError(
+                "the batched engine released its fast-path wiring "
+                "when Network.run finished; Network.run is "
+                "single-use, build a new Network"
+            )
         if self._mode is None:
             # Decided once: the fast path rewires the model with
             # record sinks, and serves only observers whose arrival
@@ -787,12 +891,8 @@ class BatchedEngine(Engine):
         # every port exist now).
         for idx, gate in enumerate(recv):
             recv[idx] = receiver_for(gate)
-        if delays and max(delays) >= CycleCalendar.WINDOW:
-            raise SimulationError(
-                f"link latency {max(delays)} does not fit the "
-                f"batched calendar window ({CycleCalendar.WINDOW} "
-                f"cycles); use engine='wheel'"
-            )
+        if delays:
+            cal.grow(max(delays))
         if _np is not None:
             self._np_delays = _np.asarray(delays, dtype=_np.int64)
         # Pass 3: per-agent specialised phase closures and the

@@ -16,7 +16,17 @@ Engines are registered by name, mirroring the topology spec registry
     sim = Simulator(engine="batched")      # spec string
     sim = Simulator(engine=BatchedEngine())  # or an instance
 
-``python -m repro engines`` lists the registered families.  The old
+``python -m repro engines`` lists the registered families.
+
+When no engine is named, :func:`select_engine` applies one precedence
+everywhere: an explicit engine (argument, settings field or campaign
+spec key) beats ``REPRO_ENGINE``, which beats the built-in default.
+There are two built-in defaults, both defined here:
+:data:`NETWORK_DEFAULT` (``"batched"``) for a
+:class:`~repro.noc.network.Network` — and with it every sweep, figure
+and campaign — and :data:`KERNEL_DEFAULT` (``"wheel"``) for a bare
+:class:`~repro.sim.kernel.Simulator`, which has no network for the
+batched engine to install its fast path on.  The old
 spellings — ``Simulator(event_queue=...)``, ``REPRO_EVENT_QUEUE`` —
 still work but emit :class:`DeprecationWarning`; the migration table
 lives in docs/engines.md.
@@ -29,6 +39,8 @@ and never shares one between simulators.
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -36,6 +48,46 @@ from repro.sim.events import EventQueue, HeapEventQueue
 
 if TYPE_CHECKING:
     from repro.sim.kernel import Simulator
+
+
+#: Engine a :class:`~repro.noc.network.Network` runs on when none is
+#: named: the cycle-synchronous fast path, byte-identical to the event
+#: kernel on every topology family.
+NETWORK_DEFAULT = "batched"
+
+#: Engine a bare :class:`~repro.sim.kernel.Simulator` runs on when
+#: none is named: without a network the batched engine is a plain
+#: event loop over its calendar, slower than the timing wheel.
+KERNEL_DEFAULT = "wheel"
+
+
+def select_engine(
+    engine: "str | Engine | None", default: str
+) -> "str | Engine":
+    """The engine to build: *engine* if given, else ``REPRO_ENGINE``,
+    else *default* (:data:`NETWORK_DEFAULT` or :data:`KERNEL_DEFAULT`).
+
+    The deprecated ``REPRO_EVENT_QUEUE=heap`` still maps to ``"heap"``
+    when neither an engine nor ``REPRO_ENGINE`` is set, with a
+    :class:`DeprecationWarning`.
+    """
+    if engine is not None:
+        return engine
+    engine = os.environ.get("REPRO_ENGINE")
+    if engine:
+        return engine
+    if os.environ.get("REPRO_EVENT_QUEUE", "").lower() in (
+        "heap",
+        "reference",
+    ):
+        warnings.warn(
+            "REPRO_EVENT_QUEUE is deprecated; set REPRO_ENGINE=heap "
+            "instead — see docs/engines.md",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+        return "heap"
+    return default
 
 
 class Engine:
@@ -76,6 +128,11 @@ class Engine:
     def on_observer_added(self, simulator: "Simulator") -> None:
         """Hook called before an observer registers; raise to refuse
         (the batched engine does, once its fast path has started)."""
+
+    def release_network(self, network) -> None:
+        """Hook called by :class:`~repro.noc.network.Network` once its
+        single run has produced its result; engines drop any per-run
+        wiring here (the model must stay inspectable)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,10 +210,14 @@ def resolve_engine(spec: "str | Engine") -> Engine:
 
 @register_engine(
     "wheel",
-    description="event kernel on the timing-wheel queue (default)",
+    description=(
+        "event kernel on the timing-wheel queue; the default for a "
+        "bare Simulator"
+    ),
 )
 class WheelEngine(Engine):
-    """The default: classic event loop over the calendar-queue wheel."""
+    """Classic event loop over the calendar-queue wheel; the default
+    for a bare :class:`~repro.sim.kernel.Simulator`."""
 
     name = "wheel"
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Callable, Iterator
 
-from repro.sim.engines import Engine, ExplicitQueueEngine, resolve_engine
+from repro.sim.engines import (
+    KERNEL_DEFAULT,
+    Engine,
+    ExplicitQueueEngine,
+    resolve_engine,
+    select_engine,
+)
 from repro.sim.errors import SchedulingError, SimulationError
 from repro.sim.events import Event
 from repro.sim.messages import Message
@@ -35,13 +40,17 @@ class Simulator:
     fast path.
 
     The event store and drive loop are an :class:`~repro.sim.engines.
-    Engine`, selected by spec string or instance: ``engine="wheel"``
-    (default), ``"heap"`` (reference oracle) or ``"batched"`` (the
+    Engine`, selected by spec string or instance: ``engine="wheel"``,
+    ``"heap"`` (reference oracle) or ``"batched"`` (the
     cycle-synchronous fast engine) — see :mod:`repro.sim.engines` and
     docs/engines.md.  Every engine delivers any schedule in the
     identical ``(time, priority, sequence)`` order, which the
-    equivalence tests assert end to end.  The environment variable
-    ``REPRO_ENGINE`` selects a default engine for the process.
+    equivalence tests assert end to end.  With no engine named, the
+    environment variable ``REPRO_ENGINE`` decides, and without it a
+    bare simulator runs on the wheel
+    (:data:`~repro.sim.engines.KERNEL_DEFAULT`): the batched engine
+    pays off only once a :class:`~repro.noc.network.Network` installs
+    its fast path, which is why networks default to it instead.
 
     Deprecated spellings (kept as shims that warn): the
     ``event_queue=`` argument wraps the given queue instance, and
@@ -64,23 +73,9 @@ class Simulator:
                 stacklevel=2,
             )
             engine = ExplicitQueueEngine(event_queue)
-        if engine is None:
-            engine = os.environ.get("REPRO_ENGINE") or None
-        if engine is None:
-            if os.environ.get("REPRO_EVENT_QUEUE", "").lower() in (
-                "heap",
-                "reference",
-            ):
-                warnings.warn(
-                    "REPRO_EVENT_QUEUE is deprecated; set "
-                    "REPRO_ENGINE=heap instead — see docs/engines.md",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                engine = "heap"
-            else:
-                engine = "wheel"
-        self._engine = resolve_engine(engine)
+        self._engine = resolve_engine(
+            select_engine(engine, KERNEL_DEFAULT)
+        )
         self._queue = self._engine.make_queue()
         self._now = 0
         self._modules: list[SimModule] = []

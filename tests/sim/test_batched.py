@@ -133,6 +133,51 @@ class TestCycleCalendarProtocol:
         }
 
 
+class TestCycleCalendarGrow:
+    def test_ring_starts_at_wheel_size(self):
+        from repro.sim.events import EventQueue
+
+        calendar = CycleCalendar()
+        assert calendar._size == CycleCalendar.WINDOW
+        assert CycleCalendar.WINDOW == EventQueue.WHEEL_SLOTS
+
+    @pytest.mark.parametrize(
+        "span,size", [(0, 256), (255, 256), (256, 512), (300, 512),
+                      (1024, 2048)]
+    )
+    def test_grows_to_power_of_two_above_span(self, span, size):
+        calendar = CycleCalendar()
+        calendar.grow(span)
+        assert calendar._size == size
+        assert calendar._mask == size - 1
+
+    def test_grow_mid_drain_preserves_order(self):
+        """Grown after a partial drain, with items in the ring, in
+        the overflow heap and in a half-drained slot, the calendar
+        still pops the reference heap's order."""
+        rng = random.Random(11)
+        calendar = CycleCalendar()
+        heap = HeapEventQueue()
+        for _ in range(400):
+            time = rng.choice([5, 5, 5, rng.randrange(0, 900)])
+            priority = rng.choice([0, 0, 1])
+            calendar.push(_event(time, priority))
+            heap.push(_event(time, priority))
+        for _ in range(3):  # stop inside the time-5 slot
+            a, b = calendar.pop_next(), heap.pop_next()
+            assert (a.time, a.sequence) == (b.time, b.sequence)
+        calendar.grow(600)
+        assert calendar._size == 1024
+        while len(heap):
+            a, b = calendar.pop_next(), heap.pop_next()
+            assert (a.time, a.priority, a.sequence) == (
+                b.time,
+                b.priority,
+                b.sequence,
+            )
+        assert calendar.pop_next() is None
+
+
 class Recorder(SimModule):
     def __init__(self, simulator, name="r"):
         super().__init__(simulator, name)
@@ -345,6 +390,144 @@ class TestModeSelection:
         assert sim.engine.mode == "fast"
         segmented = network.run(cycles=300)
         assert whole.to_dict() == segmented.to_dict()
+
+
+class _SlowLinkRing(RingTopology):
+    """A ring whose every link takes 300 cycles: longer than the
+    calendar's initial ring."""
+
+    def link_attrs(self, src, port):
+        from repro.topology import LinkAttrs
+
+        return LinkAttrs(latency=300)
+
+
+class TestLongLinks:
+    def test_default_engine_grows_ring_and_matches_heap(
+        self, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        topology = _SlowLinkRing(6)
+
+        def run(engine):
+            network = Network(
+                topology,
+                config=NocConfig(source_queue_packets=8),
+                traffic=TrafficSpec(UniformTraffic(topology), 0.05),
+                seed=5,
+                engine=engine,
+            )
+            return network, network.run(cycles=4000, warmup=500)
+
+        network, batched = run(None)
+        engine = network.simulator.engine
+        assert isinstance(engine, BatchedEngine)
+        assert engine.mode == "fast"
+        assert network.simulator._queue._size == 512
+        _, heap = run("heap")
+        assert batched.packets_delivered > 0
+        assert batched.to_dict() == heap.to_dict()
+
+
+def _saturated(engine):
+    topology = RingTopology(16)
+    return Network(
+        topology,
+        config=NocConfig(source_queue_packets=8),
+        traffic=TrafficSpec(UniformTraffic(topology), 0.5),
+        seed=7,
+        engine=engine,
+    )
+
+
+def _flits_on_wire(network):
+    from repro.noc.signals import FlitMessage
+
+    return sorted(
+        (
+            event.time,
+            event.message.arrival_gate.module.name,
+            event.message.arrival_gate.name,
+            event.message.wire_vc,
+            event.message.flit.packet.src,
+            event.message.flit.packet.dst,
+            event.message.flit.packet.created_at,
+            event.message.flit.index,
+        )
+        for event in network.simulator.pending_events()
+        if isinstance(event.message, FlitMessage)
+    )
+
+
+class TestReleaseAfterRun:
+    """Network.run drops the fast-path wiring once it has its result;
+    post-run inspection sees what the event engines show."""
+
+    def test_inspection_matches_heap(self):
+        from repro.noc.invariants import InvariantChecker
+
+        heap = _saturated("heap")
+        heap.run(cycles=400)
+        batched = _saturated("batched")
+        batched.run(cycles=400)
+        assert batched.simulator.engine.mode == "fast"
+        on_wire = _flits_on_wire(batched)
+        assert on_wire  # the run ended with flits still on links
+        assert on_wire == _flits_on_wire(heap)
+        InvariantChecker(heap).check_all()
+        InvariantChecker(batched).check_all()
+
+    def test_wiring_is_dropped(self):
+        network = _saturated("batched")
+        network.run(cycles=200)
+        engine = network.simulator.engine
+        assert engine._recv == [] and engine._pending == []
+        for router in network.routers:
+            assert router._fast_advance is None
+            assert router._fast_append is None
+            assert all(p.credit_records is None
+                       for p in router._input_order)
+            assert all(p.flit_sink is None
+                       for p in router._output_order)
+        for ni in network.interfaces:
+            assert ni.flit_sink is None and ni.credit_records is None
+        scheduler = network.scheduler
+        assert "activate" not in vars(scheduler)
+        assert "handle_message" not in vars(scheduler)
+        calendar = network.simulator._queue
+        assert not any(
+            item.__class__ is tuple
+            for lane in calendar._lane0
+            for item in lane
+        )
+
+    def test_closures_freed_without_a_collection(self):
+        import gc
+        import weakref
+
+        network = _saturated("batched")
+        network.simulator.run(until=100)  # installs the fast path
+        advance = weakref.ref(network.routers[0]._fast_advance)
+        receive = weakref.ref(network.simulator.engine._recv[0][0])
+        gc.disable()
+        try:
+            network.run(cycles=300)
+            assert advance() is None and receive() is None
+        finally:
+            gc.enable()
+
+    def test_no_run_after_release(self):
+        network = _saturated("batched")
+        network.run(cycles=100)
+        with pytest.raises(SimulationError, match="single-use"):
+            network.simulator.run(until=200)
+
+    def test_slow_mode_keeps_nothing_to_release(self):
+        network = _saturated("batched")
+        network.simulator.add_observer(Observer())
+        network.run(cycles=100)
+        assert network.simulator.engine.mode == "slow"
+        network.simulator.run(until=150)  # the event loop carries on
 
 
 class TestNumpyFlush:

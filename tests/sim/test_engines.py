@@ -131,7 +131,10 @@ class TestSettingsThreading:
         batched = run_simulation(topology, pattern, 0.1, settings)
         assert wheel.to_dict() == batched.to_dict()
 
-    def test_engine_changes_cache_key(self):
+    def test_engine_leaves_cache_key_unchanged(self):
+        """Every engine gives a byte-identical result, so the key
+        hashes only what decides it: naming an engine (or not) never
+        turns a stored result into a miss."""
         from repro.experiments.parallel import point_key
         from repro.experiments.runner import (
             SimulationSettings,
@@ -146,7 +149,46 @@ class TestSettingsThreading:
                 settings=SimulationSettings(engine=engine),
             )
 
-        assert point_key(point("wheel")) != point_key(point("batched"))
+        keys = {
+            point_key(point(engine))
+            for engine in ("wheel", "heap", "batched", None)
+        }
+        assert len(keys) == 1
+        # Everything else in the settings still moves the key.
+        seeded = SweepPoint(
+            "ring16", "uniform", 0.1, SimulationSettings(seed=2)
+        )
+        assert point_key(seeded) not in keys
+
+    def test_store_hits_across_engines(self, tmp_path):
+        """A campaign run under wheel and then under batched into one
+        store: the second run is served entirely from the store."""
+        from repro.experiments.campaign import campaign_points
+        from repro.experiments.parallel import (
+            ResultCache,
+            execute_points,
+        )
+
+        spec = {
+            "name": "t",
+            "cycles": 300,
+            "warmup": 50,
+            "topologies": ["ring8", "mesh8"],
+            "patterns": ["uniform"],
+            "rates": [0.05, 0.2],
+        }
+        cache = ResultCache(tmp_path / "store")
+        wheel, cold = execute_points(
+            campaign_points(dict(spec, engine="wheel")), cache=cache
+        )
+        batched, warm = execute_points(
+            campaign_points(dict(spec, engine="batched")), cache=cache
+        )
+        assert cold.cache_misses == 4
+        assert warm.cache_hits == 4 and warm.cache_misses == 0
+        assert [r.to_dict() for r in batched] == [
+            r.to_dict() for r in wheel
+        ]
 
     def test_campaign_spec_engine_key(self):
         from repro.experiments.campaign import Campaign
@@ -177,6 +219,140 @@ class TestSettingsThreading:
                 "patterns": ["uniform"],
                 "rates": [0.1],
                 "engine": "warp",
+            }
+        )
+        with pytest.raises(ValueError, match="unknown engine"):
+            campaign.validate()
+
+
+class _Spy:
+    """Patches the runner's Network to record each built network's
+    engine name."""
+
+    def __init__(self, monkeypatch):
+        from repro.experiments import runner
+
+        self.engines = []
+        real = runner.Network
+        spy = self
+
+        class SpyNetwork(real):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                spy.engines.append(self.simulator.engine.name)
+
+        monkeypatch.setattr(runner, "Network", SpyNetwork)
+
+
+def _sweep_point(engine=None):
+    """A small point; the settings leave the engine field at its
+    default unless *engine* is given."""
+    from dataclasses import replace
+
+    from repro.experiments.runner import SimulationSettings, SweepPoint
+
+    settings = SimulationSettings(cycles=200, warmup=20)
+    if engine is not None:
+        settings = replace(settings, engine=engine)
+    return SweepPoint("ring8", "uniform", 0.1, settings)
+
+
+class TestDefaults:
+    """Networks, sweeps and campaigns default to batched; a bare
+    Simulator stays on the wheel."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
+
+    def test_network_default_is_batched(self):
+        from repro.noc.network import Network
+        from repro.sim.batched import BatchedEngine
+        from repro.topology import RingTopology
+
+        network = Network(RingTopology(4))
+        assert isinstance(network.simulator.engine, BatchedEngine)
+
+    def test_bare_simulator_default_is_wheel(self):
+        sim = Simulator()
+        assert sim.engine.name == "wheel"
+        assert isinstance(sim._queue, EventQueue)
+
+    def test_settings_default_runs_batched(self, monkeypatch):
+        from repro.experiments.parallel import run_sweep_point
+        from repro.experiments.runner import SimulationSettings
+
+        assert SimulationSettings().engine is None
+        spy = _Spy(monkeypatch)
+        run_sweep_point(_sweep_point())
+        assert spy.engines == ["batched"]
+
+    def test_campaign_spec_without_engine_runs_batched(
+        self, monkeypatch
+    ):
+        from repro.experiments.campaign import campaign_points
+        from repro.experiments.parallel import run_sweep_point
+
+        points = campaign_points(
+            {
+                "name": "t",
+                "cycles": 200,
+                "warmup": 20,
+                "topologies": ["ring8"],
+                "patterns": ["uniform"],
+                "rates": [0.1],
+            }
+        )
+        assert [p.settings.engine for p in points] == [None]
+        spy = _Spy(monkeypatch)
+        run_sweep_point(points[0])
+        assert spy.engines == ["batched"]
+
+
+class TestEnginePrecedence:
+    """Explicit engine > REPRO_ENGINE > built-in default, on every
+    path."""
+
+    def test_env_reaches_sweep_points(self, monkeypatch):
+        from repro.experiments.parallel import run_sweep_point
+
+        monkeypatch.setenv("REPRO_ENGINE", "heap")
+        spy = _Spy(monkeypatch)
+        run_sweep_point(_sweep_point())
+        assert spy.engines == ["heap"]
+
+    def test_explicit_engine_beats_env(self, monkeypatch):
+        from repro.experiments.parallel import run_sweep_point
+        from repro.noc.network import Network
+        from repro.topology import RingTopology
+
+        monkeypatch.setenv("REPRO_ENGINE", "heap")
+        spy = _Spy(monkeypatch)
+        run_sweep_point(_sweep_point("wheel"))
+        assert spy.engines == ["wheel"]
+        network = Network(RingTopology(4), engine="batched")
+        assert network.simulator.engine.name == "batched"
+        assert Simulator(engine="batched").engine.name == "batched"
+
+    def test_env_reaches_network_and_simulator(self, monkeypatch):
+        from repro.noc.network import Network
+        from repro.topology import RingTopology
+
+        monkeypatch.setenv("REPRO_ENGINE", "heap")
+        assert Network(RingTopology(4)).simulator.engine.name == "heap"
+        assert Simulator().engine.name == "heap"
+
+    def test_campaign_validate_checks_env(self, monkeypatch):
+        from repro.experiments.campaign import Campaign
+
+        monkeypatch.setenv("REPRO_ENGINE", "warp")
+        campaign = Campaign(
+            {
+                "name": "t",
+                "topologies": ["ring8"],
+                "patterns": ["uniform"],
+                "rates": [0.1],
             }
         )
         with pytest.raises(ValueError, match="unknown engine"):

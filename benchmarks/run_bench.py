@@ -52,9 +52,8 @@ import time
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-BASELINE_PATH = pathlib.Path(__file__).parent / "kernel_baseline.json"
+from perf_guard import BASELINE_PATH, EVENTS, kernel_rate  # noqa: E402
 
-PING_PONG_EVENTS = 20_000
 REPEATS = 5
 FIGURE_CYCLES = 2_000
 FIGURE_RATE = 0.15
@@ -62,33 +61,9 @@ FIGURE_SEED = 11
 
 
 def bench_ping_pong() -> float:
-    """Best-of-N events/second of the standard ping-pong workload."""
-    from repro.sim.kernel import Simulator
-    from repro.sim.messages import Message
-    from repro.sim.module import SimModule
-
-    class PingPong(SimModule):
-        def __init__(self, simulator, name):
-            super().__init__(simulator, name)
-            self.add_gate("out")
-
-        def handle_message(self, message):
-            self.send(Message("ball"), "out")
-
-    best = 0.0
-    for _ in range(REPEATS):
-        sim = Simulator()
-        a = PingPong(sim, "a")
-        b = PingPong(sim, "b")
-        a.gate("out").connect(b.add_gate("in"), delay=1)
-        b.gate("out").connect(a.add_gate("in"), delay=1)
-        sim.schedule(0, a, Message("serve"))
-        start = time.perf_counter()
-        sim.run(max_events=PING_PONG_EVENTS)
-        elapsed = time.perf_counter() - start
-        assert sim.events_processed == PING_PONG_EVENTS
-        best = max(best, PING_PONG_EVENTS / elapsed)
-    return best
+    """Best-of-N events/second of the standard ping-pong workload
+    (the one ``perf_guard.py`` guards)."""
+    return max(kernel_rate() for _ in range(REPEATS))
 
 
 def bench_queue_churn() -> float:
@@ -235,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "kernel_ping_pong": {
-            "events": PING_PONG_EVENTS,
+            "events": EVENTS,
             "events_per_second": round(ping_pong),
             "baseline_events_per_second": (
                 baseline["kernel_events_per_second"]

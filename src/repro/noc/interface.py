@@ -24,7 +24,13 @@ from collections import deque
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import Flit, Packet
-from repro.noc.signals import CreditMessage, FlitMessage
+from repro.noc.signals import (
+    CreditMessage,
+    FlitMessage,
+    gate_credit_records,
+    gate_flit_sink,
+    send_credit,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import SimModule
@@ -52,12 +58,14 @@ class NetworkInterface(SimModule):
         config: NocConfig,
         scheduler,
         stats: NetworkStats,
+        num_vcs: int,
     ) -> None:
         super().__init__(simulator, f"ni{node}")
         self.node = node
         self.config = config
         self.scheduler = scheduler
         self.stats = stats
+        self.num_vcs = num_vcs
         self.data_out = self.add_gate("data_out")
         self.credit_in = self.add_gate("credit_in")
         self.data_in = self.add_gate("data_in")
@@ -73,14 +81,18 @@ class NetworkInterface(SimModule):
         # Installed by the Network: per-flit drop accounting for
         # runtime link failures (None on a fault-free run).
         self.drop_sink = None
-        # Batched fast path (all None on the event engines): the
-        # injection-link flit sink, the reusable ejection-credit
-        # records (per wire VC), and the current-cycle record channel.
-        self.flit_sink = None
-        self.credit_records = None
-        self._fast_append = None
+        self.use_gates()
 
     # -- wiring ----------------------------------------------------------
+
+    def use_gates(self) -> None:
+        """Gate wiring, as :meth:`repro.noc.router.Router.use_gates`."""
+        self.flit_sink = gate_flit_sink(self.data_out)
+        self.credit_records = gate_credit_records(
+            self.credit_out, self.num_vcs
+        )
+        self.emit_credit = send_credit
+        vars(self).pop("send_phase", None)
 
     def set_injection_credits(self, credits: int) -> None:
         """Initial credit count for the router's local input buffer."""
@@ -175,11 +187,7 @@ class NetworkInterface(SimModule):
             # A runtime fault killed the packet while this flit was
             # crossing the ejection link: return the credit and drop
             # instead of consuming a partial packet.
-            records = self.credit_records
-            if records is None:
-                self.send(CreditMessage(flit.wire_vc), self.credit_out)
-            else:
-                self._fast_append(records[flit.wire_vc])
+            self.emit_credit(self.credit_records[flit.wire_vc])
             if self.drop_sink is not None:
                 self.drop_sink(flit)
             return
@@ -198,11 +206,7 @@ class NetworkInterface(SimModule):
                 f"{flit.packet.packet_id} bound for {flit.packet.dst}"
             )
         now = self.now
-        records = self.credit_records
-        if records is None:
-            self.send(CreditMessage(flit.wire_vc), self.credit_out)
-        else:
-            self._fast_append(records[flit.wire_vc])
+        self.emit_credit(self.credit_records[flit.wire_vc])
         self.stats.record_consumed_flit(now)
         if flit.is_tail:
             self.stats.record_packet_delivered(flit.packet, now)
@@ -213,36 +217,10 @@ class NetworkInterface(SimModule):
         """The NI has no internal pipeline stage."""
 
     def send_phase(self) -> None:
-        """Inject at most one flit of the head-of-line packet."""
-        while self._backlog and self._backlog[0].killed:
-            # Killed mid-injection: abandon the rest of the packet.
-            # Flits never injected are not counted as dropped —
-            # conservation tracks injected flits only.
-            self._backlog.popleft()
-            self._next_flit_index = 0
-        if not self._backlog or self._credits <= 0:
-            return
-        packet = self._backlog[0]
-        flit = Flit(packet, self._next_flit_index)
-        # All flits enter the network on wire VC 0; the source router
-        # keys its switching state by the arrival VC, and packet.vc may
-        # be promoted (dateline) between the head and body injections.
-        flit.wire_vc = 0
-        now = self.now
-        if flit.is_head:
-            packet.injected_at = now
-        self._credits -= 1
-        self.stats.record_injected_flit(now)
-        sink = self.flit_sink
-        if sink is None:
-            self.send(FlitMessage(flit, flit.wire_vc), self.data_out)
-        else:
-            sink(flit, flit.wire_vc)
-        if flit.is_tail:
-            self._backlog.popleft()
-            self._next_flit_index = 0
-        else:
-            self._next_flit_index += 1
+        """Inject at most one flit of the head-of-line packet (the
+        first call compiles :func:`_make_ni_send` over this method)."""
+        self.send_phase = _make_ni_send(self)
+        self.send_phase()
 
     def has_pending_work(self) -> bool:
         return bool(self._backlog)
@@ -259,3 +237,44 @@ class NetworkInterface(SimModule):
         """Deepest the IP memory got so far (packets) — the source
         side congestion signal the trace summary reports."""
         return self._peak_backlog
+
+
+def _make_ni_send(ni: NetworkInterface):
+    """Compile *ni*'s send phase: inject at most one flit of the
+    head-of-line packet into the router's local input lane, subject
+    to credit."""
+    backlog = ni._backlog
+    stats = ni.stats
+    sink = ni.flit_sink
+    sim = ni.simulator
+
+    def send():
+        while backlog and backlog[0].killed:
+            # Killed mid-injection: abandon the rest of the packet.
+            # Flits never injected are not counted as dropped —
+            # conservation tracks injected flits only.
+            backlog.popleft()
+            ni._next_flit_index = 0
+        if not backlog or ni._credits <= 0:
+            return
+        packet = backlog[0]
+        index = ni._next_flit_index
+        flit = Flit(packet, index)
+        # All flits enter the network on wire VC 0; the source router
+        # keys its switching state by the arrival VC, and packet.vc
+        # may be promoted (dateline) between the head and body
+        # injections.
+        flit.wire_vc = 0
+        now = sim._now
+        if index == 0:
+            packet.injected_at = now
+        ni._credits -= 1
+        stats.record_injected_flit(now)
+        sink(flit, 0)
+        if index == packet.size_flits - 1:
+            backlog.popleft()
+            ni._next_flit_index = 0
+        else:
+            ni._next_flit_index = index + 1
+
+    return send

@@ -50,7 +50,6 @@ class Network:
         traffic: TrafficSpec | None = None,
         seed: int = 0,
         engine=None,
-        event_queue=None,
     ) -> None:
         self.topology = topology
         self.routing = routing if routing is not None else routing_for(
@@ -71,10 +70,8 @@ class Network:
         # The equivalence tests run the same network on every engine
         # and require byte-identical results; with none named, the
         # network default (batched) applies, after REPRO_ENGINE.
-        if event_queue is None:
-            engine = select_engine(engine, NETWORK_DEFAULT)
         self.simulator = Simulator(
-            engine=engine, event_queue=event_queue
+            engine=select_engine(engine, NETWORK_DEFAULT)
         )
         self.scheduler = CycleScheduler(self.simulator)
         self.stats = NetworkStats()
@@ -146,6 +143,7 @@ class Network:
                     config,
                     self.scheduler,
                     self.stats,
+                    self.num_vcs,
                 )
             )
         # Inter-router links: data forward, credit backward.  Each

@@ -32,6 +32,11 @@ Both phases move at most one flit per port per cycle, which bounds
 every physical link — including the ejection link, whose one
 flit/cycle ceiling is the hot-spot bottleneck the paper measures.
 
+Each phase is written once, as a builder compiled per router at its
+first phase call (:func:`_make_router_advance`, :func:`_make_router_send`);
+every engine runs those functions, and only the credit emitter and
+flit sinks they call differ (see :meth:`Router.use_gates`).
+
 Why per-VC input lanes: with a single shared one-flit input buffer, a
 VC0 flit blocked in the buffer stalls VC1 flits arriving on the same
 link, so VC1 channels inherit VC0 dependencies and the ring's channel
@@ -45,7 +50,13 @@ from __future__ import annotations
 
 from repro.noc.buffers import FlitFifo, OutputQueue, SwitchingState
 from repro.noc.config import NocConfig
-from repro.noc.signals import CreditMessage, FlitMessage
+from repro.noc.signals import (
+    CreditMessage,
+    FlitMessage,
+    gate_credit_records,
+    gate_flit_sink,
+    send_credit,
+)
 from repro.routing.base import LOCAL_PORT, RoutingAlgorithm
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
@@ -76,9 +87,9 @@ class _InputPort:
         self.lanes = [FlitFifo(lane_capacity) for _ in range(num_lanes)]
         self.switching = SwitchingState()
         self.credit_gate = credit_gate
-        # Batched fast path: per-VC reusable credit records replacing
-        # CreditMessage sends (None on the event engines).
-        self.credit_records = None
+        # Per-VC records the router's credit emitter consumes when a
+        # lane slot frees (see Router.use_gates).
+        self.credit_records = gate_credit_records(credit_gate, num_lanes)
         self.rr_next_lane = 0
         # Routing decision taken for a head flit that has not yet won
         # its output queue (one per lane); routing algorithms are
@@ -117,9 +128,9 @@ class _OutputPort:
         ]
         self.credits = [downstream_capacity] * num_vcs
         self.data_gate = data_gate
-        # Batched fast path: callable replacing the FlitMessage send
-        # (None on the event engines).
-        self.flit_sink = None
+        # ``sink(flit, vc)`` puts a flit on the link (see
+        # Router.use_gates).
+        self.flit_sink = gate_flit_sink(data_gate)
         self.rr_next_vc = 0
         self.flits_sent = 0
         self.flits_sent_by_vc = [0] * num_vcs
@@ -146,9 +157,9 @@ class Router(SimModule):
         self.config = config
         self.scheduler = scheduler
         self.num_vcs = num_vcs
-        # Batched fast path: files a record into the current cycle
-        # (the zero-delay credit channel); None on the event engines.
-        self._fast_append = None
+        # Returns one upstream credit, given a port's credit record
+        # (see use_gates).
+        self.emit_credit = send_credit
         # Runtime-fault state, managed by the owning Network: output
         # ports currently severed by a link failure, the residual
         # routing table that detours around them, and the callbacks
@@ -168,6 +179,9 @@ class Router(SimModule):
         self._output_order: list[_OutputPort] = []
         self._input_of_gate: dict[Gate, _InputPort] = {}
         self._output_of_gate: dict[Gate, _OutputPort] = {}
+        # Every lane's and queue's flit deque: the router has work
+        # while any of them is non-empty.
+        self._deques: list = []
 
     # -- wiring (done by the Network builder) --------------------------
 
@@ -184,6 +198,7 @@ class Router(SimModule):
         self._inputs[name] = port
         self._input_order.append(port)
         self._input_of_gate[data_gate] = port
+        self._deques += [lane._flits for lane in port.lanes]
         return data_gate, credit_gate
 
     def add_output_port(
@@ -202,7 +217,23 @@ class Router(SimModule):
         self._outputs[name] = port
         self._output_order.append(port)
         self._output_of_gate[credit_gate] = port
+        self._deques += [queue._flits for queue in port.queues]
         return data_gate, credit_gate
+
+    def use_gates(self) -> None:
+        """Send credits and flits as messages over the gates — the
+        wiring routers are built with, which the batched fast path
+        replaces and restores — and drop phase functions compiled
+        against another wiring."""
+        self.emit_credit = send_credit
+        for port in self._input_order:
+            port.credit_records = gate_credit_records(
+                port.credit_gate, self.num_vcs
+            )
+        for port in self._output_order:
+            port.flit_sink = gate_flit_sink(port.data_gate)
+        vars(self).pop("advance_phase", None)
+        vars(self).pop("send_phase", None)
 
     # -- message handling ----------------------------------------------
 
@@ -227,11 +258,7 @@ class Router(SimModule):
             # The packet was declared undeliverable while this flit
             # was on the wire: drop it on arrival, returning the
             # credit so upstream bookkeeping stays exact.
-            records = port.credit_records
-            if records is None:
-                self.send(CreditMessage(wire_vc), port.credit_gate)
-            else:
-                self._fast_append(records[wire_vc])
+            self.emit_credit(port.credit_records[wire_vc])
             if self.drop_sink is not None:
                 self.drop_sink(flit)
             return
@@ -244,161 +271,23 @@ class Router(SimModule):
         self.scheduler.activate(self)
 
     # -- cycle phases ----------------------------------------------------
+    #
+    # The first call compiles both phases against the current wiring
+    # and binds them over these methods on the instance.
 
     def advance_phase(self) -> None:
-        """Move up to one flit per input port into its output queue.
-
-        Separable two-step allocation:
-
-        1. every input port nominates one candidate flit (first lane
-           in its round-robin order whose flit could move this
-           cycle);
-        2. body flits move directly (their queue is owned by their
-           packet, so no two candidates collide); head flits
-           *claiming* a free queue are arbitrated per queue with a
-           rotating grant priority stored on the queue itself.
-
-        Per-queue grant rotation matters: any router-global pointer
-        resonates when its period divides the packet length (e.g. 3
-        ports x 6-flit packets) and then one input captures an output
-        queue forever, starving the local source — observed as zero
-        delivered packets from distance-1 nodes under hot-spot load.
-        """
-        now = self.now
-        claims: dict = {}
-        for index, port in enumerate(self._input_order):
-            candidate = self._candidate(port, now)
-            if candidate is None:
-                continue
-            wire_vc, flit, queue = candidate
-            if flit.is_head and queue.owner is None:
-                claims.setdefault(queue, []).append(
-                    (index, port, wire_vc, flit)
-                )
-            else:
-                self._execute_move(port, wire_vc, flit, queue, now)
-        num_inputs = len(self._input_order)
-        for queue, requests in claims.items():
-            winner = min(
-                requests,
-                key=lambda req: (req[0] - queue.rr_grant) % num_inputs,
-            )
-            index, port, wire_vc, flit = winner
-            queue.rr_grant = (index + 1) % num_inputs
-            del port.pending[wire_vc]
-            port.switching.set_route(
-                wire_vc, flit.packet, queue.port, queue.vc
-            )
-            self._execute_move(port, wire_vc, flit, queue, now)
-
-    def _candidate(
-        self, port: _InputPort, now: int
-    ) -> tuple[int, "object", "object"] | None:
-        """The port's movable flit this cycle: (wire_vc, flit, queue)."""
-        lanes = port.lanes
-        lane_count = len(lanes)
-        lane_start = port.rr_next_lane % lane_count
-        for lane_offset in range(lane_count):
-            wire_vc = (lane_start + lane_offset) % lane_count
-            flit = lanes[wire_vc].head()
-            if flit is None:
-                continue
-            if flit.is_head and not port.switching.has_route(wire_vc):
-                pending = port.pending.get(wire_vc)
-                if pending is None:
-                    # Routing algorithms are consulted exactly once
-                    # per packet per router; a decision that cannot
-                    # be realised yet (queue busy) is parked and
-                    # retried.
-                    decision = self.routing.decide(
-                        self.node, flit.packet
-                    )
-                    # When the network has fewer VCs than the routing
-                    # discipline asks for (the 1-VC ablation),
-                    # packets are forced onto the highest available
-                    # queue — deliberately losing the dateline's
-                    # deadlock guarantee.
-                    pending = (
-                        decision.port,
-                        min(decision.vc, self.num_vcs - 1),
-                    )
-                    if pending[0] in self.dead_ports:
-                        pending = self._reroute(flit.packet)
-                        if pending is None:
-                            # No residual path: declare the packet
-                            # undeliverable (the network purges its
-                            # flits everywhere) and look at the next
-                            # lane.
-                            assert self.kill_sink is not None
-                            self.kill_sink(
-                                flit.packet, self.node, decision.port
-                            )
-                            continue
-                    port.pending[wire_vc] = pending
-                out_port, out_vc = pending
-                queue = self._outputs[out_port].queues[out_vc]
-                if not queue.can_accept(flit, now):
-                    continue
-                return wire_vc, flit, queue
-            out_port, out_vc = port.switching.route_of(
-                wire_vc, flit.packet
-            )
-            queue = self._outputs[out_port].queues[out_vc]
-            if not queue.can_accept(flit, now):
-                continue
-            return wire_vc, flit, queue
-        return None
-
-    def _execute_move(
-        self, port: _InputPort, wire_vc: int, flit, queue, now: int
-    ) -> None:
-        """Dequeue from the lane, enqueue into *queue*, return credit."""
-        port.lanes[wire_vc].pop()
-        queue.enqueue(flit, now)
-        if flit.is_tail:
-            port.switching.clear(wire_vc)
-        port.rr_next_lane = (wire_vc + 1) % len(port.lanes)
-        records = port.credit_records
-        if records is None:
-            self.send(CreditMessage(wire_vc), port.credit_gate)
-        else:
-            self._fast_append(records[wire_vc])
+        """Move up to one flit per input port into its output queue."""
+        self._compile_phases()
+        self.advance_phase()
 
     def send_phase(self) -> None:
         """Forward up to one ready flit per output port."""
-        now = self.now
-        pipeline = self.config.router_pipeline
-        for port in self._output_order:
-            if port.name in self.dead_ports:
-                continue
-            queues = port.queues
-            count = len(queues)
-            start = port.rr_next_vc % count
-            for offset in range(count):
-                queue = queues[(start + offset) % count]
-                if port.credits[queue.vc] <= 0:
-                    continue
-                flit = queue.head()
-                if flit is None:
-                    continue
-                if pipeline and flit.enqueued_at == now:
-                    continue
-                queue.pop()
-                port.credits[queue.vc] -= 1
-                port.rr_next_vc = (queue.vc + 1) % count
-                port.flits_sent += 1
-                port.flits_sent_by_vc[queue.vc] += 1
-                if flit.is_head and port.name != LOCAL_PORT:
-                    flit.packet.hops += 1
-                flit.wire_vc = queue.vc
-                sink = port.flit_sink
-                if sink is None:
-                    self.send(
-                        FlitMessage(flit, queue.vc), port.data_gate
-                    )
-                else:
-                    sink(flit, queue.vc)
-                break
+        self._compile_phases()
+        self.send_phase()
+
+    def _compile_phases(self) -> None:
+        self.advance_phase = _make_router_advance(self)
+        self.send_phase = _make_router_send(self)
 
     # -- runtime faults --------------------------------------------------
 
@@ -470,14 +359,9 @@ class Router(SimModule):
                     continue
                 dropped += len(removed)
                 port.pending.pop(wire_vc, None)
-                records = port.credit_records
+                record = port.credit_records[wire_vc]
                 for flit in removed:
-                    if records is None:
-                        self.send(
-                            CreditMessage(wire_vc), port.credit_gate
-                        )
-                    else:
-                        self._fast_append(records[wire_vc])
+                    self.emit_credit(record)
                     if self.drop_sink is not None:
                         self.drop_sink(flit)
             port.switching.clear_packet(packet)
@@ -618,14 +502,19 @@ class Router(SimModule):
         just continue their worm.  Returns the flit.
         """
         port = self._inputs[input_name]
-        flit = port.lanes[wire_vc].head()
-        queue = self._outputs[out_port].queues[out_vc]
+        lane = port.lanes[wire_vc]
+        flit = lane.head()
         if flit.is_head:
             port.pending.pop(wire_vc, None)
             port.switching.set_route(
                 wire_vc, flit.packet, out_port, out_vc
             )
-        self._execute_move(port, wire_vc, flit, queue, now)
+        lane.pop()
+        self._outputs[out_port].queues[out_vc].enqueue(flit, now)
+        if flit.is_tail:
+            port.switching.clear(wire_vc)
+        port.rr_next_lane = (wire_vc + 1) % len(port.lanes)
+        self.emit_credit(port.credit_records[wire_vc])
         self.drain_moves += 1
         return flit
 
@@ -651,30 +540,11 @@ class Router(SimModule):
         """Forced send, downstream half: accept *flit* into the loop
         input lane (killed packets drop on arrival with their credit
         returned, as on a normal wire delivery)."""
-        port = self._inputs[input_name]
-        if flit.packet.killed:
-            records = port.credit_records
-            if records is None:
-                self.send(CreditMessage(wire_vc), port.credit_gate)
-            else:  # pragma: no cover - drain forces the event loop
-                self._fast_append(records[wire_vc])
-            if self.drop_sink is not None:
-                self.drop_sink(flit)
-            return
-        port.lanes[wire_vc].push(flit)
-        self.scheduler.activate(self)
+        self.receive_flit(self._inputs[input_name], wire_vc, flit)
 
     def has_pending_work(self) -> bool:
         """True while any lane or queue holds a flit."""
-        for port in self._input_order:
-            for lane in port.lanes:
-                if not lane.is_empty:
-                    return True
-        for port in self._output_order:
-            for queue in port.queues:
-                if not queue.is_empty:
-                    return True
-        return False
+        return any(self._deques)
 
     # -- introspection (tests, debugging) --------------------------------
 
@@ -746,3 +616,379 @@ class Router(SimModule):
             for queue in port.queues
         )
         return max(peaks, default=0)
+
+
+def _make_router_advance(router):
+    """Compile *router*'s advance phase: move up to one flit per input
+    port into its output queue, returning one upstream credit per
+    move through the router's credit emitter.
+
+    Separable two-step allocation:
+
+    1. every input port nominates one candidate flit (first lane in
+       its round-robin order whose flit could move this cycle);
+    2. body flits move directly (their queue is owned by their
+       packet, so no two candidates collide); head flits *claiming* a
+       free queue are arbitrated per queue with a rotating grant
+       priority stored on the queue itself.
+
+    Per-queue grant rotation matters: any router-global pointer
+    resonates when its period divides the packet length (e.g. 3
+    ports x 6-flit packets) and then one input captures an output
+    queue forever, starving the local source — observed as zero
+    delivered packets from distance-1 nodes under hot-spot load.
+
+    Routing is consulted once per packet per router; a decision that
+    cannot be realised yet is parked in ``port.pending``.  With fewer
+    VCs than the routing asks for (the 1-VC ablation), packets take
+    the highest queue, losing the dateline's deadlock guarantee.
+    """
+    sim = router.simulator
+    emit = router.emit_credit
+    input_order = router._input_order
+    num_inputs = len(input_order)
+    outputs = router._outputs
+    node = router.node
+    decide = router.routing.decide
+    max_vc = router.num_vcs - 1
+    dead_ports = router.dead_ports
+
+    if router.num_vcs == 1:
+        # Single-VC variant (the mesh family): one lane per input
+        # port, one queue per output port, so wire VC and output VC
+        # are both always 0 and the round-robin lane pointer is
+        # constant — the lane loop, the modular arithmetic and the
+        # per-call attribute walks all collapse.
+        inputs = [
+            (
+                index,
+                port.lanes[0]._flits,
+                port.switching._state,
+                port.switching,
+                port.pending,
+                port.credit_records[0],
+            )
+            for index, port in enumerate(input_order)
+        ]
+
+        def advance_single():
+            now = sim._now
+            claims = None
+            for entry in inputs:
+                dq = entry[1]
+                if not dq:
+                    continue
+                (
+                    index,
+                    dq,
+                    state,
+                    switching,
+                    pending_map,
+                    record0,
+                ) = entry
+                flit = dq[0]
+                if flit.index == 0 and not state:
+                    pending = pending_map.get(0)
+                    if pending is None:
+                        decision = decide(node, flit.packet)
+                        pending = (decision.port, 0)
+                        if decision.port in dead_ports:
+                            pending = router._reroute(flit.packet)
+                            if pending is None:
+                                router.kill_sink(
+                                    flit.packet, node, decision.port
+                                )
+                                continue
+                        pending_map[0] = pending
+                    queue = outputs[pending[0]].queues[pending[1]]
+                    if (
+                        len(queue._flits) >= queue.capacity
+                        or queue.last_enqueue_cycle == now
+                        or queue.owner is not None
+                    ):
+                        continue
+                    if claims is None:
+                        claims = {}
+                    entry = claims.get(queue)
+                    if entry is None:
+                        claims[queue] = entry = []
+                    entry.append(
+                        (index, dq, state, switching, pending_map,
+                         record0, flit)
+                    )
+                    continue
+                # Body flit (an interleaved head raises in route_of).
+                entry = state.get(0)
+                if entry is None or entry[0] is not flit.packet:
+                    switching.route_of(0, flit.packet)
+                queue = outputs[entry[1]].queues[entry[2]]
+                qd = queue._flits
+                if (
+                    len(qd) >= queue.capacity
+                    or queue.last_enqueue_cycle == now
+                    or queue.owner is not flit.packet
+                ):
+                    continue
+                # The move (body flit: no ownership change on entry;
+                # rr_next_lane stays 0).
+                dq.popleft()
+                flit.enqueued_at = now
+                qd.append(flit)
+                occupancy = len(qd)
+                if occupancy > queue.peak:
+                    queue.peak = occupancy
+                queue.last_enqueue_cycle = now
+                if flit.index == flit.packet.size_flits - 1:
+                    queue.owner = None
+                    del state[0]
+                emit(record0)
+            if claims is not None:
+                for queue, requests in claims.items():
+                    if len(requests) == 1:
+                        winner = requests[0]
+                    else:
+                        grant = queue.rr_grant
+                        winner = min(
+                            requests,
+                            key=lambda req: (
+                                (req[0] - grant) % num_inputs
+                            ),
+                        )
+                    (
+                        index,
+                        dq,
+                        state,
+                        switching,
+                        pending_map,
+                        record0,
+                        flit,
+                    ) = winner
+                    queue.rr_grant = (index + 1) % num_inputs
+                    del pending_map[0]
+                    switching.set_route(0, flit.packet, queue.port, 0)
+                    # The move (head: takes ownership).
+                    dq.popleft()
+                    queue.owner = flit.packet
+                    flit.enqueued_at = now
+                    qd = queue._flits
+                    qd.append(flit)
+                    occupancy = len(qd)
+                    if occupancy > queue.peak:
+                        queue.peak = occupancy
+                    queue.last_enqueue_cycle = now
+                    if flit.index == flit.packet.size_flits - 1:
+                        queue.owner = None
+                        state.pop(0, None)
+                    emit(record0)
+
+        return advance_single
+
+    def advance():
+        now = sim._now
+        claims = None
+        for index in range(num_inputs):
+            port = input_order[index]
+            lanes = port.lanes
+            lane_count = len(lanes)
+            lane_start = port.rr_next_lane % lane_count
+            state = port.switching._state
+            for lane_offset in range(lane_count):
+                wire_vc = (lane_start + lane_offset) % lane_count
+                lane = lanes[wire_vc]
+                dq = lane._flits
+                if not dq:
+                    continue
+                flit = dq[0]
+                if flit.is_head and wire_vc not in state:
+                    pending = port.pending.get(wire_vc)
+                    if pending is None:
+                        decision = decide(node, flit.packet)
+                        out_vc = decision.vc
+                        if out_vc > max_vc:
+                            out_vc = max_vc
+                        pending = (decision.port, out_vc)
+                        if decision.port in dead_ports:
+                            pending = router._reroute(flit.packet)
+                            if pending is None:
+                                router.kill_sink(
+                                    flit.packet, node, decision.port
+                                )
+                                continue
+                        port.pending[wire_vc] = pending
+                    queue = outputs[pending[0]].queues[pending[1]]
+                    if (
+                        len(queue._flits) >= queue.capacity
+                        or queue.last_enqueue_cycle == now
+                        or queue.owner is not None
+                    ):
+                        continue
+                    if claims is None:
+                        claims = {}
+                    claims.setdefault(queue, []).append(
+                        (index, port, wire_vc, flit)
+                    )
+                    break
+                # Body flit (an interleaved head raises in route_of).
+                entry = state.get(wire_vc)
+                if entry is None or entry[0] is not flit.packet:
+                    port.switching.route_of(wire_vc, flit.packet)
+                queue = outputs[entry[1]].queues[entry[2]]
+                qd = queue._flits
+                if (
+                    len(qd) >= queue.capacity
+                    or queue.last_enqueue_cycle == now
+                    or queue.owner is not flit.packet
+                ):
+                    continue
+                # The move (body flit: no ownership change on entry).
+                dq.popleft()
+                flit.enqueued_at = now
+                qd.append(flit)
+                occupancy = len(qd)
+                if occupancy > queue.peak:
+                    queue.peak = occupancy
+                queue.last_enqueue_cycle = now
+                if flit.is_tail:
+                    queue.owner = None
+                    del state[wire_vc]
+                port.rr_next_lane = (wire_vc + 1) % lane_count
+                emit(port.credit_records[wire_vc])
+                break
+        if claims is not None:
+            for queue, requests in claims.items():
+                if len(requests) == 1:
+                    winner = requests[0]
+                else:
+                    grant = queue.rr_grant
+                    winner = min(
+                        requests,
+                        key=lambda req: (req[0] - grant) % num_inputs,
+                    )
+                index, port, wire_vc, flit = winner
+                queue.rr_grant = (index + 1) % num_inputs
+                del port.pending[wire_vc]
+                state = port.switching
+                state.set_route(
+                    wire_vc, flit.packet, queue.port, queue.vc
+                )
+                # The move (head flit: takes ownership).
+                port.lanes[wire_vc]._flits.popleft()
+                queue.owner = flit.packet
+                flit.enqueued_at = now
+                qd = queue._flits
+                qd.append(flit)
+                occupancy = len(qd)
+                if occupancy > queue.peak:
+                    queue.peak = occupancy
+                queue.last_enqueue_cycle = now
+                if flit.is_tail:
+                    queue.owner = None
+                    state._state.pop(wire_vc, None)
+                port.rr_next_lane = (wire_vc + 1) % len(port.lanes)
+                emit(port.credit_records[wire_vc])
+
+    return advance
+
+
+def _make_router_send(router):
+    """Compile *router*'s send phase: forward up to one flit per
+    output port, choosing its VC queues round-robin among those whose
+    head flit is ready (enqueued in an earlier cycle, when the
+    one-cycle pipeline is on) and whose VC has downstream credit."""
+    sim = router.simulator
+    pipeline = router.config.router_pipeline
+    dead_ports = router.dead_ports
+
+    if router.num_vcs == 1:
+        # Single-VC variant: one queue per port, VC always 0, the
+        # round-robin VC pointer constant.  Reordered so the empty
+        # check (the common case) runs first — the skipped checks
+        # have no side effects, so the move set is unchanged.
+        singles = [
+            (
+                port,
+                port.queues[0]._flits,
+                port.credits,
+                port.name == LOCAL_PORT,
+                port.name,
+                port.flit_sink,
+                port.flits_sent_by_vc,
+            )
+            for port in router._output_order
+        ]
+
+        def send_single():
+            now = sim._now
+            for entry in singles:
+                qd = entry[1]
+                if not qd:
+                    continue
+                (
+                    port,
+                    qd,
+                    credits,
+                    is_local,
+                    name,
+                    sink,
+                    by_vc,
+                ) = entry
+                if dead_ports and name in dead_ports:
+                    continue
+                if credits[0] <= 0:
+                    continue
+                flit = qd[0]
+                if pipeline and flit.enqueued_at == now:
+                    continue
+                qd.popleft()
+                credits[0] -= 1
+                port.flits_sent += 1
+                by_vc[0] += 1
+                if flit.index == 0 and not is_local:
+                    flit.packet.hops += 1
+                flit.wire_vc = 0
+                sink(flit, 0)
+
+        return send_single
+
+    ports = [
+        (
+            port,
+            port.queues,
+            port.credits,
+            port.name == LOCAL_PORT,
+            port.name,
+            port.flit_sink,
+        )
+        for port in router._output_order
+    ]
+
+    def send():
+        now = sim._now
+        for port, queues, credits, is_local, name, sink in ports:
+            if dead_ports and name in dead_ports:
+                continue
+            count = len(queues)
+            start = port.rr_next_vc % count
+            for offset in range(count):
+                queue = queues[(start + offset) % count]
+                vc = queue.vc
+                if credits[vc] <= 0:
+                    continue
+                qd = queue._flits
+                if not qd:
+                    continue
+                flit = qd[0]
+                if pipeline and flit.enqueued_at == now:
+                    continue
+                qd.popleft()
+                credits[vc] -= 1
+                port.rr_next_vc = (vc + 1) % count
+                port.flits_sent += 1
+                port.flits_sent_by_vc[vc] += 1
+                if flit.is_head and not is_local:
+                    flit.packet.hops += 1
+                flit.wire_vc = vc
+                sink(flit, vc)
+                break
+
+    return send

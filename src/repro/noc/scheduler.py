@@ -73,9 +73,9 @@ class CycleScheduler(SimModule):
         # identity instead of string comparison.
         self._advance_msg = _PhaseMessage("advance")
         self._send_msg = _PhaseMessage("send")
-        # Batched fast path: called once per cycle after every agent's
-        # send_phase, to flush the cycle's link traversals in one
-        # batched update (None on the event engines).
+        # Called once per cycle after every agent's send_phase; the
+        # batched engine's fast path sets it to flush the cycle's
+        # link traversals in one batched update.
         self.flush_hook = None
 
     def activate(self, agent: CycleAgent) -> None:

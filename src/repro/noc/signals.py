@@ -11,9 +11,15 @@ receiver of a flit sends one credit back when the flit leaves its
 input buffer.  Credits travel with **zero delay** — the paper's "local
 signal-based flow control" — which is what lets a one-flit input
 buffer sustain one flit per cycle per link.
+
+The helpers below send them over the gates: the flit sinks and credit
+emitter routers and interfaces use unless the batched engine's fast
+path swaps in record-filing ones.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from repro.noc.packet import Flit
 from repro.sim.messages import Message
@@ -49,3 +55,27 @@ class CreditMessage(Message):
     def __init__(self, vc: int) -> None:
         super().__init__(name="credit", kind=CREDIT_KIND)
         self.vc = vc
+
+
+def gate_credit_records(gate, num_vcs: int) -> list[tuple]:
+    """Per-VC credit records for credit *gate*: the ``(gate, vc)``
+    pairs :func:`send_credit` consumes."""
+    return [(gate, vc) for vc in range(num_vcs)]
+
+
+def send_credit(record: tuple) -> None:
+    """The event engines' credit emitter: one :class:`CreditMessage`
+    over the record's gate."""
+    gate, vc = record
+    gate.module.send(CreditMessage(vc), gate)
+
+
+def gate_flit_sink(gate) -> partial:
+    """The event engines' flit sink for data *gate*: ``sink(flit,
+    vc)`` calls :func:`send_flit` on it."""
+    return partial(send_flit, gate)
+
+
+def send_flit(gate, flit: Flit, vc: int) -> None:
+    """One :class:`FlitMessage` over data *gate*."""
+    gate.module.send(FlitMessage(flit, vc), gate)

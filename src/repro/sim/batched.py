@@ -21,8 +21,13 @@ structure instead and advances the whole network one cycle at a time:
 4. **credit return / ejection** — records carry specialized receiver
    closures (built per router port / NI at install time, semantically
    identical to ``Router.receive_flit``, ``NetworkInterface.
-   receive_credit`` …; anomalous branches delegate to the canonical
+   receive_credit`` …; anomalous branches delegate to those
    methods), so dispatch is a plain call.
+
+Phases 2 and 3 run the same compiled phase functions on every engine
+(:func:`repro.noc.router._make_router_advance` and its siblings);
+this engine only swaps the credit emitter, the credit records and the
+flit sinks those functions call, from gate sends to records.
 
 Equivalence contract: the engine reproduces the event kernel's
 delivery order and ``events_processed`` count *exactly* — byte-
@@ -553,10 +558,11 @@ class BatchedEngine(Engine):
         run is over.  Records still in flight become the event views
         :meth:`Simulator.pending_events` already showed, so
         post-run inspection (invariant checks, flits on the wire) is
-        unchanged; then the receiver, credit, sink and phase closures
-        are dropped, and the model's canonical methods serve any
-        later call.  Without this the closures stay reachable only
-        through reference cycles until a full collection."""
+        unchanged; then every agent goes back to its gate wiring
+        (``use_gates``), which drops the receiver, credit, sink and
+        compiled phase closures.  Without this the closures stay
+        reachable only through reference cycles until a full
+        collection."""
         if (
             self._mode != "fast"
             or self._released
@@ -569,25 +575,11 @@ class BatchedEngine(Engine):
         self._pending = []
         self._delays = []
         self._np_delays = None
-        for router in network.routers:
-            router._fast_append = None
-            router._fast_advance = None
-            router._fast_send = None
-            router._fast_deques = None
-            for port in router._input_order:
-                port.credit_records = None
-            for port in router._output_order:
-                port.flit_sink = None
-        for ni in network.interfaces:
-            ni._fast_append = None
-            ni._fast_advance = None
-            ni._fast_send = None
-            ni._fast_deques = None
-            ni.credit_records = None
-            ni.flit_sink = None
-        # The phase driver shadowed the class methods per instance.
+        for agent in (*network.routers, *network.interfaces):
+            agent.use_gates()
+        network.scheduler.flush_hook = None
+        # fast_activate shadowed the class method per instance.
         del network.scheduler.activate
-        del network.scheduler.handle_message
 
     def run(self, simulator, until, max_events):
         if self._released:
@@ -762,26 +754,26 @@ class BatchedEngine(Engine):
         """Rewire the model for the fast path.  Called once, at the
         first fast run:
 
-        * gate sends become record sinks (flits collect in the
-          per-cycle pending buffer; credits become reusable one-tuple
-          records filed straight into the current cycle's lane);
-        * record delivery runs through per-port *specialised
-          closures* — the generic receive/activate call chain, the
-          buffer-layer method hops, and the router phase bodies are
-          inlined, with invariants (buffer overflow, misroute,
-          switching-state integrity) still enforced by delegating the
-          anomalous branches to the canonical methods;
+        * each agent's credit emitter becomes
+          :meth:`CycleCalendar.append_now`, its credit records
+          reusable one-tuple delivery records, and its flit sinks
+          append to the per-cycle pending buffer that :meth:`_flush`
+          files into the arrival lanes;
+        * record delivery runs through per-port receiver closures —
+          the generic receive/activate call chain and the buffer-layer
+          method hops inlined, with invariants (buffer overflow,
+          misroute) still enforced by delegating the anomalous
+          branches to the model's methods;
         * the receivers of links in *taps* (see
           :meth:`_observer_taps`) also call the observers' arrival
           taps; every other link keeps the bare closure;
-        * the scheduler's phase dispatch is replaced by a driver that
-          runs the specialised phase closures over the same agent
-          dict, preserving activation/pruning order exactly.
+        * the scheduler calls :meth:`_flush` after each send phase
+          and schedules its phase events through a leaner
+          ``activate``.
 
-        Only the batched engine pays for — and benefits from — this:
-        the canonical methods stay untouched for the event engines,
-        and the equivalence suite pins the two implementations
-        together byte for byte.
+        The router and NI phase functions are the ones every engine
+        runs: each agent compiles them at its first phase call,
+        against whichever wiring it then has.
         """
         from repro.noc.router import Router
         from repro.noc.signals import FlitMessage
@@ -864,10 +856,10 @@ class BatchedEngine(Engine):
 
             return sink
 
-        # Pass 1: credit records (receivers and phase closures read
-        # them) and the link table.
+        # Pass 1: credit records (receivers and phase functions read
+        # them), flit sinks and the link table.
         for router in network.routers:
-            router._fast_append = append_now
+            router.emit_credit = append_now
             for port in router._input_order:
                 if port.credit_gate.delay != 0:
                     raise SimulationError(
@@ -882,7 +874,7 @@ class BatchedEngine(Engine):
                 delays.append(port.data_gate.delay)
                 recv.append(port.data_gate)  # resolved in pass 2
         for ni in network.interfaces:
-            ni._fast_append = append_now
+            ni.emit_credit = append_now
             ni.credit_records = credit_records_for(ni.credit_out)
             ni.flit_sink = make_sink(len(delays))
             delays.append(ni.data_out.delay)
@@ -895,39 +887,13 @@ class BatchedEngine(Engine):
             cal.grow(max(delays))
         if _np is not None:
             self._np_delays = _np.asarray(delays, dtype=_np.int64)
-        # Pass 3: per-agent specialised phase closures and the
-        # pending-work deque lists the pruning step scans.
-        for router in network.routers:
-            router._fast_advance = _make_router_advance(
-                router, sim, append_now
-            )
-            router._fast_send = _make_router_send(router, sim)
-            router._fast_deques = [
-                lane._flits
-                for port in router._input_order
-                for lane in port.lanes
-            ] + [
-                queue._flits
-                for port in router._output_order
-                for queue in port.queues
-            ]
-        for ni in network.interfaces:
-            ni._fast_advance = None  # the NI has no advance stage
-            ni._fast_send = _make_ni_send(ni, sim)
-            ni._fast_deques = [ni._backlog]
-        self._install_phase_driver(sched, sim)
-
-    def _install_phase_driver(self, sched, sim) -> None:
-        """Shadow the scheduler's ``handle_message`` with a driver
-        running the specialised phase closures.  The phase *events*
-        stay real (priorities 1 and 2 in the calendar), so ordering
-        against user-scheduled events and ``events_processed`` are
-        untouched — only the per-agent bodies change."""
+        sched.flush_hook = self._flush
+        # The phase events stay real (priorities 1 and 2), so their
+        # order against user-scheduled events and events_processed
+        # are untouched; only their scheduling is inlined.
         advance_msg = sched._advance_msg
         send_msg = sched._send_msg
-        agents = sched._agents
-        flush = self._flush
-        push = self._calendar.push
+        push = cal.push
 
         def fast_activate(agent):
             # CycleScheduler.activate with the two kernel.schedule
@@ -946,32 +912,6 @@ class BatchedEngine(Engine):
             push(Event(tick_time, 2, 0, sched, send_msg))
 
         sched.activate = fast_activate
-
-        def handle_phases(message):
-            if message is advance_msg:
-                sched._advance_done_at = sim._now
-                for agent in agents:
-                    step = agent._fast_advance
-                    if step is not None:
-                        step()
-                return
-            if message is not send_msg:
-                raise TypeError(f"unexpected message {message!r}")
-            for agent in agents:
-                agent._fast_send()
-            flush()
-            sched._tick_time = None
-            idle = [
-                agent
-                for agent in agents
-                if not any(agent._fast_deques)
-            ]
-            for agent in idle:
-                del agents[agent]
-            if agents:
-                sched.activate(next(iter(agents)))
-
-        sched.handle_message = handle_phases
 
     def _flush(self) -> None:
         """End-of-send-phase link traversal: file every flit sent
@@ -1013,19 +953,16 @@ class BatchedEngine(Engine):
         pending.clear()
 
 
-# -- specialised fast-path closures -------------------------------------
+# -- fast-path record closures ------------------------------------------
 #
-# Each builder compiles one router/NI role into a closure with the
-# canonical call chain inlined: no Message, no Event, no buffer-layer
-# method hops, activation folded into delivery.  The closures are
-# *semantically identical* to the canonical methods they shadow
-# (Router.advance_phase/_candidate/_execute_move, Router.send_phase,
-# NetworkInterface.send_phase, receive_flit/receive_credit), and the
-# anomalous branches — killed packets, buffer overflow, misrouted or
-# interleaved flits — delegate back to those methods so invariants
-# raise the exact same errors.  The equivalence suite pins the pair
-# together byte for byte on every topology family; change both or
-# neither.
+# Each builder compiles the delivery of a credit or flit record into a
+# closure with the call chain inlined: no Message, no Event, no
+# buffer-layer method hops, activation folded into delivery.  They are
+# *semantically identical* to Router.receive_flit/receive_credit and
+# NetworkInterface.receive_flit/receive_credit, whose anomalous
+# branches (killed packets, buffer overflow, misrouted flits) they
+# delegate to.  The equivalence suite pins each pair together byte for
+# byte on every topology family; change both or neither.
 
 
 def _make_router_credit(router, credits, vc, sched, agents):
@@ -1127,394 +1064,3 @@ def _make_tapped_receiver(receive, is_router, taps, sim):
                 tap(now, flit.wire_vc)
 
     return tapped_ni
-
-
-def _make_router_advance(router, sim, append_now):
-    """Specialised Router.advance_phase (+_candidate/_execute_move)."""
-    input_order = router._input_order
-    num_inputs = len(input_order)
-    outputs = router._outputs
-    node = router.node
-    decide = router.routing.decide
-    max_vc = router.num_vcs - 1
-    dead_ports = router.dead_ports
-
-    if router.num_vcs == 1:
-        # Single-VC variant (the mesh family): one lane per input
-        # port, one queue per output port, so wire VC and output VC
-        # are both always 0 and the round-robin lane pointer is
-        # constant — the lane loop, the modular arithmetic and the
-        # per-call attribute walks all collapse.
-        inputs = [
-            (
-                index,
-                port,
-                port.lanes[0]._flits,
-                port.lanes[0],
-                port.switching._state,
-                port.switching,
-                port.pending,
-                port.credit_records[0],
-            )
-            for index, port in enumerate(input_order)
-        ]
-
-        def advance_single():
-            now = sim._now
-            claims = None
-            for entry in inputs:
-                dq = entry[2]
-                if not dq:
-                    continue
-                (
-                    index,
-                    port,
-                    dq,
-                    lane,
-                    state,
-                    switching,
-                    pending_map,
-                    record0,
-                ) = entry
-                flit = dq[0]
-                if flit.index == 0 and not state:
-                    pending = pending_map.get(0)
-                    if pending is None:
-                        decision = decide(node, flit.packet)
-                        pending = (decision.port, 0)
-                        if decision.port in dead_ports:
-                            pending = router._reroute(flit.packet)
-                            if pending is None:
-                                router.kill_sink(
-                                    flit.packet, node, decision.port
-                                )
-                                continue
-                        pending_map[0] = pending
-                    queue = outputs[pending[0]].queues[pending[1]]
-                    if (
-                        len(queue._flits) >= queue.capacity
-                        or queue.last_enqueue_cycle == now
-                        or queue.owner is not None
-                    ):
-                        continue
-                    if claims is None:
-                        claims = {}
-                    entry = claims.get(queue)
-                    if entry is None:
-                        claims[queue] = entry = []
-                    entry.append(
-                        (index, dq, state, switching, pending_map,
-                         record0, flit)
-                    )
-                    continue
-                # Body flit (an interleaved head raises in route_of,
-                # exactly as the canonical path does).
-                entry = state.get(0)
-                if entry is None or entry[0] is not flit.packet:
-                    switching.route_of(0, flit.packet)
-                queue = outputs[entry[1]].queues[entry[2]]
-                qd = queue._flits
-                if (
-                    len(qd) >= queue.capacity
-                    or queue.last_enqueue_cycle == now
-                    or queue.owner is not flit.packet
-                ):
-                    continue
-                # _execute_move, inlined (body flit: no ownership
-                # change on entry; rr_next_lane stays 0).
-                dq.popleft()
-                flit.enqueued_at = now
-                qd.append(flit)
-                occupancy = len(qd)
-                if occupancy > queue.peak:
-                    queue.peak = occupancy
-                queue.last_enqueue_cycle = now
-                if flit.index == flit.packet.size_flits - 1:
-                    queue.owner = None
-                    del state[0]
-                append_now(record0)
-            if claims is not None:
-                for queue, requests in claims.items():
-                    if len(requests) == 1:
-                        winner = requests[0]
-                    else:
-                        grant = queue.rr_grant
-                        winner = min(
-                            requests,
-                            key=lambda req: (
-                                (req[0] - grant) % num_inputs
-                            ),
-                        )
-                    (
-                        index,
-                        dq,
-                        state,
-                        switching,
-                        pending_map,
-                        record0,
-                        flit,
-                    ) = winner
-                    queue.rr_grant = (index + 1) % num_inputs
-                    del pending_map[0]
-                    switching.set_route(0, flit.packet, queue.port, 0)
-                    # _execute_move, inlined (head: takes ownership).
-                    dq.popleft()
-                    queue.owner = flit.packet
-                    flit.enqueued_at = now
-                    qd = queue._flits
-                    qd.append(flit)
-                    occupancy = len(qd)
-                    if occupancy > queue.peak:
-                        queue.peak = occupancy
-                    queue.last_enqueue_cycle = now
-                    if flit.index == flit.packet.size_flits - 1:
-                        queue.owner = None
-                        state.pop(0, None)
-                    append_now(record0)
-
-        return advance_single
-
-    def advance():
-        now = sim._now
-        claims = None
-        for index in range(num_inputs):
-            port = input_order[index]
-            lanes = port.lanes
-            lane_count = len(lanes)
-            lane_start = port.rr_next_lane % lane_count
-            state = port.switching._state
-            for lane_offset in range(lane_count):
-                wire_vc = (lane_start + lane_offset) % lane_count
-                lane = lanes[wire_vc]
-                dq = lane._flits
-                if not dq:
-                    continue
-                flit = dq[0]
-                if flit.is_head and wire_vc not in state:
-                    pending = port.pending.get(wire_vc)
-                    if pending is None:
-                        decision = decide(node, flit.packet)
-                        out_vc = decision.vc
-                        if out_vc > max_vc:
-                            out_vc = max_vc
-                        pending = (decision.port, out_vc)
-                        if decision.port in dead_ports:
-                            pending = router._reroute(flit.packet)
-                            if pending is None:
-                                router.kill_sink(
-                                    flit.packet, node, decision.port
-                                )
-                                continue
-                        port.pending[wire_vc] = pending
-                    queue = outputs[pending[0]].queues[pending[1]]
-                    if (
-                        len(queue._flits) >= queue.capacity
-                        or queue.last_enqueue_cycle == now
-                        or queue.owner is not None
-                    ):
-                        continue
-                    if claims is None:
-                        claims = {}
-                    claims.setdefault(queue, []).append(
-                        (index, port, wire_vc, flit)
-                    )
-                    break
-                # Body flit (an interleaved head raises in route_of,
-                # exactly as the canonical path does).
-                entry = state.get(wire_vc)
-                if entry is None or entry[0] is not flit.packet:
-                    port.switching.route_of(wire_vc, flit.packet)
-                queue = outputs[entry[1]].queues[entry[2]]
-                qd = queue._flits
-                if (
-                    len(qd) >= queue.capacity
-                    or queue.last_enqueue_cycle == now
-                    or queue.owner is not flit.packet
-                ):
-                    continue
-                # _execute_move, inlined (body flit: no ownership
-                # change on entry).
-                dq.popleft()
-                flit.enqueued_at = now
-                qd.append(flit)
-                occupancy = len(qd)
-                if occupancy > queue.peak:
-                    queue.peak = occupancy
-                queue.last_enqueue_cycle = now
-                if flit.is_tail:
-                    queue.owner = None
-                    del state[wire_vc]
-                port.rr_next_lane = (wire_vc + 1) % lane_count
-                append_now(port.credit_records[wire_vc])
-                break
-        if claims is not None:
-            for queue, requests in claims.items():
-                if len(requests) == 1:
-                    winner = requests[0]
-                else:
-                    grant = queue.rr_grant
-                    winner = min(
-                        requests,
-                        key=lambda req: (req[0] - grant) % num_inputs,
-                    )
-                index, port, wire_vc, flit = winner
-                queue.rr_grant = (index + 1) % num_inputs
-                del port.pending[wire_vc]
-                state = port.switching
-                state.set_route(
-                    wire_vc, flit.packet, queue.port, queue.vc
-                )
-                # _execute_move, inlined (head flit: takes ownership).
-                port.lanes[wire_vc]._flits.popleft()
-                queue.owner = flit.packet
-                flit.enqueued_at = now
-                qd = queue._flits
-                qd.append(flit)
-                occupancy = len(qd)
-                if occupancy > queue.peak:
-                    queue.peak = occupancy
-                queue.last_enqueue_cycle = now
-                if flit.is_tail:
-                    queue.owner = None
-                    state._state.pop(wire_vc, None)
-                port.rr_next_lane = (wire_vc + 1) % len(port.lanes)
-                append_now(port.credit_records[wire_vc])
-
-    return advance
-
-
-def _make_router_send(router, sim):
-    """Specialised Router.send_phase."""
-    from repro.routing.base import LOCAL_PORT
-
-    pipeline = router.config.router_pipeline
-    dead_ports = router.dead_ports
-
-    if router.num_vcs == 1:
-        # Single-VC variant: one queue per port, VC always 0, the
-        # round-robin VC pointer constant.  Reordered so the empty
-        # check (the common case) runs first — the skipped checks
-        # have no side effects, so the move set is unchanged.
-        singles = [
-            (
-                port,
-                port.queues[0],
-                port.queues[0]._flits,
-                port.credits,
-                port.name == LOCAL_PORT,
-                port.name,
-                port.flit_sink,
-                port.flits_sent_by_vc,
-            )
-            for port in router._output_order
-        ]
-
-        def send_single():
-            now = sim._now
-            for entry in singles:
-                qd = entry[2]
-                if not qd:
-                    continue
-                (
-                    port,
-                    queue,
-                    qd,
-                    credits,
-                    is_local,
-                    name,
-                    sink,
-                    by_vc,
-                ) = entry
-                if dead_ports and name in dead_ports:
-                    continue
-                if credits[0] <= 0:
-                    continue
-                flit = qd[0]
-                if pipeline and flit.enqueued_at == now:
-                    continue
-                qd.popleft()
-                credits[0] -= 1
-                port.flits_sent += 1
-                by_vc[0] += 1
-                if flit.index == 0 and not is_local:
-                    flit.packet.hops += 1
-                flit.wire_vc = 0
-                sink(flit, 0)
-
-        return send_single
-
-    ports = [
-        (
-            port,
-            port.queues,
-            port.credits,
-            port.name == LOCAL_PORT,
-            port.name,
-            port.flit_sink,
-        )
-        for port in router._output_order
-    ]
-
-    def send():
-        now = sim._now
-        for port, queues, credits, is_local, name, sink in ports:
-            if dead_ports and name in dead_ports:
-                continue
-            count = len(queues)
-            start = port.rr_next_vc % count
-            for offset in range(count):
-                queue = queues[(start + offset) % count]
-                vc = queue.vc
-                if credits[vc] <= 0:
-                    continue
-                qd = queue._flits
-                if not qd:
-                    continue
-                flit = qd[0]
-                if pipeline and flit.enqueued_at == now:
-                    continue
-                qd.popleft()
-                credits[vc] -= 1
-                port.rr_next_vc = (vc + 1) % count
-                port.flits_sent += 1
-                port.flits_sent_by_vc[vc] += 1
-                if flit.is_head and not is_local:
-                    flit.packet.hops += 1
-                flit.wire_vc = vc
-                sink(flit, vc)
-                break
-
-    return send
-
-
-def _make_ni_send(ni, sim):
-    """Specialised NetworkInterface.send_phase."""
-    from repro.noc.packet import Flit
-
-    backlog = ni._backlog
-    stats = ni.stats
-    sink = ni.flit_sink
-
-    def send():
-        while backlog and backlog[0].killed:
-            backlog.popleft()
-            ni._next_flit_index = 0
-        if not backlog or ni._credits <= 0:
-            return
-        packet = backlog[0]
-        index = ni._next_flit_index
-        flit = Flit(packet, index)
-        flit.wire_vc = 0
-        now = sim._now
-        if index == 0:
-            packet.injected_at = now
-        ni._credits -= 1
-        stats.record_injected_flit(now)
-        sink(flit, 0)
-        if index == packet.size_flits - 1:
-            backlog.popleft()
-            ni._next_flit_index = 0
-        else:
-            ni._next_flit_index = index + 1
-
-    return send

@@ -1,9 +1,7 @@
 """Simulation engines: how a :class:`~repro.sim.kernel.Simulator`
 stores and drains its future-event set.
 
-An :class:`Engine` bundles two choices that used to be smeared across
-``Simulator(event_queue=...)`` and the ``REPRO_EVENT_QUEUE``
-environment variable:
+An :class:`Engine` bundles two choices:
 
 * the **future-event store** (:meth:`Engine.make_queue`) — timing
   wheel, reference heap, or the batched engine's per-cycle calendar;
@@ -26,10 +24,7 @@ There are two built-in defaults, both defined here:
 :class:`~repro.noc.network.Network` — and with it every sweep, figure
 and campaign — and :data:`KERNEL_DEFAULT` (``"wheel"``) for a bare
 :class:`~repro.sim.kernel.Simulator`, which has no network for the
-batched engine to install its fast path on.  The old
-spellings — ``Simulator(event_queue=...)``, ``REPRO_EVENT_QUEUE`` —
-still work but emit :class:`DeprecationWarning`; the migration table
-lives in docs/engines.md.
+batched engine to install its fast path on.
 
 Engine instances hold per-simulation state (the batched engine caches
 a network's link tables), so the registry stores *factories*:
@@ -40,7 +35,6 @@ and never shares one between simulators.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -66,28 +60,10 @@ def select_engine(
 ) -> "str | Engine":
     """The engine to build: *engine* if given, else ``REPRO_ENGINE``,
     else *default* (:data:`NETWORK_DEFAULT` or :data:`KERNEL_DEFAULT`).
-
-    The deprecated ``REPRO_EVENT_QUEUE=heap`` still maps to ``"heap"``
-    when neither an engine nor ``REPRO_ENGINE`` is set, with a
-    :class:`DeprecationWarning`.
     """
     if engine is not None:
         return engine
-    engine = os.environ.get("REPRO_ENGINE")
-    if engine:
-        return engine
-    if os.environ.get("REPRO_EVENT_QUEUE", "").lower() in (
-        "heap",
-        "reference",
-    ):
-        warnings.warn(
-            "REPRO_EVENT_QUEUE is deprecated; set REPRO_ENGINE=heap "
-            "instead — see docs/engines.md",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "heap"
-    return default
+    return os.environ.get("REPRO_ENGINE") or default
 
 
 class Engine:
@@ -237,19 +213,6 @@ class HeapEngine(Engine):
 
     def make_queue(self) -> HeapEventQueue:
         return HeapEventQueue()
-
-
-class ExplicitQueueEngine(Engine):
-    """Back-compat shim wrapping a caller-supplied queue instance
-    (the deprecated ``Simulator(event_queue=...)`` spelling)."""
-
-    name = "custom-queue"
-
-    def __init__(self, queue) -> None:
-        self._queue = queue
-
-    def make_queue(self):
-        return self._queue
 
 
 def _ensure_builtin() -> None:

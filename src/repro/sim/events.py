@@ -20,7 +20,7 @@ Two queue implementations share that contract:
 * :class:`HeapEventQueue` — the original single binary heap, kept as
   the reference implementation: property tests drive both with random
   schedules and require identical delivery order, and any simulation
-  can be re-run on it (``REPRO_EVENT_QUEUE=heap``) to prove results
+  can be re-run on it (``REPRO_ENGINE=heap``) to prove results
   are independent of the queue structure.
 """
 

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, Iterator
 
 from repro.sim.engines import (
     KERNEL_DEFAULT,
     Engine,
-    ExplicitQueueEngine,
     resolve_engine,
     select_engine,
 )
@@ -51,28 +49,9 @@ class Simulator:
     (:data:`~repro.sim.engines.KERNEL_DEFAULT`): the batched engine
     pays off only once a :class:`~repro.noc.network.Network` installs
     its fast path, which is why networks default to it instead.
-
-    Deprecated spellings (kept as shims that warn): the
-    ``event_queue=`` argument wraps the given queue instance, and
-    ``REPRO_EVENT_QUEUE=heap`` maps to ``engine="heap"``.
     """
 
-    def __init__(
-        self, engine: "str | Engine | None" = None, event_queue=None
-    ) -> None:
-        if event_queue is not None:
-            if engine is not None:
-                raise ValueError(
-                    "pass engine= or event_queue=, not both"
-                )
-            warnings.warn(
-                "Simulator(event_queue=...) is deprecated; select an "
-                "engine instead: Simulator(engine='wheel'|'heap'|"
-                "'batched') — see docs/engines.md",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = ExplicitQueueEngine(event_queue)
+    def __init__(self, engine: "str | Engine | None" = None) -> None:
         self._engine = resolve_engine(
             select_engine(engine, KERNEL_DEFAULT)
         )

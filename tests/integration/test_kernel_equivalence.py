@@ -230,23 +230,14 @@ class TestDeliveryTraceEquivalence:
 
 class TestEnvironmentSelector:
     def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
         monkeypatch.setenv("REPRO_ENGINE", "heap")
         sim = Simulator()
         assert isinstance(sim._queue, HeapEventQueue)
         assert sim.engine.name == "heap"
 
-    def test_legacy_env_var_warns_and_maps(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setenv("REPRO_EVENT_QUEUE", "heap")
-        with pytest.warns(DeprecationWarning, match="REPRO_ENGINE"):
-            sim = Simulator()
-        assert isinstance(sim._queue, HeapEventQueue)
-
     def test_default_is_timing_wheel(self, monkeypatch):
         from repro.sim.events import EventQueue
 
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         sim = Simulator()
         assert isinstance(sim._queue, EventQueue)

@@ -93,3 +93,34 @@ class TestPerQueueGrantRotation:
             for queue in port.queues
         }
         assert pointers != {0}
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("engine", ["heap", "wheel", "batched"])
+    def test_every_engine_builds_phases_through_one_builder(
+        self, engine, monkeypatch
+    ):
+        # The router pipeline is written once: every engine compiles
+        # each router's advance phase through the same builder, so a
+        # model change made there reaches every engine.
+        from repro.noc import router as router_module
+
+        builder = router_module._make_router_advance
+        built = []
+
+        def counting(router):
+            built.append(router.node)
+            return builder(router)
+
+        monkeypatch.setattr(router_module, "_make_router_advance", counting)
+        topology = RingTopology(8)
+        net = Network(
+            topology,
+            config=NocConfig(source_queue_packets=8),
+            traffic=TrafficSpec(UniformTraffic(topology), 0.2),
+            seed=5,
+            engine=engine,
+        )
+        net.run(cycles=400)
+        assert net.stats.packets_consumed > 0
+        assert sorted(built) == list(range(8))

@@ -459,6 +459,32 @@ def _flits_on_wire(network):
     )
 
 
+def _model_objects(network):
+    """Every object reachable from the network's routers, interfaces
+    and scheduler, following closure cells but not module globals,
+    classes or the simulator (which owns the engine)."""
+    import gc
+    import types
+
+    skip = (type, types.ModuleType, Simulator)
+    seen: set[int] = set()
+    found = []
+    stack = [*network.routers, *network.interfaces, network.scheduler]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(
+                cell.cell_contents for cell in obj.__closure__ or ()
+            )
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
 class TestReleaseAfterRun:
     """Network.run drops the fast-path wiring once it has its result;
     post-run inspection sees what the event engines show."""
@@ -478,23 +504,32 @@ class TestReleaseAfterRun:
         InvariantChecker(batched).check_all()
 
     def test_wiring_is_dropped(self):
+        import types
+
+        from repro.noc.signals import send_credit
+
         network = _saturated("batched")
-        network.run(cycles=200)
+        network.simulator.run(until=100)  # installs the fast path
         engine = network.simulator.engine
-        assert engine._recv == [] and engine._pending == []
-        for router in network.routers:
-            assert router._fast_advance is None
-            assert router._fast_append is None
-            assert all(p.credit_records is None
-                       for p in router._input_order)
-            assert all(p.flit_sink is None
-                       for p in router._output_order)
-        for ni in network.interfaces:
-            assert ni.flit_sink is None and ni.credit_records is None
-        scheduler = network.scheduler
-        assert "activate" not in vars(scheduler)
-        assert "handle_message" not in vars(scheduler)
         calendar = network.simulator._queue
+        # Held alive, so their ids stay unique during the scan.
+        receivers = [entry[0] for entry in engine._recv]
+        receiver_ids = {id(receive) for receive in receivers}
+        network.run(cycles=200)
+        assert engine._recv == [] and engine._pending == []
+        batched_methods = (CycleCalendar.append_now, BatchedEngine._flush)
+        for obj in _model_objects(network):
+            assert id(obj) not in receiver_ids
+            assert not (
+                isinstance(obj, types.MethodType)
+                and obj.__func__ in batched_methods
+            ), obj
+        for agent in (*network.routers, *network.interfaces):
+            assert agent.emit_credit is send_credit
+            assert "send_phase" not in vars(agent)
+        scheduler = network.scheduler
+        assert scheduler.flush_hook is None
+        assert "activate" not in vars(scheduler)
         assert not any(
             item.__class__ is tuple
             for lane in calendar._lane0
@@ -507,12 +542,17 @@ class TestReleaseAfterRun:
 
         network = _saturated("batched")
         network.simulator.run(until=100)  # installs the fast path
-        advance = weakref.ref(network.routers[0]._fast_advance)
+        compiled = vars(network.routers[0])
+        phases = [
+            weakref.ref(compiled[name])
+            for name in ("advance_phase", "send_phase")
+        ]
         receive = weakref.ref(network.simulator.engine._recv[0][0])
         gc.disable()
         try:
             network.run(cycles=300)
-            assert advance() is None and receive() is None
+            assert [ref() for ref in phases] == [None, None]
+            assert receive() is None
         finally:
             gc.enable()
 

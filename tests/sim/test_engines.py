@@ -1,4 +1,4 @@
-"""The unified engine registry and its deprecation shims."""
+"""The unified engine registry and engine selection."""
 
 import pytest
 
@@ -10,17 +10,6 @@ from repro.sim.engines import (
 )
 from repro.sim.events import EventQueue, HeapEventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.messages import Message
-from repro.sim.module import SimModule
-
-
-class Recorder(SimModule):
-    def __init__(self, simulator, name="r"):
-        super().__init__(simulator, name)
-        self.delivered = []
-
-    def handle_message(self, message):
-        self.delivered.append((self.now, message.name))
 
 
 class TestRegistry:
@@ -73,21 +62,6 @@ class TestSimulatorSelection:
     def test_engine_instance_accepted(self):
         sim = Simulator(engine=resolve_engine("heap"))
         assert isinstance(sim._queue, HeapEventQueue)
-
-    def test_engine_and_event_queue_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            Simulator(engine="wheel", event_queue=HeapEventQueue())
-
-    def test_event_queue_shim_warns_and_wraps(self):
-        queue = HeapEventQueue()
-        with pytest.warns(DeprecationWarning, match="engine"):
-            sim = Simulator(event_queue=queue)
-        assert sim._queue is queue
-        # The wrapped queue still runs a working kernel.
-        recorder = Recorder(sim)
-        sim.schedule(3, recorder, Message("m"))
-        sim.run()
-        assert recorder.delivered == [(3, "m")]
 
     def test_network_threads_engine(self):
         from repro.noc.config import NocConfig
@@ -264,7 +238,6 @@ class TestDefaults:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_EVENT_QUEUE", raising=False)
 
     def test_network_default_is_batched(self):
         from repro.noc.network import Network

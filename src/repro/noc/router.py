@@ -618,6 +618,18 @@ class Router(SimModule):
         return max(peaks, default=0)
 
 
+def _round_robin_tables(count):
+    """``(rotations, successor)`` for a round-robin pointer over
+    *count* slots: ``rotations[p]`` visits every slot starting at
+    ``p``, and ``successor[s]`` is the pointer after slot ``s`` wins."""
+    rotations = tuple(
+        tuple((start + offset) % count for offset in range(count))
+        for start in range(count)
+    )
+    successor = tuple((slot + 1) % count for slot in range(count))
+    return rotations, successor
+
+
 def _make_router_advance(router):
     """Compile *router*'s advance phase: move up to one flit per input
     port into its output queue, returning one upstream credit per
@@ -642,6 +654,11 @@ def _make_router_advance(router):
     cannot be realised yet is parked in ``port.pending``.  With fewer
     VCs than the routing asks for (the 1-VC ablation), packets take
     the highest queue, losing the dateline's deadlock guarantee.
+
+    Two bodies, one per VC count: a single-VC one (the mesh family:
+    one lane per port, no lane loop) and a multi-VC one (ring,
+    Spidergon and the rest), each binding its per-port state once at
+    compile time.
     """
     sim = router.simulator
     emit = router.emit_credit
@@ -783,24 +800,48 @@ def _make_router_advance(router):
 
         return advance_single
 
+    # Multi-VC variant (ring, Spidergon and every other family with
+    # VCs): the same per-port entries, with every lane's deque and the
+    # port's credit records.  The round-robin lane order and the
+    # pointer's successor come from tables indexed by ``rr_next_lane``
+    # and the winning lane, so no lane needs modular arithmetic; a
+    # port with every lane empty is skipped before any unpacking.
+    rotations, next_lane = _round_robin_tables(router.num_vcs)
+    inputs = [
+        (
+            index,
+            port,
+            tuple(lane._flits for lane in port.lanes),
+            port.switching._state,
+            port.switching,
+            port.pending,
+            port.credit_records,
+        )
+        for index, port in enumerate(input_order)
+    ]
+
     def advance():
         now = sim._now
         claims = None
-        for index in range(num_inputs):
-            port = input_order[index]
-            lanes = port.lanes
-            lane_count = len(lanes)
-            lane_start = port.rr_next_lane % lane_count
-            state = port.switching._state
-            for lane_offset in range(lane_count):
-                wire_vc = (lane_start + lane_offset) % lane_count
-                lane = lanes[wire_vc]
-                dq = lane._flits
+        for entry in inputs:
+            if not any(entry[2]):
+                continue
+            (
+                index,
+                port,
+                deques,
+                state,
+                switching,
+                pending_map,
+                records,
+            ) = entry
+            for wire_vc in rotations[port.rr_next_lane]:
+                dq = deques[wire_vc]
                 if not dq:
                     continue
                 flit = dq[0]
-                if flit.is_head and wire_vc not in state:
-                    pending = port.pending.get(wire_vc)
+                if flit.index == 0 and wire_vc not in state:
+                    pending = pending_map.get(wire_vc)
                     if pending is None:
                         decision = decide(node, flit.packet)
                         out_vc = decision.vc
@@ -814,7 +855,7 @@ def _make_router_advance(router):
                                     flit.packet, node, decision.port
                                 )
                                 continue
-                        port.pending[wire_vc] = pending
+                        pending_map[wire_vc] = pending
                     queue = outputs[pending[0]].queues[pending[1]]
                     if (
                         len(queue._flits) >= queue.capacity
@@ -824,15 +865,19 @@ def _make_router_advance(router):
                         continue
                     if claims is None:
                         claims = {}
-                    claims.setdefault(queue, []).append(
-                        (index, port, wire_vc, flit)
+                    requests = claims.get(queue)
+                    if requests is None:
+                        claims[queue] = requests = []
+                    requests.append(
+                        (index, port, wire_vc, dq, state, switching,
+                         pending_map, records, flit)
                     )
                     break
                 # Body flit (an interleaved head raises in route_of).
-                entry = state.get(wire_vc)
-                if entry is None or entry[0] is not flit.packet:
-                    port.switching.route_of(wire_vc, flit.packet)
-                queue = outputs[entry[1]].queues[entry[2]]
+                route = state.get(wire_vc)
+                if route is None or route[0] is not flit.packet:
+                    switching.route_of(wire_vc, flit.packet)
+                queue = outputs[route[1]].queues[route[2]]
                 qd = queue._flits
                 if (
                     len(qd) >= queue.capacity
@@ -848,11 +893,11 @@ def _make_router_advance(router):
                 if occupancy > queue.peak:
                     queue.peak = occupancy
                 queue.last_enqueue_cycle = now
-                if flit.is_tail:
+                if flit.index == flit.packet.size_flits - 1:
                     queue.owner = None
                     del state[wire_vc]
-                port.rr_next_lane = (wire_vc + 1) % lane_count
-                emit(port.credit_records[wire_vc])
+                port.rr_next_lane = next_lane[wire_vc]
+                emit(records[wire_vc])
                 break
         if claims is not None:
             for queue, requests in claims.items():
@@ -864,15 +909,24 @@ def _make_router_advance(router):
                         requests,
                         key=lambda req: (req[0] - grant) % num_inputs,
                     )
-                index, port, wire_vc, flit = winner
+                (
+                    index,
+                    port,
+                    wire_vc,
+                    dq,
+                    state,
+                    switching,
+                    pending_map,
+                    records,
+                    flit,
+                ) = winner
                 queue.rr_grant = (index + 1) % num_inputs
-                del port.pending[wire_vc]
-                state = port.switching
-                state.set_route(
+                del pending_map[wire_vc]
+                switching.set_route(
                     wire_vc, flit.packet, queue.port, queue.vc
                 )
                 # The move (head flit: takes ownership).
-                port.lanes[wire_vc]._flits.popleft()
+                dq.popleft()
                 queue.owner = flit.packet
                 flit.enqueued_at = now
                 qd = queue._flits
@@ -881,11 +935,11 @@ def _make_router_advance(router):
                 if occupancy > queue.peak:
                     queue.peak = occupancy
                 queue.last_enqueue_cycle = now
-                if flit.is_tail:
+                if flit.index == flit.packet.size_flits - 1:
                     queue.owner = None
-                    state._state.pop(wire_vc, None)
-                port.rr_next_lane = (wire_vc + 1) % len(port.lanes)
-                emit(port.credit_records[wire_vc])
+                    state.pop(wire_vc, None)
+                port.rr_next_lane = next_lane[wire_vc]
+                emit(records[wire_vc])
 
     return advance
 
@@ -894,7 +948,11 @@ def _make_router_send(router):
     """Compile *router*'s send phase: forward up to one flit per
     output port, choosing its VC queues round-robin among those whose
     head flit is ready (enqueued in an earlier cycle, when the
-    one-cycle pipeline is on) and whose VC has downstream credit."""
+    one-cycle pipeline is on) and whose VC has downstream credit.
+
+    Two bodies, as for :func:`_make_router_advance`: single-VC and
+    multi-VC, each binding its per-port state once at compile time.
+    """
     sim = router.simulator
     pipeline = router.config.router_pipeline
     dead_ports = router.dead_ports
@@ -950,42 +1008,47 @@ def _make_router_send(router):
 
         return send_single
 
+    # Multi-VC variant: per port, every queue's deque; the VC order
+    # comes from a rotation table indexed by ``rr_next_vc`` (queue
+    # ``vc`` sits at ``queues[vc]``), and a port with every queue
+    # empty is skipped before any unpacking.  The empty check runs
+    # before the credit check; neither has side effects, so the move
+    # set is unchanged.
+    rotations, next_vc = _round_robin_tables(router.num_vcs)
     ports = [
         (
             port,
-            port.queues,
+            tuple(queue._flits for queue in port.queues),
             port.credits,
             port.name == LOCAL_PORT,
             port.name,
             port.flit_sink,
+            port.flits_sent_by_vc,
         )
         for port in router._output_order
     ]
 
     def send():
         now = sim._now
-        for port, queues, credits, is_local, name, sink in ports:
+        for entry in ports:
+            if not any(entry[1]):
+                continue
+            port, deques, credits, is_local, name, sink, by_vc = entry
             if dead_ports and name in dead_ports:
                 continue
-            count = len(queues)
-            start = port.rr_next_vc % count
-            for offset in range(count):
-                queue = queues[(start + offset) % count]
-                vc = queue.vc
-                if credits[vc] <= 0:
-                    continue
-                qd = queue._flits
-                if not qd:
+            for vc in rotations[port.rr_next_vc]:
+                qd = deques[vc]
+                if not qd or credits[vc] <= 0:
                     continue
                 flit = qd[0]
                 if pipeline and flit.enqueued_at == now:
                     continue
                 qd.popleft()
                 credits[vc] -= 1
-                port.rr_next_vc = (vc + 1) % count
+                port.rr_next_vc = next_vc[vc]
                 port.flits_sent += 1
-                port.flits_sent_by_vc[vc] += 1
-                if flit.is_head and not is_local:
+                by_vc[vc] += 1
+                if flit.index == 0 and not is_local:
                     flit.packet.hops += 1
                 flit.wire_vc = vc
                 sink(flit, vc)

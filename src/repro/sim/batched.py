@@ -13,9 +13,8 @@ structure instead and advances the whole network one cycle at a time:
    every active router's allocation, with zero-delay credits landing
    back in the same cycle's lane;
 3. **link traversal** — the send phase collects every flit put on a
-   wire this cycle and a single batched flush computes all arrival
-   cycles from the per-link latency table (numpy when available and
-   the batch is large enough, a pure-python loop otherwise) and files
+   wire this cycle and a single batched flush computes each arrival
+   cycle from the per-link latency table in one plain loop and files
    pre-resolved *records* into the arrival lanes — no ``Message``, no
    ``Event``, no heap;
 4. **credit return / ejection** — records carry specialized receiver
@@ -81,11 +80,6 @@ from typing import Iterator
 from repro.sim.engines import Engine, register_engine
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
-
-try:  # optional accelerator: declared as the [perf] extra
-    import numpy as _np
-except ImportError:  # pragma: no cover - depends on environment
-    _np = None
 
 #: Sentinel upper bound, as in :mod:`repro.sim.events`.
 _NO_LIMIT = float("inf")
@@ -504,11 +498,7 @@ class BatchedEngine(Engine):
 
     name = "batched"
 
-    def __init__(self, vector_threshold: int = 32) -> None:
-        #: Minimum send-phase batch size for the numpy arrival-time
-        #: computation; smaller batches use the pure-python loop
-        #: (identical integers either way).
-        self.vector_threshold = vector_threshold
+    def __init__(self) -> None:
         self._network = None
         self._calendar: CycleCalendar | None = None
         self._mode: str | None = None  # None until the first run()
@@ -517,11 +507,9 @@ class BatchedEngine(Engine):
         self._pending: list[tuple] = []
         self._recv: list[tuple] = []
         self._delays: list[int] = []
-        self._np_delays = None
         #: Flush statistics (introspection and tests).
         self.flush_batches = 0
         self.flushed_flits = 0
-        self.vector_batches = 0
 
     @property
     def mode(self) -> str | None:
@@ -574,7 +562,6 @@ class BatchedEngine(Engine):
         self._recv = []
         self._pending = []
         self._delays = []
-        self._np_delays = None
         for agent in (*network.routers, *network.interfaces):
             agent.use_gates()
         network.scheduler.flush_hook = None
@@ -885,8 +872,6 @@ class BatchedEngine(Engine):
             recv[idx] = receiver_for(gate)
         if delays:
             cal.grow(max(delays))
-        if _np is not None:
-            self._np_delays = _np.asarray(delays, dtype=_np.int64)
         sched.flush_hook = self._flush
         # The phase events stay real (priorities 1 and 2), so their
         # order against user-scheduled events and events_processed
@@ -927,26 +912,11 @@ class BatchedEngine(Engine):
         recv = self._recv
         self.flush_batches += 1
         self.flushed_flits += count
-        np_delays = self._np_delays
-        if np_delays is not None and count >= self.vector_threshold:
-            self.vector_batches += 1
-            idx = _np.fromiter(
-                (entry[0] for entry in pending),
-                dtype=_np.int64,
-                count=count,
-            )
-            arrivals = (np_delays[idx] + now).tolist()
-        else:
-            local_delays = self._delays
-            arrivals = [
-                now + local_delays[entry[0]] for entry in pending
-            ]
-        for entry, t in zip(pending, arrivals):
-            fn, is_router = recv[entry[0]]
-            lane0[t & mask].append(
-                (fn, entry[2], entry[1])
-                if is_router
-                else (fn, entry[1])
+        delays = self._delays
+        for idx, flit, vc in pending:
+            fn, is_router = recv[idx]
+            lane0[(now + delays[idx]) & mask].append(
+                (fn, vc, flit) if is_router else (fn, flit)
             )
         cal._ring_items += count
         cal._live += count

@@ -3,13 +3,19 @@
 Cross-engine result equivalence lives in
 ``tests/integration/test_kernel_equivalence.py``; this file covers
 the pieces in isolation: the calendar as a drop-in queue, overflow
-migration, the one-shot fast/slow decision, and the numpy flush path.
+migration, the one-shot fast/slow decision, and that a run needs no
+numpy.
 """
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
 from repro.obs import FlitTracer, KernelProfiler, TimelineObserver, TraceSink
@@ -21,7 +27,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import SimModule
 from repro.sim.observers import Observer
-from repro.topology import MeshTopology, RingTopology
+from repro.topology import RingTopology
 from repro.traffic import TrafficSpec, UniformTraffic
 
 
@@ -570,24 +576,27 @@ class TestReleaseAfterRun:
         network.simulator.run(until=150)  # the event loop carries on
 
 
-class TestNumpyFlush:
-    def test_vector_path_matches_scalar_path(self):
-        pytest.importorskip("numpy")
-        topology = MeshTopology(4, 4)
-
-        def run(engine):
-            network = Network(
-                topology,
-                config=NocConfig(source_queue_packets=16),
-                traffic=TrafficSpec(UniformTraffic(topology), 0.3),
-                seed=11,
-                engine=engine,
-            )
-            result = network.run(cycles=500)
-            return result, network.simulator.engine
-
-        vector, eng_v = run(BatchedEngine(vector_threshold=1))
-        scalar, eng_s = run(BatchedEngine(vector_threshold=10**9))
-        assert eng_v.vector_batches > 0
-        assert eng_s.vector_batches == 0
-        assert vector.to_dict() == scalar.to_dict()
+class TestStandardLibraryOnly:
+    def test_batched_network_runs_without_numpy(self):
+        """The simulator needs nothing outside the standard library: a
+        batched ring8 run imports no numpy."""
+        script = (
+            "import sys\n"
+            "from repro.noc.network import Network\n"
+            "from repro.topology import RingTopology\n"
+            "from repro.traffic import TrafficSpec, UniformTraffic\n"
+            "topology = RingTopology(8)\n"
+            "network = Network(topology, seed=3, engine='batched',\n"
+            "    traffic=TrafficSpec(UniformTraffic(topology), 0.2))\n"
+            "result = network.run(cycles=200)\n"
+            "assert result.packets_delivered > 0, result\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert completed.returncode == 0, completed.stderr

@@ -113,7 +113,9 @@ def run_deadlock_control(
 ) -> RunResult:
     """Run the positive control once."""
     network = build_deadlock_network(with_drain, engine=engine)
-    return network.run(DEADLOCK_CYCLES)
+    result = network.run(DEADLOCK_CYCLES)
+    network.close()
+    return result
 
 
 @dataclass(slots=True)
@@ -203,6 +205,7 @@ def drain_study(
             )
             if name == "adaptive+drain":
                 drain_summary = controller.summary()
+            network.close()
         sweep.append(
             SweepPoint(rate=rate, schemes=schemes, drain=drain_summary)
         )

@@ -206,6 +206,7 @@ def run_simulation(
         )
     if profiler is not None:
         result.extra["kernel"] = profiler.summary()
+    network.close()
     return result
 
 

@@ -222,6 +222,15 @@ class NetworkInterface(SimModule):
         self.send_phase = _make_ni_send(self)
         self.send_phase()
 
+    def close(self) -> None:
+        """Also drop the compiled send phase, the owner's drop
+        callback and the generation timer's sender link (each refers
+        back to this NI); counters stay readable."""
+        super().close()
+        vars(self).pop("send_phase", None)
+        self.drop_sink = None
+        self._generate_msg.sender = None
+
     def has_pending_work(self) -> bool:
         return bool(self._backlog)
 

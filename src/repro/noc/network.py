@@ -40,7 +40,16 @@ from repro.traffic.base import TrafficSpec
 
 
 class Network:
-    """A fully wired NoC simulation instance (single use)."""
+    """A fully wired NoC simulation instance (single use).
+
+    Whoever builds a network owns it and calls :meth:`close` once its
+    results are exported: the model graph is cyclic (gates and their
+    modules, modules and the simulator's registry, callbacks into the
+    network), and closing cuts those cycles so reference counting
+    frees the whole network at once instead of the cyclic garbage
+    collector much later.  :func:`repro.experiments.runner.
+    run_simulation` does this for every sweep point.
+    """
 
     def __init__(
         self,
@@ -88,6 +97,7 @@ class Network:
         self.drain_controller = None
         self._drain_listeners: list = []
         self._ran = False
+        self._closed = False
         self.cycles_run = 0
         # Runtime-fault state (all empty on a healthy run).
         self._dead_links: set[tuple[int, int]] = set()
@@ -497,6 +507,17 @@ class Network:
         recovery activity visible."""
         self._drain_listeners.append(listener)
 
+    def remove_drain_listener(self, listener) -> None:
+        """Unregister a listener added by :meth:`add_drain_listener`
+        (observers do on ``detach``); a no-op once the network is
+        closed, which drops every listener.
+
+        Raises:
+            ValueError: if *listener* is not registered.
+        """
+        if not self._closed:
+            self._drain_listeners.remove(listener)
+
     def notify_drain_move(
         self, kind: str, flit, src: int, dst: int, vc: int
     ) -> None:
@@ -543,7 +564,7 @@ class Network:
             raise ValueError(
                 f"warmup must be in [0, cycles), got {warmup}"
             )
-        if self._ran:
+        if self._ran or self._closed:
             raise ValueError(
                 "Network.run is single-use; construct a new Network"
             )
@@ -588,3 +609,25 @@ class Network:
         # Single use: the engine may drop its per-run wiring now.
         self.simulator.engine.release_network(self)
         return result
+
+    def close(self) -> None:
+        """Cut every reference cycle through this network, so it is
+        freed by reference counting as soon as its owner lets go
+        (idempotent; :meth:`run` raises afterwards).
+
+        Drops the engine's hold on the network, closes the simulator
+        (pending events, observers, the module registry, and each
+        module's gate links, compiled phases and callbacks — see
+        :meth:`Simulator.close <repro.sim.kernel.Simulator.close>`),
+        unbinds the routing algorithm, and forgets the drain
+        controller and drain listeners.  Buffers, counters, stats and
+        the topology stay readable; pending events do not.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.simulator.engine.release_network(self)
+        self.simulator.close()
+        self.routing.bind_network(None)
+        self.drain_controller = None
+        self._drain_listeners.clear()

@@ -289,6 +289,15 @@ class Router(SimModule):
         self.advance_phase = _make_router_advance(self)
         self.send_phase = _make_router_send(self)
 
+    def close(self) -> None:
+        """Also drop the compiled phases and the owner's callbacks
+        (both refer back to this router); buffers, counters and
+        occupancy stay readable."""
+        super().close()
+        vars(self).pop("advance_phase", None)
+        vars(self).pop("send_phase", None)
+        self.drop_sink = self.kill_sink = self.reroute_sink = None
+
     # -- runtime faults --------------------------------------------------
 
     def _reroute(self, packet) -> tuple[str, int] | None:

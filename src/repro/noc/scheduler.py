@@ -133,6 +133,13 @@ class CycleScheduler(SimModule):
         if self._agents:
             self.activate(next(iter(self._agents)))
 
+    def close(self) -> None:
+        """Forget the active agents (each refers back here through
+        ``scheduler``) and the flush hook."""
+        super().close()
+        self._agents.clear()
+        self.flush_hook = None
+
     @property
     def active_agents(self) -> int:
         """Number of agents currently being ticked."""

@@ -71,3 +71,8 @@ class TraceDriver(SimModule):
                 self._interfaces[entry.src].stats.record_rejected(now)
                 self.packets_dropped += 1
         self._arm_next()
+
+    def close(self) -> None:
+        """Also cut the reused timer's link back to this driver."""
+        super().close()
+        self._tick.sender = None

@@ -86,8 +86,7 @@ class TimelineObserver(Observer):
     def _on_drain_move(
         self, kind: str, flit, src: int, dst: int, vc: int
     ) -> None:
-        if self._attached:
-            self.drain_events += 1
+        self.drain_events += 1
 
     def _make_tap(self, node: int, port: str, dst: int):
         """The windowed flit counter of one link."""
@@ -146,6 +145,7 @@ class TimelineObserver(Observer):
         """Stop observing (idempotent); collected data stays readable."""
         if self._attached:
             self.network.simulator.remove_observer(self)
+            self.network.remove_drain_listener(self._on_drain_move)
             self._attached = False
 
     # -- export -------------------------------------------------------

@@ -183,7 +183,7 @@ class FlitTracer(Observer):
         self, kind: str, flit, src: int, dst: int, vc: int
     ) -> None:
         """Record a forced drain-recovery move (see module schema)."""
-        if not self._attached or not self.sink.enabled:
+        if not self.sink.enabled:
             return
         packet = flit.packet
         self.sink.write(
@@ -206,6 +206,7 @@ class FlitTracer(Observer):
         """Stop tracing (idempotent); the sink stays open."""
         if self._attached:
             self.network.simulator.remove_observer(self)
+            self.network.remove_drain_listener(self._on_drain_move)
             self._attached = False
 
     def on_event_delivered(

@@ -542,23 +542,25 @@ class BatchedEngine(Engine):
             )
 
     def release_network(self, network) -> None:
-        """Undo :meth:`_install_fast_path` once the network's single
-        run is over.  Records still in flight become the event views
-        :meth:`Simulator.pending_events` already showed, so
-        post-run inspection (invariant checks, flits on the wire) is
-        unchanged; then every agent goes back to its gate wiring
-        (``use_gates``), which drops the receiver, credit, sink and
-        compiled phase closures.  Without this the closures stay
-        reachable only through reference cycles until a full
-        collection."""
-        if (
-            self._mode != "fast"
-            or self._released
-            or network is not self._network
-        ):
+        """Forget *network* and undo :meth:`_install_fast_path` once
+        its single run is over (idempotent).  Records still in flight
+        become the event views :meth:`Simulator.pending_events`
+        already showed, so post-run inspection (invariant checks,
+        flits on the wire) is unchanged; then every agent goes back
+        to its gate wiring (``use_gates``), which drops the receiver,
+        credit, sink and compiled phase closures, and the calendar
+        drops the record renderer that refers to them.  Each of
+        these would otherwise close a reference cycle through the
+        network (see :meth:`Network.close
+        <repro.noc.network.Network.close>`)."""
+        if network is not self._network:
+            return
+        self._network = None
+        if self._mode != "fast":
             return
         self._released = True
         self._calendar.materialize_records()
+        self._calendar.record_view = _opaque_view
         self._recv = []
         self._pending = []
         self._delays = []

@@ -70,6 +70,7 @@ class Simulator:
         self._stop_requested = False
         self._stop_reason: str | None = None
         self._stop_details: dict | None = None
+        self._closed = False
 
     # -- registry ----------------------------------------------------
 
@@ -130,11 +131,14 @@ class Simulator:
 
         Safe to call mid-run — from a module handler or from any
         observer's own callback; the detachment takes effect at the
-        next delivery.
+        next delivery.  A no-op once the simulator is closed
+        (:meth:`close` detached every observer).
 
         Raises:
             SimulationError: if *observer* is not registered.
         """
+        if self._closed:
+            return
         for index, existing in enumerate(self._observers):
             if existing is observer:
                 del self._observers[index]
@@ -238,7 +242,14 @@ class Simulator:
         and falls back to :meth:`_event_loop` otherwise.  Every engine
         preserves the stop/:attr:`events_processed`/time-jump
         semantics documented here.
+
+        Raises:
+            SimulationError: once the simulator is closed.
         """
+        if self._closed:
+            raise SimulationError(
+                "the simulator is closed; build a new one to run again"
+            )
         return self._engine.run(self, until, max_events)
 
     def _event_loop(
@@ -404,6 +415,31 @@ class Simulator:
         self._finalized = True
         for module in self._modules:
             module.finalize()
+
+    def close(self) -> None:
+        """Release the model graph so reference counting frees it
+        (idempotent; no :meth:`run` may follow).
+
+        Modules, gates, pending events and observers refer to each
+        other in cycles (``gate.module`` and ``module.gates``, each
+        module's ``simulator`` and the registry, events and their
+        targets), which only the cyclic garbage collector could
+        reclaim.  Closing drops the pending events and the observers,
+        closes every registered module (:meth:`SimModule.close
+        <repro.sim.module.SimModule.close>`, which cuts its gate
+        links) and empties the registry.  The clock, the event count
+        and each module's own state stay readable.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._queue.clear()
+        for module in self._modules:
+            module.close()
+        self._modules.clear()
+        self._pending_init.clear()
+        self._observers.clear()
+        self._observer_snapshot = ()
 
     @property
     def pending_event_count(self) -> int:

@@ -29,7 +29,8 @@ class Gate:
     Gates are created through :meth:`SimModule.add_gate` and wired with
     :meth:`connect`.  A gate may have at most one outgoing channel; any
     number of gates may point *to* the same input gate (fan-in), which
-    the NoC model does not use but costs nothing to allow.
+    the NoC model does not use but costs nothing to allow.  Closing the
+    simulator sets ``module`` and ``peer`` back to ``None``.
     """
 
     __slots__ = ("module", "name", "peer", "delay")
@@ -80,8 +81,9 @@ class SimModule:
     """Base class for all behavioural components.
 
     Subclasses override :meth:`handle_message` (and optionally
-    :meth:`initialize` / :meth:`finalize`).  Within a handler they may
-    call :meth:`send`, :meth:`schedule_self`, and :meth:`cancel_event`.
+    :meth:`initialize` / :meth:`finalize` / :meth:`close`).  Within a
+    handler they may call :meth:`send`, :meth:`schedule_self`, and
+    :meth:`cancel_event`.
 
     Modules must be registered with a :class:`Simulator` before the
     simulation starts; registration happens automatically when the
@@ -129,6 +131,17 @@ class SimModule:
 
     def finalize(self) -> None:
         """Called once after the simulation stops."""
+
+    def close(self) -> None:
+        """Called by :meth:`Simulator.close
+        <repro.sim.kernel.Simulator.close>`: cut every gate's module
+        and peer links, which close reference cycles through the
+        module.  Subclasses that hold further cycles (compiled
+        closures, callbacks into their owner) drop them here too and
+        keep their counters readable."""
+        for gate in self.gates.values():
+            gate.module = None
+            gate.peer = None
 
     # -- actions -----------------------------------------------------
 

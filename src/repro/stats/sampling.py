@@ -72,6 +72,11 @@ class OccupancySampler(SimModule):
         self.series.append((self.now, total))
         self.schedule_self(self.period, self._tick)
 
+    def close(self) -> None:
+        """Also cut the reused timer's link back to this sampler."""
+        super().close()
+        self._tick.sender = None
+
     def summary(self, warmup: int = 0) -> OccupancySummary:
         """Summarise samples taken at or after cycle *warmup*.
 

@@ -28,8 +28,8 @@ from repro.noc.signals import (
     CreditMessage,
     FlitMessage,
     gate_credit_records,
-    gate_flit_sink,
     send_credit,
+    send_flit,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
@@ -87,7 +87,8 @@ class NetworkInterface(SimModule):
 
     def use_gates(self) -> None:
         """Gate wiring, as :meth:`repro.noc.router.Router.use_gates`."""
-        self.flit_sink = gate_flit_sink(self.data_out)
+        self.flit_link = self.data_out
+        self.flit_sink = send_flit
         self.credit_records = gate_credit_records(
             self.credit_out, self.num_vcs
         )
@@ -213,14 +214,15 @@ class NetworkInterface(SimModule):
 
     # -- cycle phases ------------------------------------------------------
 
-    def advance_phase(self) -> None:
-        """The NI has no internal pipeline stage."""
+    def advance_phase(self) -> bool:
+        """The NI has no internal pipeline stage: never progress."""
+        return False
 
-    def send_phase(self) -> None:
+    def send_phase(self) -> bool:
         """Inject at most one flit of the head-of-line packet (the
         first call compiles :func:`_make_ni_send` over this method)."""
         self.send_phase = _make_ni_send(self)
-        self.send_phase()
+        return self.send_phase()
 
     def close(self) -> None:
         """Also drop the compiled send phase, the owner's drop
@@ -251,21 +253,25 @@ class NetworkInterface(SimModule):
 def _make_ni_send(ni: NetworkInterface):
     """Compile *ni*'s send phase: inject at most one flit of the
     head-of-line packet into the router's local input lane, subject
-    to credit."""
+    to credit.  Returns whether it injected a flit or abandoned a
+    killed packet."""
     backlog = ni._backlog
     stats = ni.stats
+    link = ni.flit_link
     sink = ni.flit_sink
     sim = ni.simulator
 
     def send():
+        moved = False
         while backlog and backlog[0].killed:
             # Killed mid-injection: abandon the rest of the packet.
             # Flits never injected are not counted as dropped —
             # conservation tracks injected flits only.
             backlog.popleft()
             ni._next_flit_index = 0
+            moved = True
         if not backlog or ni._credits <= 0:
-            return
+            return moved
         packet = backlog[0]
         index = ni._next_flit_index
         flit = Flit(packet, index)
@@ -279,11 +285,12 @@ def _make_ni_send(ni: NetworkInterface):
             packet.injected_at = now
         ni._credits -= 1
         stats.record_injected_flit(now)
-        sink(flit, 0)
+        sink((link, flit, 0))
         if index == packet.size_flits - 1:
             backlog.popleft()
             ni._next_flit_index = 0
         else:
             ni._next_flit_index = index + 1
+        return True
 
     return send

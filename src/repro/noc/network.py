@@ -342,7 +342,7 @@ class Network:
             # Adaptive routing re-decides around faults natively;
             # the BFS fallback table would be dead weight (see
             # install_legacy_fallback for the deprecated escape
-            # hatch).  Installing None still wakes parked heads.
+            # hatch).
             self._install_fallback(None)
             residual_connected = bool(
                 getattr(self.routing, "fully_connected", False)
@@ -443,14 +443,6 @@ class Network:
     def _install_fallback(self, fallback) -> None:
         for router in self.routers:
             router.fallback = fallback
-        # Wake anything holding flits so parked head flits re-decide
-        # against the new table on the next cycle.
-        for router in self.routers:
-            if router.has_pending_work():
-                self.scheduler.activate(router)
-        for interface in self.interfaces:
-            if interface.has_pending_work():
-                self.scheduler.activate(interface)
 
     def kill_packet(self, packet, link_key: str) -> int:
         """Declare *packet* undeliverable because of *link_key*.
@@ -471,6 +463,13 @@ class Network:
         dropped = 0
         for router in self.routers:
             dropped += router.purge_packet(packet)
+        # Purges free queue slots and queue ownership, and the source
+        # abandons the packet at its next send: wake every agent
+        # holding work (each already has its place among the active
+        # agents), until its next advance has seen the purge.
+        for agent in (*self.routers, *self.interfaces):
+            if agent.has_pending_work():
+                self.scheduler.keep_awake(agent)
         return dropped
 
     def _kill_unroutable(

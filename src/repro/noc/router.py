@@ -35,7 +35,9 @@ flit/cycle ceiling is the hot-spot bottleneck the paper measures.
 Each phase is written once, as a builder compiled per router at its
 first phase call (:func:`_make_router_advance`, :func:`_make_router_send`);
 every engine runs those functions, and only the credit emitter and
-flit sinks they call differ (see :meth:`Router.use_gates`).
+flit sinks they call differ (see :meth:`Router.use_gates`).  Each
+returns whether it moved a flit, so the scheduler can let a blocked
+router sleep until something wakes it.
 
 Why per-VC input lanes: with a single shared one-flit input buffer, a
 VC0 flit blocked in the buffer stalls VC1 flits arriving on the same
@@ -54,8 +56,8 @@ from repro.noc.signals import (
     CreditMessage,
     FlitMessage,
     gate_credit_records,
-    gate_flit_sink,
     send_credit,
+    send_flit,
 )
 from repro.routing.base import LOCAL_PORT, RoutingAlgorithm
 from repro.sim.kernel import Simulator
@@ -108,6 +110,7 @@ class _OutputPort:
         "queues",
         "credits",
         "data_gate",
+        "flit_link",
         "flit_sink",
         "rr_next_vc",
         "flits_sent",
@@ -128,9 +131,10 @@ class _OutputPort:
         ]
         self.credits = [downstream_capacity] * num_vcs
         self.data_gate = data_gate
-        # ``sink(flit, vc)`` puts a flit on the link (see
-        # Router.use_gates).
-        self.flit_sink = gate_flit_sink(data_gate)
+        # ``sink((link, flit, vc))`` puts a flit on the link whose
+        # key is ``flit_link`` (see Router.use_gates).
+        self.flit_link = data_gate
+        self.flit_sink = send_flit
         self.rr_next_vc = 0
         self.flits_sent = 0
         self.flits_sent_by_vc = [0] * num_vcs
@@ -231,7 +235,8 @@ class Router(SimModule):
                 port.credit_gate, self.num_vcs
             )
         for port in self._output_order:
-            port.flit_sink = gate_flit_sink(port.data_gate)
+            port.flit_link = port.data_gate
+            port.flit_sink = send_flit
         vars(self).pop("advance_phase", None)
         vars(self).pop("send_phase", None)
 
@@ -275,15 +280,17 @@ class Router(SimModule):
     # The first call compiles both phases against the current wiring
     # and binds them over these methods on the instance.
 
-    def advance_phase(self) -> None:
-        """Move up to one flit per input port into its output queue."""
+    def advance_phase(self) -> bool:
+        """Move up to one flit per input port into its output queue;
+        True if any moved (or a packet was killed)."""
         self._compile_phases()
-        self.advance_phase()
+        return self.advance_phase()
 
-    def send_phase(self) -> None:
-        """Forward up to one ready flit per output port."""
+    def send_phase(self) -> bool:
+        """Forward up to one ready flit per output port; True if any
+        was sent."""
         self._compile_phases()
-        self.send_phase()
+        return self.send_phase()
 
     def _compile_phases(self) -> None:
         self.advance_phase = _make_router_advance(self)
@@ -525,6 +532,7 @@ class Router(SimModule):
         port.rr_next_lane = (wire_vc + 1) % len(port.lanes)
         self.emit_credit(port.credit_records[wire_vc])
         self.drain_moves += 1
+        self.scheduler.keep_awake(self)
         return flit
 
     def drain_pop_for_send(self, port_name: str, vc: int):
@@ -532,6 +540,13 @@ class Router(SimModule):
         account for it exactly like :meth:`send_phase` (credit
         consumed, hop counted) — the controller delivers the flit
         into the downstream lane with zero wire delay.
+
+        Wakes nothing itself.  The router could not send this flit,
+        so the downstream lane had no room: the controller pulls from
+        that lane in the same epoch, and the pull's credit wakes this
+        router (which leaves the active set if the pop emptied it).
+        A lane head the freed slot unblocks is found by this router's
+        own pull, planned with the pop in view, which also wakes it.
         """
         port = self._outputs[port_name]
         queue = port.queues[vc]
@@ -667,7 +682,8 @@ def _make_router_advance(router):
     Two bodies, one per VC count: a single-VC one (the mesh family:
     one lane per port, no lane loop) and a multi-VC one (ring,
     Spidergon and the rest), each binding its per-port state once at
-    compile time.
+    compile time.  Both return whether a flit moved or a packet was
+    killed.
     """
     sim = router.simulator
     emit = router.emit_credit
@@ -700,6 +716,7 @@ def _make_router_advance(router):
         def advance_single():
             now = sim._now
             claims = None
+            moved = False
             for entry in inputs:
                 dq = entry[1]
                 if not dq:
@@ -724,6 +741,7 @@ def _make_router_advance(router):
                                 router.kill_sink(
                                     flit.packet, node, decision.port
                                 )
+                                moved = True
                                 continue
                         pending_map[0] = pending
                     queue = outputs[pending[0]].queues[pending[1]]
@@ -768,6 +786,7 @@ def _make_router_advance(router):
                     queue.owner = None
                     del state[0]
                 emit(record0)
+                moved = True
             if claims is not None:
                 for queue, requests in claims.items():
                     if len(requests) == 1:
@@ -806,6 +825,8 @@ def _make_router_advance(router):
                         queue.owner = None
                         state.pop(0, None)
                     emit(record0)
+                return True
+            return moved
 
         return advance_single
 
@@ -832,6 +853,7 @@ def _make_router_advance(router):
     def advance():
         now = sim._now
         claims = None
+        moved = False
         for entry in inputs:
             if not any(entry[2]):
                 continue
@@ -863,6 +885,7 @@ def _make_router_advance(router):
                                 router.kill_sink(
                                     flit.packet, node, decision.port
                                 )
+                                moved = True
                                 continue
                         pending_map[wire_vc] = pending
                     queue = outputs[pending[0]].queues[pending[1]]
@@ -907,6 +930,7 @@ def _make_router_advance(router):
                     del state[wire_vc]
                 port.rr_next_lane = next_lane[wire_vc]
                 emit(records[wire_vc])
+                moved = True
                 break
         if claims is not None:
             for queue, requests in claims.items():
@@ -949,6 +973,8 @@ def _make_router_advance(router):
                     state.pop(wire_vc, None)
                 port.rr_next_lane = next_lane[wire_vc]
                 emit(records[wire_vc])
+            return True
+        return moved
 
     return advance
 
@@ -961,6 +987,7 @@ def _make_router_send(router):
 
     Two bodies, as for :func:`_make_router_advance`: single-VC and
     multi-VC, each binding its per-port state once at compile time.
+    Both return whether a flit was sent.
     """
     sim = router.simulator
     pipeline = router.config.router_pipeline
@@ -978,6 +1005,7 @@ def _make_router_send(router):
                 port.credits,
                 port.name == LOCAL_PORT,
                 port.name,
+                port.flit_link,
                 port.flit_sink,
                 port.flits_sent_by_vc,
             )
@@ -986,6 +1014,7 @@ def _make_router_send(router):
 
         def send_single():
             now = sim._now
+            moved = False
             for entry in singles:
                 qd = entry[1]
                 if not qd:
@@ -996,6 +1025,7 @@ def _make_router_send(router):
                     credits,
                     is_local,
                     name,
+                    link,
                     sink,
                     by_vc,
                 ) = entry
@@ -1013,7 +1043,9 @@ def _make_router_send(router):
                 if flit.index == 0 and not is_local:
                     flit.packet.hops += 1
                 flit.wire_vc = 0
-                sink(flit, 0)
+                sink((link, flit, 0))
+                moved = True
+            return moved
 
         return send_single
 
@@ -1031,6 +1063,7 @@ def _make_router_send(router):
             port.credits,
             port.name == LOCAL_PORT,
             port.name,
+            port.flit_link,
             port.flit_sink,
             port.flits_sent_by_vc,
         )
@@ -1039,10 +1072,20 @@ def _make_router_send(router):
 
     def send():
         now = sim._now
+        moved = False
         for entry in ports:
             if not any(entry[1]):
                 continue
-            port, deques, credits, is_local, name, sink, by_vc = entry
+            (
+                port,
+                deques,
+                credits,
+                is_local,
+                name,
+                link,
+                sink,
+                by_vc,
+            ) = entry
             if dead_ports and name in dead_ports:
                 continue
             for vc in rotations[port.rr_next_vc]:
@@ -1060,7 +1103,9 @@ def _make_router_send(router):
                 if flit.index == 0 and not is_local:
                     flit.packet.hops += 1
                 flit.wire_vc = vc
-                sink(flit, vc)
+                sink((link, flit, vc))
+                moved = True
                 break
+        return moved
 
     return send

@@ -25,6 +25,18 @@ work pending, and any message delivery re-activates it.  This is an
 optimisation over scheduling per-module self-message ticks (as a
 plain OMNeT++ model would) — the semantics are identical, the heap
 traffic is two events per cycle instead of two per module per cycle.
+
+Blocked agents cost nothing either.  Each phase reports whether it
+moved a flit (a killed packet dropped counts as a move); an agent
+that moved nothing in a whole cycle but still has work *sleeps*: it
+keeps its place among the active agents, so the phase order and the
+two phase events per cycle stay exactly as they were, but its phases
+are skipped.  Nothing but an outside change can unblock it — a flit
+or credit arriving, a packet generated or replayed, a packet killed
+(by a link failure or for want of a route), a forced drain move —
+and each of those wakes it through :meth:`CycleScheduler.activate`
+or :meth:`CycleScheduler.keep_awake`.  A repaired link needs no
+wake: while the link was dead nothing could wait on it.
 """
 
 from __future__ import annotations
@@ -41,11 +53,17 @@ PRIORITY_SEND = 2
 
 
 class CycleAgent(Protocol):
-    """What the scheduler requires of routers and interfaces."""
+    """What the scheduler requires of routers and interfaces.
 
-    def advance_phase(self) -> None: ...
+    Each phase returns whether it made progress.  ``False`` means it
+    changed nothing (the agent may sleep); anything else, ``None``
+    included, counts as progress, so an agent that never reports
+    simply never sleeps.
+    """
 
-    def send_phase(self) -> None: ...
+    def advance_phase(self) -> bool | None: ...
+
+    def send_phase(self) -> bool | None: ...
 
     def has_pending_work(self) -> bool: ...
 
@@ -63,7 +81,13 @@ class CycleScheduler(SimModule):
 
     def __init__(self, simulator: Simulator, name: str = "scheduler") -> None:
         super().__init__(simulator, name)
-        self._agents: dict[CycleAgent, None] = {}
+        #: Active agents (those with work) in activation order, each
+        #: mapped to whether it is awake; a sleeping agent keeps its
+        #: place.
+        self._agents: dict[CycleAgent, bool] = {}
+        #: Agents that made progress this cycle before the send phase
+        #: (or must stay awake through the next one).
+        self._advanced: set[CycleAgent] = set()
         self._tick_time: int | None = None
         self._advance_done_at = -1
         # One message object per phase for the scheduler's lifetime:
@@ -79,16 +103,34 @@ class CycleScheduler(SimModule):
         self.flush_hook = None
 
     def activate(self, agent: CycleAgent) -> None:
-        """Ensure *agent* participates in the next cycle's phases.
+        """Ensure *agent* participates in the next cycle's phases,
+        waking it if it sleeps.
 
         Safe to call at any point of a cycle: activations triggered by
         message deliveries (priority 0) or by zero-delay credits
         landing between the phases join the current cycle; anything
         later joins the next one.
         """
-        self._agents[agent] = None
-        if self._tick_time is not None:
-            return
+        self._agents[agent] = True
+        if self._tick_time is None:
+            self._arm()
+
+    def keep_awake(self, agent: CycleAgent) -> None:
+        """Wake *agent* and keep it from sleeping at the end of this
+        cycle, so that its advance runs again next cycle.
+
+        For changes made to an agent outside its phases that its next
+        advance must see: a plain wake can come after the agent's
+        advance this cycle (a packet killed mid-phase frees queues),
+        or the change only takes effect next cycle (a flit forced into
+        an output queue blocks it and waits for the pipeline until
+        then)."""
+        self._advanced.add(agent)
+        self.activate(agent)
+
+    def _arm(self) -> None:
+        """Schedule the phase events of the next cycle to run: this
+        one if its advance phase has not run yet."""
         if self._advance_done_at < self.now:
             tick_time = self.now
         else:
@@ -108,39 +150,50 @@ class CycleScheduler(SimModule):
         )
 
     def handle_message(self, message: Message) -> None:
+        agents = self._agents
         if message is self._advance_msg:
             self._advance_done_at = self.now
-            for agent in self._agents:
-                agent.advance_phase()
+            advanced = self._advanced
+            for agent, awake in agents.items():
+                if awake and agent.advance_phase() is not False:
+                    advanced.add(agent)
             return
         if message is not self._send_msg:
             raise TypeError(f"unexpected message {message!r}")
-        # Send phase ends the cycle: run sends, drop idle agents, and
+        # Send phase ends the cycle: run sends, put agents that moved
+        # nothing this cycle to sleep (or drop them when idle), and
         # re-arm for the next cycle if anyone still has work.
-        for agent in self._agents:
-            agent.send_phase()
+        advanced = self._advanced
+        idle = []
+        for agent, awake in agents.items():
+            if not awake:
+                continue
+            if agent.send_phase() is False and agent not in advanced:
+                if agent.has_pending_work():
+                    agents[agent] = False
+                    continue
+                idle.append(agent)
+            elif not agent.has_pending_work():
+                idle.append(agent)
+        advanced.clear()
         hook = self.flush_hook
         if hook is not None:
             hook()
         self._tick_time = None
-        idle = [
-            agent
-            for agent in self._agents
-            if not agent.has_pending_work()
-        ]
         for agent in idle:
-            del self._agents[agent]
-        if self._agents:
-            self.activate(next(iter(self._agents)))
+            del agents[agent]
+        if agents:
+            self._arm()
 
     def close(self) -> None:
-        """Forget the active agents (each refers back here through
-        ``scheduler``) and the flush hook."""
+        """Forget the active and sleeping agents (each refers back
+        here through ``scheduler``) and the flush hook."""
         super().close()
         self._agents.clear()
+        self._advanced.clear()
         self.flush_hook = None
 
     @property
     def active_agents(self) -> int:
-        """Number of agents currently being ticked."""
+        """Number of agents with work, sleeping ones included."""
         return len(self._agents)

@@ -12,14 +12,14 @@ input buffer.  Credits travel with **zero delay** — the paper's "local
 signal-based flow control" — which is what lets a one-flit input
 buffer sustain one flit per cycle per link.
 
-The helpers below send them over the gates: the flit sinks and credit
+The helpers below send them over the gates: the flit sink and credit
 emitter routers and interfaces use unless the batched engine's fast
-path swaps in record-filing ones.
+path swaps in record-filing ones.  A flit sink takes one
+``(link, flit, vc)`` record, whose *link* is the sender's
+``flit_link``: the data gate here, a link index on the fast path.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from repro.noc.packet import Flit
 from repro.sim.messages import Message
@@ -70,12 +70,8 @@ def send_credit(record: tuple) -> None:
     gate.module.send(CreditMessage(vc), gate)
 
 
-def gate_flit_sink(gate) -> partial:
-    """The event engines' flit sink for data *gate*: ``sink(flit,
-    vc)`` calls :func:`send_flit` on it."""
-    return partial(send_flit, gate)
-
-
-def send_flit(gate, flit: Flit, vc: int) -> None:
-    """One :class:`FlitMessage` over data *gate*."""
+def send_flit(record: tuple) -> None:
+    """The event engines' flit sink: one :class:`FlitMessage` over
+    the data gate of a ``(gate, flit, vc)`` record."""
+    gate, flit, vc = record
     gate.module.send(FlitMessage(flit, vc), gate)

@@ -10,13 +10,16 @@ structure instead and advances the whole network one cycle at a time:
    per-cycle lane (append order equals the kernel's sequence order,
    because pushes happen chronologically);
 2. **routing / VC allocation** — the scheduler's advance event runs
-   every active router's allocation, with zero-delay credits landing
-   back in the same cycle's lane;
-3. **link traversal** — the send phase collects every flit put on a
-   wire this cycle and a single batched flush computes each arrival
-   cycle from the per-link latency table in one plain loop and files
-   pre-resolved *records* into the arrival lanes — no ``Message``, no
-   ``Event``, no heap;
+   every awake router's allocation; the zero-delay credits it emits
+   are applied in place right after it, in emission order — exactly
+   where the cycle's lane would have delivered them next — and still
+   count as delivered events;
+3. **link traversal** — the send phase appends one record per flit
+   put on a wire this cycle to a pending list (no sink call), and a
+   single batched flush computes each arrival cycle from the
+   per-link latency table in one plain loop and files pre-resolved
+   *records* into the arrival lanes — no ``Message``, no ``Event``,
+   no heap;
 4. **credit return / ejection** — records carry specialized receiver
    closures (built per router port / NI at install time, semantically
    identical to ``Router.receive_flit``, ``NetworkInterface.
@@ -505,6 +508,9 @@ class BatchedEngine(Engine):
         #: Set by :meth:`release_network`; no run may follow.
         self._released = False
         self._pending: list[tuple] = []
+        #: Credits emitted since the last dispatch (their deliver
+        #: functions), applied or filed by :meth:`_run_fast`.
+        self._emitted: list = []
         self._recv: list[tuple] = []
         self._delays: list[int] = []
         #: Flush statistics (introspection and tests).
@@ -563,12 +569,13 @@ class BatchedEngine(Engine):
         self._calendar.record_view = _opaque_view
         self._recv = []
         self._pending = []
+        self._emitted = []
         self._delays = []
         for agent in (*network.routers, *network.interfaces):
             agent.use_gates()
         network.scheduler.flush_hook = None
-        # fast_activate shadowed the class method per instance.
-        del network.scheduler.activate
+        # fast_arm shadowed the class method per instance.
+        del network.scheduler._arm
 
     def run(self, simulator, until, max_events):
         if self._released:
@@ -630,6 +637,15 @@ class BatchedEngine(Engine):
         mask = cal._mask
         lane0_ring = cal._lane0
         rest_ring = cal._rest
+        emitted = self._emitted
+        if emitted:
+            # Emitted between runs (a fault applied by hand): they
+            # belong to the cycle the clock stopped at.
+            self._file_credits()
+        network = self._network
+        advance_msg = (
+            network.scheduler._advance_msg if network is not None else None
+        )
         # Shared with add/remove_observer, so a mid-run detach of the
         # last observer takes effect at the next cycle.
         observers = sim._observers
@@ -709,10 +725,17 @@ class BatchedEngine(Engine):
                                 item.handler(message)
                             else:
                                 item.target.handle_message(message)
+                            if emitted:
+                                processed += self._settle_credits(
+                                    message is advance_msg
+                                    and not sim._stop_requested,
+                                    -1 if cap < 0 else cap - processed,
+                                )
                 finally:
                     # Ring bookkeeping committed per slot, not per
                     # item (the deltas compose with the increments
-                    # append_now/_flush make mid-slot).
+                    # append_now/_flush/_settle_credits make
+                    # mid-slot).
                     cal._ring_items -= consumed
                     cal._live -= processed - before_slot
                 if processed == before_slot:
@@ -743,11 +766,12 @@ class BatchedEngine(Engine):
         """Rewire the model for the fast path.  Called once, at the
         first fast run:
 
-        * each agent's credit emitter becomes
-          :meth:`CycleCalendar.append_now`, its credit records
-          reusable one-tuple delivery records, and its flit sinks
-          append to the per-cycle pending buffer that :meth:`_flush`
-          files into the arrival lanes;
+        * each agent's credit emitter appends to the emitted-credit
+          list :meth:`_settle_credits` applies or files, its credit
+          records become the credits' deliver functions, and its flit
+          sink is the per-cycle pending list's ``append``, keyed by a
+          link index, which :meth:`_flush` files into the arrival
+          lanes;
         * record delivery runs through per-port receiver closures —
           the generic receive/activate call chain and the buffer-layer
           method hops inlined, with invariants (buffer overflow,
@@ -757,8 +781,7 @@ class BatchedEngine(Engine):
           :meth:`_observer_taps`) also call the observers' arrival
           taps; every other link keeps the bare closure;
         * the scheduler calls :meth:`_flush` after each send phase
-          and schedules its phase events through a leaner
-          ``activate``.
+          and schedules its phase events through a leaner ``_arm``.
 
         The router and NI phase functions are the ones every engine
         runs: each agent compiles them at its first phase call,
@@ -773,6 +796,8 @@ class BatchedEngine(Engine):
         cal = self._calendar
         append_now = cal.append_now
         pending_append = self._pending.append
+        emit = self._emitted.append
+        file_credits = self._file_credits
         agents = sched._agents
         num_vcs = network.num_vcs
         delays = self._delays
@@ -780,8 +805,8 @@ class BatchedEngine(Engine):
 
         def credit_records_for(gate):
             # The upstream end of a (zero-delay) credit link: one
-            # reusable record per VC — identical content every time,
-            # so the hot path never allocates for credits.
+            # deliver function per VC, reused for every credit, so the
+            # hot path never allocates for credits.
             peer = gate.peer
             target = peer.module
             if isinstance(target, Router):
@@ -792,8 +817,8 @@ class BatchedEngine(Engine):
                     )
                     for vc in range(num_vcs)
                 ]
-            record = _make_ni_credit(target, sched, agents)
-            return [record] * num_vcs
+            deliver = _make_ni_credit(target, sched, agents)
+            return [deliver] * num_vcs
 
         # Receiver closure -> the arrival gate its records cross, so
         # pending-event views carry the message the event engines
@@ -807,11 +832,15 @@ class BatchedEngine(Engine):
             is_router = isinstance(target, Router)
             if is_router:
                 receive = _make_router_receiver(
-                    target, target._input_of_gate[peer], sched, agents
+                    target,
+                    target._input_of_gate[peer],
+                    sched,
+                    agents,
+                    file_credits,
                 )
             else:
                 receive = _make_ni_receiver(
-                    target, sched, agents, append_now
+                    target, append_now, file_credits
                 )
             if peer in taps:
                 receive = _make_tapped_receiver(
@@ -839,16 +868,10 @@ class BatchedEngine(Engine):
 
         cal.record_view = record_view
 
-        def make_sink(idx):
-            def sink(flit, vc, _append=pending_append, _idx=idx):
-                _append((_idx, flit, vc))
-
-            return sink
-
         # Pass 1: credit records (receivers and phase functions read
         # them), flit sinks and the link table.
         for router in network.routers:
-            router.emit_credit = append_now
+            router.emit_credit = emit
             for port in router._input_order:
                 if port.credit_gate.delay != 0:
                     raise SimulationError(
@@ -859,13 +882,15 @@ class BatchedEngine(Engine):
                     port.credit_gate
                 )
             for port in router._output_order:
-                port.flit_sink = make_sink(len(delays))
+                port.flit_link = len(delays)
+                port.flit_sink = pending_append
                 delays.append(port.data_gate.delay)
                 recv.append(port.data_gate)  # resolved in pass 2
         for ni in network.interfaces:
-            ni.emit_credit = append_now
+            ni.emit_credit = emit
             ni.credit_records = credit_records_for(ni.credit_out)
-            ni.flit_sink = make_sink(len(delays))
+            ni.flit_link = len(delays)
+            ni.flit_sink = pending_append
             delays.append(ni.data_out.delay)
             recv.append(ni.data_out)
         # Pass 2: arrival-side receiver closures (credit records of
@@ -882,13 +907,10 @@ class BatchedEngine(Engine):
         send_msg = sched._send_msg
         push = cal.push
 
-        def fast_activate(agent):
-            # CycleScheduler.activate with the two kernel.schedule
-            # calls inlined (tick_time >= now always holds, so the
+        def fast_arm():
+            # CycleScheduler._arm with the two kernel.schedule calls
+            # inlined (tick_time >= now always holds, so the
             # SchedulingError guard is dead here).
-            agents[agent] = None
-            if sched._tick_time is not None:
-                return
             now = sim._now
             if sched._advance_done_at < now:
                 tick_time = now
@@ -898,7 +920,42 @@ class BatchedEngine(Engine):
             push(Event(tick_time, 1, 0, sched, advance_msg))
             push(Event(tick_time, 2, 0, sched, send_msg))
 
-        sched.activate = fast_activate
+        sched._arm = fast_arm
+
+    def _settle_credits(self, in_place: bool, room: int) -> int:
+        """Deliver or file the credits the event just dispatched
+        emitted; returns how many were delivered.
+
+        After an advance phase (*in_place*) the cycle's lane is
+        drained, so its credits are what the lane would deliver next,
+        in emission order: they are applied right here, as many as
+        *room* (the event cap's remaining budget, ``-1`` for none)
+        allows.  The rest — and every credit emitted by any other
+        event, or while a stop is pending — is filed as ordinary
+        records.
+        """
+        emitted = self._emitted
+        applied = 0
+        if in_place:
+            applied = len(emitted) if room < 0 else min(room, len(emitted))
+            for deliver in emitted[:applied]:
+                deliver()
+            del emitted[:applied]
+            # Applied credits count as delivered in the slot's live
+            # bookkeeping, so they enter it here as filed ones do.
+            self._calendar._live += applied
+        self._file_credits()
+        return applied
+
+    def _file_credits(self) -> None:
+        """File the emitted credits into the cycle draining, as
+        records: those of any event but an advance phase, of a record
+        delivery (a killed packet's flit dropped on arrival), or of a
+        change made between runs."""
+        append_now = self._calendar.append_now
+        for deliver in self._emitted:
+            append_now((deliver,))
+        self._emitted.clear()
 
     def _flush(self) -> None:
         """End-of-send-phase link traversal: file every flit sent
@@ -929,7 +986,8 @@ class BatchedEngine(Engine):
 #
 # Each builder compiles the delivery of a credit or flit record into a
 # closure with the call chain inlined: no Message, no Event, no
-# buffer-layer method hops, activation folded into delivery.  They are
+# buffer-layer method hops, activation (and waking) folded into
+# delivery.  They are
 # *semantically identical* to Router.receive_flit/receive_credit and
 # NetworkInterface.receive_flit/receive_credit, whose anomalous
 # branches (killed packets, buffer overflow, misrouted flits) they
@@ -938,37 +996,38 @@ class BatchedEngine(Engine):
 
 
 def _make_router_credit(router, credits, vc, sched, agents):
-    """Reusable record delivering one credit to an output port VC."""
+    """Delivers one credit to an output port VC."""
 
     def deliver():
         credits[vc] += 1
-        agents[router] = None
+        agents[router] = True
         if sched._tick_time is None:
             sched.activate(router)
 
-    return (deliver,)
+    return deliver
 
 
 def _make_ni_credit(ni, sched, agents):
-    """Reusable record returning one injection credit to *ni*."""
+    """Returns one injection credit to *ni*."""
 
     def deliver():
         ni._credits += 1
         if ni._backlog:
-            agents[ni] = None
+            agents[ni] = True
             if sched._tick_time is None:
                 sched.activate(ni)
 
-    return (deliver,)
+    return deliver
 
 
-def _make_router_receiver(router, port, sched, agents):
+def _make_router_receiver(router, port, sched, agents, file_credits):
     """Arrival side of a data link into router input *port*."""
     lanes = port.lanes
 
     def receive(wire_vc, flit):
         if flit.packet.killed:
             router.receive_flit(port, wire_vc, flit)
+            file_credits()
             return
         lane = lanes[wire_vc]
         dq = lane._flits
@@ -979,24 +1038,27 @@ def _make_router_receiver(router, port, sched, agents):
         occupancy = len(dq)
         if occupancy > lane.peak:
             lane.peak = occupancy
-        agents[router] = None
+        agents[router] = True
         if sched._tick_time is None:
             sched.activate(router)
 
     return receive
 
 
-def _make_ni_receiver(ni, sched, agents, append_now):
+def _make_ni_receiver(ni, append_now, file_credits):
     """Arrival side of an ejection link into *ni* (the sink)."""
     stats = ni.stats
     node = ni.node
     sim = ni.simulator
-    records = ni.credit_records
+    # Delivered as records: the credit follows the cycle's other
+    # arrivals, as the event engines deliver it.
+    records = [(deliver,) for deliver in ni.credit_records]
 
     def receive(flit):
         packet = flit.packet
         if packet.killed:
             ni.receive_flit(flit)
+            file_credits()
             return
         if packet.dst != node:
             ni._consume(flit)  # raises the canonical misroute error

@@ -16,6 +16,13 @@ pipeline switched off, single-flit packets (head and tail at once),
 mid-run link faults that detour and kill packets, and adaptive
 routing (which re-decides around dead ports).
 
+A second set of runs (:data:`RUNS`) pins the paths around the phases:
+the drain controller's positive control (forced moves on the slow
+path), a watched point whose watchdog and timeline samples enter the
+result, a trace-driven run, and a batched run driven in chunks of
+``max_events=97`` so the event cap lands inside the zero-delay credit
+bursts of the advance phase.
+
 A digest may only change together with a deliberate change of the
 router model; update it then, and say why in the change log.
 """
@@ -25,12 +32,16 @@ import json
 
 import pytest
 
+from repro.experiments.drain import run_deadlock_control
+from repro.experiments.parallel import run_sweep_point
+from repro.experiments.runner import SimulationSettings, SweepPoint
 from repro.experiments.specs import parse_pattern, parse_topology_routing
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
 from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.plan import FaultEvent
 from repro.traffic.base import TrafficSpec
+from repro.traffic.trace import record_trace
 
 #: (topology spec, pattern, rate, NocConfig overrides, fault events)
 #: per case.
@@ -77,10 +88,14 @@ CASES = {
 
 #: sha256 of ``json.dumps(result.to_dict(), sort_keys=True)``.
 GOLDEN = {
+    "drain-positive-control":
+        "de77315b096ac8bfb159b448bbebafa599ba4d04cd0234d2fd2bff7e61cc70e4",
     "mesh4x4-adaptive-fault":
         "ff316328ff59b7cb9d345c12dd7f42647580059b37e3d9cff9be450c64fd2190",
     "mesh4x4-uniform-saturated":
         "fa408ddc888977fa3819d46c24ea9314fe140152f4d06defcd66a51074c670e4",
+    "ring16-batched-max-events-97":
+        "08a42d9be1ad9921370ccd8f96e2719356ebfd905641be977bf2c78e824a09f2",
     "ring16-link-faults":
         "11677ff847394c460c9c01381ec335298f20c16ece63dde824f82f391e329029",
     "ring16-no-pipeline":
@@ -89,10 +104,14 @@ GOLDEN = {
         "1c27d927f877c536c1c6450aca42ab376d29c4d3c8f222ff7809893bc7efbeeb",
     "ring16-uniform-saturated":
         "907f58d83a4dc7dbe4480f79a41f3c102e33e54ddd4120b574de5e681457272b",
+    "ring16-watched":
+        "c753f9b2a2ff2b1dfa0ff00cba709edb83274813330e5007814d15244331cbed",
     "ring8-three-vcs":
         "e0453ef8add14e9c4823150f07caeec0e741c158834b59d266e6adad6fdd7730",
     "spidergon16-hotspot":
         "3ffcd9e68952c1a7b28a561115d90db0585bfa7b9393d449a1aaba0b97daea73",
+    "spidergon16-trace-driven":
+        "2ad1326cdf0f374be075caf3a96fe01338996f843e97fa356668ea36355deba9",
 }
 
 
@@ -112,6 +131,78 @@ def run_case(name):
     return network.run(cycles=1500, warmup=300)
 
 
+def run_drain_control():
+    """The drain controller's positive control (slow path)."""
+    return run_deadlock_control(True)
+
+
+def run_watched():
+    """A watched ring16 point: stall watchdog plus a timeline whose
+    windowed samples land in ``extra["timeline"]``."""
+    settings = SimulationSettings(
+        cycles=1500,
+        warmup=300,
+        config=NocConfig(source_queue_packets=8),
+        seed=7,
+        stall_cycles=200,
+        timeline_window=100,
+    )
+    return run_sweep_point(
+        SweepPoint("ring16", "uniform", 0.35, settings)
+    )
+
+
+def run_trace_driven():
+    """A spidergon16 hot-spot trace replayed with no stochastic
+    sources (the IP memory bound drops part of it)."""
+    topology, routing = parse_topology_routing("spidergon16")
+    config = NocConfig(source_queue_packets=8)
+    trace = record_trace(
+        parse_pattern("hotspot:0", topology),
+        0.3,
+        config.packet_size_flits,
+        cycles=1500,
+        seed=7,
+    )
+    network = Network(topology, routing=routing, config=config, seed=7)
+    network.install_trace(trace)
+    return network.run(cycles=1500, warmup=300)
+
+
+def run_in_chunks():
+    """A saturated batched ring16 run driven ``max_events=97`` events
+    at a time, then summarised (no warmup: the chunks run before
+    ``Network.run`` would set it)."""
+    topology, routing = parse_topology_routing("ring16")
+    network = Network(
+        topology,
+        routing=routing,
+        config=NocConfig(source_queue_packets=8),
+        traffic=TrafficSpec(parse_pattern("uniform", topology), 0.4),
+        seed=7,
+        engine="batched",
+    )
+    simulator = network.simulator
+    chunks = [simulator.run(until=1500, max_events=97)]
+    while chunks[-1] == 97:
+        chunks.append(simulator.run(until=1500, max_events=97))
+    # Every chunk but the last stops exactly at the cap.
+    assert chunks[-1] < 97
+    assert sum(chunks) == simulator.events_processed
+    result = network.run(cycles=1500)
+    assert simulator.engine.mode == "fast"
+    return result
+
+
+#: Runs built by hand rather than from :data:`CASES`.
+RUNS = {
+    "drain-positive-control": run_drain_control,
+    "ring16-watched": run_watched,
+    "spidergon16-trace-driven": run_trace_driven,
+    "ring16-batched-max-events-97": run_in_chunks,
+}
+
+
 def digest(result):
     canonical = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -120,3 +211,8 @@ def digest(result):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_result_matches_golden_digest(name):
     assert digest(run_case(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden_digest(name):
+    assert digest(RUNS[name]()) == GOLDEN[name]

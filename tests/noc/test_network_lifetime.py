@@ -174,6 +174,17 @@ class TestClosedNetwork:
         assert network.simulator.observers == ()
         assert network.simulator.pending_event_count == 0
 
+    def test_close_forgets_active_and_sleeping_agents(self):
+        network = build_network(rate=0.5)  # past the knee: agents sleep
+        network.simulator.run(until=300)
+        scheduler = network.scheduler
+        assert False in scheduler._agents.values()
+        scheduler.keep_awake(network.routers[0])
+        assert scheduler._advanced
+        network.close()
+        assert scheduler._agents == {}
+        assert scheduler._advanced == set()
+
     def test_close_is_idempotent_and_run_raises(self):
         network = build_network()
         network.close()

@@ -112,3 +112,67 @@ class TestActivationTiming:
         sim.run(until=5)
         assert first.log == ["advance", "send"]
         assert late.log == ["advance", "send"]
+
+
+class BlockedAgent:
+    """Holds one flit of work but moves nothing until unblocked."""
+
+    def __init__(self, log, name="blocked"):
+        self.name = name
+        self.log = log
+        self.blocked = True
+        self.remaining = 1
+
+    def advance_phase(self):
+        self.log.append(f"{self.name}:advance")
+        return False
+
+    def send_phase(self):
+        self.log.append(f"{self.name}:send")
+        if self.blocked:
+            return False
+        self.remaining -= 1
+        return True
+
+    def has_pending_work(self):
+        return self.remaining > 0
+
+
+class TestSleep:
+    def test_blocked_agent_sleeps_but_phases_continue(self):
+        sim = Simulator()
+        scheduler = CycleScheduler(sim)
+        log = []
+        agent = BlockedAgent(log)
+        scheduler.activate(agent)
+        processed = sim.run(until=9)
+        # Ticked once, then asleep: still active, and the two phase
+        # events keep coming every cycle.
+        assert log == ["blocked:advance", "blocked:send"]
+        assert scheduler.active_agents == 1
+        assert processed == 2 * 10
+
+    def test_activate_wakes_a_sleeper_in_its_place(self):
+        sim = Simulator()
+        scheduler = CycleScheduler(sim)
+        log = []
+        first = BlockedAgent(log, "first")
+        second = StubAgent("second", active_cycles=10)
+        second.log = log
+
+        class Unblocker(SimModule):
+            def handle_message(self, message):
+                first.blocked = False
+                scheduler.activate(first)
+
+        scheduler.activate(first)
+        scheduler.activate(second)
+        sim.schedule(3, Unblocker(sim, "unblocker"), Message("wake"))
+        sim.run(until=3)
+        # `first` sleeps from cycle 1 and, woken at 3, runs ahead of
+        # `second` again: it kept its place.
+        assert log[-4:] == [
+            "first:advance", "advance", "first:send", "send",
+        ]
+        assert log.count("first:send") == 2
+        assert scheduler.active_agents == 1

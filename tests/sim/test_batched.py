@@ -397,6 +397,26 @@ class TestModeSelection:
         segmented = network.run(cycles=300)
         assert whole.to_dict() == segmented.to_dict()
 
+    def test_credits_of_a_fault_between_runs_match_heap(self):
+        """The credits a link failure applied between two runs emits
+        (its killed packets' purged lane slots) are delivered at the
+        cycle the clock stopped at, one event each, as on the event
+        engines."""
+
+        def clocks(engine):
+            network = _saturated(engine)
+            sim = network.simulator
+            sim.run(until=300)
+            dropped = network.fail_link(4, 5)["flits_dropped"]
+            assert dropped
+            seen = []
+            for _ in range(dropped + 2):
+                sim.run(max_events=1)
+                seen.append(sim.now)
+            return seen
+
+        assert clocks("batched") == clocks("heap")
+
 
 class _SlowLinkRing(RingTopology):
     """A ring whose every link takes 300 cycles: longer than the
@@ -512,7 +532,7 @@ class TestReleaseAfterRun:
     def test_wiring_is_dropped(self):
         import types
 
-        from repro.noc.signals import send_credit
+        from repro.noc.signals import send_credit, send_flit
 
         network = _saturated("batched")
         network.simulator.run(until=100)  # installs the fast path
@@ -523,7 +543,11 @@ class TestReleaseAfterRun:
         receiver_ids = {id(receive) for receive in receivers}
         network.run(cycles=200)
         assert engine._recv == [] and engine._pending == []
-        batched_methods = (CycleCalendar.append_now, BatchedEngine._flush)
+        batched_methods = (
+            CycleCalendar.append_now,
+            BatchedEngine._flush,
+            BatchedEngine._file_credits,
+        )
         for obj in _model_objects(network):
             assert id(obj) not in receiver_ids
             assert not (
@@ -533,9 +557,17 @@ class TestReleaseAfterRun:
         for agent in (*network.routers, *network.interfaces):
             assert agent.emit_credit is send_credit
             assert "send_phase" not in vars(agent)
+        for router in network.routers:
+            for port in router._output_order:
+                assert port.flit_sink is send_flit
+                assert port.flit_link is port.data_gate
+        for ni in network.interfaces:
+            assert ni.flit_sink is send_flit
+            assert ni.flit_link is ni.data_out
+        assert engine._emitted == []
         scheduler = network.scheduler
         assert scheduler.flush_hook is None
-        assert "activate" not in vars(scheduler)
+        assert "_arm" not in vars(scheduler)
         assert not any(
             item.__class__ is tuple
             for lane in calendar._lane0

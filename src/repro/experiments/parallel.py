@@ -372,10 +372,6 @@ def guarded_run(point: SweepPoint) -> tuple[str, object]:
         return "error", traceback.format_exc(limit=8)
 
 
-#: Backwards-compatible spelling; the worker entry is public API now.
-_guarded_run = guarded_run
-
-
 def execute_points(
     points: Sequence[SweepPoint],
     *,
@@ -520,7 +516,7 @@ def _execute_hardened_serial(
         attempts = 0
         while True:
             attempts += 1
-            status, payload = _guarded_run(point)
+            status, payload = guarded_run(point)
             if status == "ok":
                 finish(index, point, payload, False)
                 break

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import Iterator
 
 from repro.noc.config import NocConfig
 from repro.noc.packet import Flit, Packet
@@ -59,6 +60,7 @@ class NetworkInterface(SimModule):
         scheduler,
         stats: NetworkStats,
         num_vcs: int,
+        packet_ids: Iterator[int],
     ) -> None:
         super().__init__(simulator, f"ni{node}")
         self.node = node
@@ -66,6 +68,8 @@ class NetworkInterface(SimModule):
         self.scheduler = scheduler
         self.stats = stats
         self.num_vcs = num_vcs
+        # The owning network's packet numbering.
+        self.packet_ids = packet_ids
         self.data_out = self.add_gate("data_out")
         self.credit_in = self.add_gate("credit_in")
         self.data_in = self.add_gate("data_in")
@@ -161,6 +165,7 @@ class NetworkInterface(SimModule):
                 dst,
                 self.config.packet_size_flits,
                 created_at=now,
+                packet_id=next(self.packet_ids),
             )
             self._backlog.append(packet)
             if len(self._backlog) > self._peak_backlog:

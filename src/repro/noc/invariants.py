@@ -20,7 +20,7 @@ precise enough to debug from.  The checker is read-only.
 from __future__ import annotations
 
 from repro.noc.network import Network
-from repro.noc.signals import CreditMessage, FlitMessage
+from repro.noc.signals import CreditMessage
 
 
 class InvariantViolation(AssertionError):
@@ -123,21 +123,13 @@ class InvariantChecker:
     # -- helpers ------------------------------------------------------------
 
     def _in_flight_flits(self) -> int:
-        return sum(
-            1
-            for event in self.network.simulator.pending_events()
-            if isinstance(event.message, FlitMessage)
-        )
+        return sum(self.network.flits_on_wire().values())
 
     def _in_flight_by_gate(self):
-        flits: dict = {}
         credits: dict = {}
         for event in self.network.simulator.pending_events():
             message = event.message
-            if isinstance(message, FlitMessage):
-                key = (message.arrival_gate, message.wire_vc)
-                flits[key] = flits.get(key, 0) + 1
-            elif isinstance(message, CreditMessage):
+            if isinstance(message, CreditMessage):
                 gate = message.arrival_gate
                 assert gate is not None
                 # Identify the output port that owns the credit-in
@@ -145,7 +137,7 @@ class InvariantChecker:
                 port_name = gate.name.split(":", 1)[1]
                 key = (gate.module, port_name, message.vc)
                 credits[key] = credits.get(key, 0) + 1
-        return flits, credits
+        return self.network.flits_on_wire(), credits
 
     def _lane_occupancy(self, module, data_in_gate, vc):
         """Occupancy of the receiving lane, or None for NI sinks."""

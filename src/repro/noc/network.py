@@ -21,6 +21,7 @@ both).
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from collections import Counter
 
@@ -28,6 +29,7 @@ from repro.noc.config import NocConfig
 from repro.noc.interface import NetworkInterface
 from repro.noc.router import Router
 from repro.noc.scheduler import CycleScheduler
+from repro.noc.signals import FlitMessage
 from repro.routing import RoutingAlgorithm, routing_for
 from repro.routing.base import LOCAL_PORT
 from repro.sim.engines import NETWORK_DEFAULT, select_engine
@@ -135,6 +137,10 @@ class Network:
                 DeprecationWarning,
                 stacklevel=3,
             )
+        # One numbering for the packets of this network: a point's
+        # result must not depend on what else the process simulated
+        # (O1TURN hashes packet ids into dimension orders).
+        packet_ids = itertools.count()
         for node in range(topology.num_nodes):
             self.routers.append(
                 Router(
@@ -154,6 +160,7 @@ class Network:
                     self.scheduler,
                     self.stats,
                     self.num_vcs,
+                    packet_ids,
                 )
             )
         # Inter-router links: data forward, credit backward.  Each
@@ -259,6 +266,22 @@ class Network:
                     (router.node, port_name, peer.module.node, peer)
                 )
         return links
+
+    def flits_on_wire(self) -> dict[tuple["object", int], int]:
+        """Flits sent but not yet delivered, per ``(arrival_gate,
+        wire_vc)`` (keys with none are absent).
+
+        Read from the simulator's pending events, so it is empty once
+        the network is closed.  A drain controller's forced sends
+        never use the wire and never show here.
+        """
+        counts: dict = {}
+        for event in self.simulator.pending_events():
+            message = event.message
+            if isinstance(message, FlitMessage):
+                key = (message.arrival_gate, message.wire_vc)
+                counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def link_attrs_of(self, node: int, port_name: str):
         """The :class:`~repro.topology.base.LinkAttrs` of the data

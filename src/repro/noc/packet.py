@@ -20,7 +20,12 @@ class Packet:
     """An application packet travelling from *src* to *dst*.
 
     Attributes:
-        packet_id: Unique id.
+        packet_id: Unique id.  A network numbers the packets it makes
+            itself, from 0 in creation order (see
+            :class:`~repro.noc.network.Network`), so ids — and O1TURN's
+            dimension order, which hashes them — do not depend on what
+            else the process ran.  Without *packet_id* a packet takes
+            the next id of a process-wide counter.
         src: Source node.
         dst: Destination node.
         size_flits: Packet length in flits (6 in the paper).
@@ -54,7 +59,12 @@ class Packet:
     )
 
     def __init__(
-        self, src: int, dst: int, size_flits: int, created_at: int
+        self,
+        src: int,
+        dst: int,
+        size_flits: int,
+        created_at: int,
+        packet_id: int | None = None,
     ) -> None:
         if size_flits < 1:
             raise ValueError(
@@ -62,7 +72,9 @@ class Packet:
             )
         if src == dst:
             raise ValueError(f"packet source equals destination ({src})")
-        self.packet_id = next(_packet_ids)
+        self.packet_id = (
+            next(_packet_ids) if packet_id is None else packet_id
+        )
         self.src = src
         self.dst = dst
         self.size_flits = size_flits

@@ -59,7 +59,11 @@ class TraceDriver(SimModule):
             entry = entries[self._cursor]
             self._cursor += 1
             packet = Packet(
-                entry.src, entry.dst, self._packet_size, created_at=now
+                entry.src,
+                entry.dst,
+                self._packet_size,
+                created_at=now,
+                packet_id=next(self._interfaces[entry.src].packet_ids),
             )
             self._interfaces[entry.src].stats.record_generated(now)
             try:

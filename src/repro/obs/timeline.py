@@ -8,13 +8,14 @@ closes.  The result is a :class:`~repro.stats.utilization
 .UtilizationTimeline` — plain data that shows congestion forming and
 draining over time, which end-of-run aggregates cannot.
 
-The observer is pure kernel-side: it maps each flit delivery to its
-link via the arrival gate, so routers and interfaces need no
-instrumentation hooks and the model's behaviour is bit-identical with
-or without a timeline attached.  The per-link counters double as
-:meth:`~repro.sim.observers.Observer.arrival_taps`, so the batched
-engine keeps its fast path and calls them on each arrival instead of
-handing over events; the timeline comes out byte-identical.
+The observer reads only cycle boundaries.  When a window closes it
+credits the window with each link's growth in arrivals: the flits the
+sending output port has counted (``flits_sent_by_vc``), less those
+still on the wire (:meth:`~repro.noc.network.Network.flits_on_wire`)
+and less forced drain sends, which bump the counter but skip the
+wire.  Routers and interfaces need no instrumentation hooks, the
+model's behaviour is bit-identical with or without a timeline
+attached, and the batched engine keeps its fast path with it.
 
 Usage::
 
@@ -27,8 +28,6 @@ Usage::
 
 from __future__ import annotations
 
-from repro.noc.signals import FlitMessage
-from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.observers import Observer
 from repro.stats.utilization import (
@@ -51,6 +50,8 @@ class TimelineObserver(Observer):
             :class:`~repro.stats.utilization.UtilizationReport`.
     """
 
+    cycle_boundaries_only = True
+
     def __init__(
         self,
         network,
@@ -62,15 +63,23 @@ class TimelineObserver(Observer):
         self.network = network
         self.window = window
         self.include_local = include_local
-        # (node, port, dst, vc) -> {window index: flit count}.
+        # (node, port, dst, vc) -> {window index: flit count}; a key
+        # appears with its link's first counted arrival.
         self._counts: dict[tuple[int, str, int, int], dict[int, int]] = {}
-        # arrival gate of a link -> its counter, tap(now, wire_vc).
-        self._taps: dict = {
-            gate: self._make_tap(node, port_name, dst)
-            for node, port_name, dst, gate in network.link_arrival_gates(
+        # (key, sending router, arrival gate) per tracked (link, VC).
+        self._links = [
+            ((node, port, dst, vc), network.routers[node], gate)
+            for node, port, dst, gate in network.link_arrival_gates(
                 include_local=include_local
             )
-        }
+            for vc in range(network.num_vcs)
+        ]
+        # key -> forced drain sends over the link since attaching.
+        self._forced: dict[tuple[int, str, int, int], int] = {}
+        # The window arrivals are credited to, and each key's
+        # arrivals when it was last credited.
+        self._open_window = network.simulator.now // window
+        self._arrived = self._arrivals()
         # node -> [(window index, buffered flits)].
         self._occupancy: dict[int, list[tuple[int, int]]] = {
             router.node: [] for router in network.routers
@@ -87,46 +96,48 @@ class TimelineObserver(Observer):
         self, kind: str, flit, src: int, dst: int, vc: int
     ) -> None:
         self.drain_events += 1
+        if kind == "send":
+            port = self.network.topology.port_to(src, dst)
+            key = (src, port, dst, vc)
+            self._forced[key] = self._forced.get(key, 0) + 1
 
-    def _make_tap(self, node: int, port: str, dst: int):
-        """The windowed flit counter of one link."""
-        counts = self._counts
-        window = self.window
+    def _arrivals(self) -> dict[tuple[int, str, int, int], int]:
+        """Flits delivered over each tracked (link, VC) so far."""
+        on_wire = self.network.flits_on_wire()
+        forced = self._forced
+        return {
+            key: router.flits_sent_on(key[1], key[3])
+            - on_wire.get((gate, key[3]), 0)
+            - forced.get(key, 0)
+            for key, router, gate in self._links
+        }
 
-        def tap(now: int, wire_vc: int) -> None:
-            key = (node, port, dst, wire_vc)
-            windows = counts.get(key)
-            if windows is None:
-                counts[key] = windows = {}
-            index = now // window
-            windows[index] = windows.get(index, 0) + 1
-
-        return tap
+    def _credit_open_window(self) -> None:
+        """Add each link's arrivals since the last credit to the open
+        window."""
+        arrived = self._arrivals()
+        last = self._arrived
+        index = self._open_window
+        for key, flits in arrived.items():
+            grown = flits - last[key]
+            if grown:
+                windows = self._counts.setdefault(key, {})
+                windows[index] = windows.get(index, 0) + grown
+        self._arrived = arrived
 
     # -- observer hooks -----------------------------------------------
-
-    def arrival_taps(self) -> dict:
-        """The per-link counters, which let the batched engine keep
-        its fast path: it calls them on each tracked arrival."""
-        return self._taps
-
-    def on_event_delivered(
-        self, simulator: Simulator, event: Event
-    ) -> None:
-        message = event.message
-        if not isinstance(message, FlitMessage):
-            return
-        tap = self._taps.get(message.arrival_gate)
-        if tap is not None:
-            tap(event.time, message.wire_vc)
 
     def on_time_advanced(
         self, simulator: Simulator, old_time: int, new_time: int
     ) -> None:
-        old_window = old_time // self.window
         new_window = new_time // self.window
-        if new_window <= old_window:
+        if new_window <= self._open_window:
             return
+        # Every delivery so far happened at or before old_time, in
+        # the open window; none on the skipped windows.
+        self._credit_open_window()
+        old_window = self._open_window
+        self._open_window = new_window
         # Sample once per closed window.  During an idle gap nothing
         # moves, so the same sample stands for every skipped window.
         flits_in_flight = {
@@ -139,11 +150,16 @@ class TimelineObserver(Observer):
             for node, flits in flits_in_flight.items():
                 self._occupancy[node].append((index, flits))
 
+    def on_close(self, simulator: Simulator) -> None:
+        # The flits on the wire go with the pending events.
+        self.detach()
+
     # -- lifecycle ----------------------------------------------------
 
     def detach(self) -> None:
         """Stop observing (idempotent); collected data stays readable."""
         if self._attached:
+            self._credit_open_window()
             self.network.simulator.remove_observer(self)
             self.network.remove_drain_listener(self._on_drain_move)
             self._attached = False
@@ -167,6 +183,8 @@ class TimelineObserver(Observer):
             raise ValueError(
                 "timeline of an unstarted simulation (cycles < 1)"
             )
+        if self._attached:
+            self._credit_open_window()
         num_windows = -(-cycles // self.window)
         links = []
         for key in sorted(self._counts):

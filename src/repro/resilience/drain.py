@@ -80,7 +80,6 @@ engines — the property the recovery tests pin.
 from __future__ import annotations
 
 from repro.noc.network import Network
-from repro.noc.signals import FlitMessage
 from repro.sim.messages import Message
 from repro.sim.observers import Observer
 
@@ -331,10 +330,10 @@ class DrainController(Observer):
         self._progress_mark = -1
         self._shield_from: int | None = None
         network.drain_controller = self
-        # Registering without arrival taps (the Observer default) is
-        # what forces the batched engine to fall back loudly to the
-        # classic event loop: forced moves bypass its per-link record
-        # tables.  The hooks stay no-ops — all work happens in
+        # Registering without cycle_boundaries_only (the Observer
+        # default) is what forces the batched engine to fall back
+        # loudly to the classic event loop: forced moves bypass its
+        # per-link record tables.  The hooks stay no-ops — all work happens in
         # self-rescheduling kernel timers.
         network.simulator.add_observer(self)
         self._schedule(network.simulator.now + detect_cycles)
@@ -462,18 +461,11 @@ class DrainController(Observer):
     def _inflight_on_loop(self) -> dict[tuple[int, int], int]:
         """Flits still on the wire of loop edge *k*, per (k, vc)."""
         by_gate = {gate: k for k, gate in enumerate(self._edge_gates)}
-        counts: dict[tuple[int, int], int] = {}
-        for event in self.network.simulator.pending_events():
-            if event.cancelled:
-                continue
-            message = event.message
-            if not isinstance(message, FlitMessage):
-                continue
-            k = by_gate.get(message.arrival_gate)
-            if k is not None:
-                key = (k, message.wire_vc)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        return {
+            (by_gate[gate], vc): flits
+            for (gate, vc), flits in self.network.flits_on_wire().items()
+            if gate in by_gate
+        }
 
     def _spin(self, now: int) -> int:
         """Execute one drain epoch; returns forced moves performed.

@@ -20,7 +20,6 @@ attached and trips at the identical cycle (docs/engines.md).
 from __future__ import annotations
 
 from repro.noc.network import Network
-from repro.noc.signals import FlitMessage
 from repro.sim.observers import Observer
 
 
@@ -50,6 +49,10 @@ class StallWatchdog(Observer):
         "_drops_at_progress",
     )
 
+    # Cycle boundaries are all the watchdog reads, so it keeps the
+    # batched engine on its fast path.
+    cycle_boundaries_only = True
+
     def __init__(self, network: Network, stall_cycles: int) -> None:
         if stall_cycles < 1:
             raise ValueError(
@@ -74,11 +77,6 @@ class StallWatchdog(Observer):
         """
         stats = self.network.stats
         return stats.flits_consumed + stats.warmup_flits_consumed
-
-    def arrival_taps(self) -> dict:
-        """Cycle boundaries are all the watchdog reads, so it keeps
-        the batched engine on its fast path."""
-        return {}
 
     def on_time_advanced(
         self, simulator, old_time: int, new_time: int
@@ -144,11 +142,7 @@ class StallWatchdog(Observer):
             for interface in net.interfaces
             if interface.backlog_packets
         }
-        in_flight = sum(
-            1
-            for event in net.simulator.pending_events()
-            if isinstance(event.message, FlitMessage)
-        )
+        in_flight = sum(net.flits_on_wire().values())
         return {
             "cycle": now,
             "last_progress_cycle": self._last_progress_cycle,

@@ -40,7 +40,11 @@ class SourceRouting(RoutingAlgorithm):
     ) -> list[tuple[str, int]]:
         """Walk the base algorithm from *node* to the destination."""
         probe = Packet(
-            packet.src, packet.dst, packet.size_flits, packet.created_at
+            packet.src,
+            packet.dst,
+            packet.size_flits,
+            packet.created_at,
+            packet_id=packet.packet_id,
         )
         route = []
         current = node

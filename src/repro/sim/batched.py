@@ -43,19 +43,17 @@ Fast path vs slow path
 The fast path has no per-event ``Event`` to hand
 ``on_event_delivered``.  The mode is decided at the **first**
 ``run()``, from each attached observer's
-:meth:`~repro.sim.observers.Observer.arrival_taps`:
+:attr:`~repro.sim.observers.Observer.cycle_boundaries_only`:
 
-* every observer supplies taps (no observers at all, or only
-  ``StallWatchdog``, whose taps are empty, and ``TimelineObserver``,
-  whose taps are its per-link counters) → **fast path**: sinks are
-  installed on the model and records replace messages.  Before each
-  cycle holding a live item the loop advances the clock and calls
-  ``on_time_advanced``, exactly where the event loop does; the
-  receivers of tapped links call the taps after each arrival.
+* every observer sets it (no observers at all, or only
+  ``StallWatchdog`` and ``TimelineObserver``) → **fast path**: sinks
+  are installed on the model and records replace messages.  Before
+  each cycle holding a live item the loop advances the clock and
+  calls ``on_time_advanced``, exactly where the event loop does.
   Attaching an observer *after* that raises
   :class:`~repro.sim.errors.SimulationError` — loudly, instead of
   silently missing callbacks.
-* any observer returns ``None`` (the default: ``FlitTracer``,
+* any observer leaves it ``False`` (the default: ``FlitTracer``,
   ``KernelProfiler``, ``InvariantAuditor``, ``DrainController``,
   plain ``Observer`` subclasses) → **slow path**: the classic
   per-event loop (:meth:`~repro.sim.kernel.Simulator._event_loop`)
@@ -586,40 +584,18 @@ class BatchedEngine(Engine):
             )
         if self._mode is None:
             # Decided once: the fast path rewires the model with
-            # record sinks, and serves only observers whose arrival
-            # taps stand in for per-event callbacks.
-            taps = self._observer_taps(simulator)
-            self._mode = "slow" if taps is None else "fast"
-            if taps is not None and self._network is not None:
-                self._install_fast_path(taps)
+            # record sinks, and serves only observers that need no
+            # per-event callbacks.
+            fast = all(
+                observer.cycle_boundaries_only
+                for observer in simulator._observers
+            )
+            self._mode = "fast" if fast else "slow"
+            if fast and self._network is not None:
+                self._install_fast_path()
         if self._mode == "slow":
             return simulator._event_loop(until, max_events)
         return self._run_fast(simulator, until, max_events)
-
-    def _observer_taps(self, simulator) -> dict | None:
-        """``{arrival gate: [(observer, tap), ...]}`` over the attached
-        observers, or ``None`` when one of them needs the event loop
-        (no taps, or taps on a gate the fast path does not wire)."""
-        taps: dict = {}
-        for observer in simulator._observers:
-            supplied = observer.arrival_taps()
-            if supplied is None:
-                return None
-            for gate, tap in supplied.items():
-                taps.setdefault(gate, []).append((observer, tap))
-        if taps:
-            network = self._network
-            if network is None:
-                return None
-            wired = {
-                port.data_gate.peer
-                for router in network.routers
-                for port in router._output_order
-            }
-            wired.update(ni.data_out.peer for ni in network.interfaces)
-            if not wired.issuperset(taps):
-                return None
-        return taps
 
     # -- fast path -------------------------------------------------------
 
@@ -762,7 +738,7 @@ class BatchedEngine(Engine):
 
     # -- model wiring ----------------------------------------------------
 
-    def _install_fast_path(self, taps: dict) -> None:
+    def _install_fast_path(self) -> None:
         """Rewire the model for the fast path.  Called once, at the
         first fast run:
 
@@ -777,9 +753,6 @@ class BatchedEngine(Engine):
           method hops inlined, with invariants (buffer overflow,
           misroute) still enforced by delegating the anomalous
           branches to the model's methods;
-        * the receivers of links in *taps* (see
-          :meth:`_observer_taps`) also call the observers' arrival
-          taps; every other link keeps the bare closure;
         * the scheduler calls :meth:`_flush` after each send phase
           and schedules its phase events through a leaner ``_arm``.
 
@@ -841,10 +814,6 @@ class BatchedEngine(Engine):
             else:
                 receive = _make_ni_receiver(
                     target, append_now, file_credits
-                )
-            if peer in taps:
-                receive = _make_tapped_receiver(
-                    receive, is_router, taps[peer], sim
                 )
             gate_of_receiver[receive] = peer
             return receive, is_router
@@ -1070,31 +1039,3 @@ def _make_ni_receiver(ni, append_now, file_credits):
             stats.record_packet_delivered(packet, now)
 
     return receive
-
-
-def _make_tapped_receiver(receive, is_router, taps, sim):
-    """*receive* followed by the arrival taps of the observers still
-    registered: the fast-path ``on_event_delivered``, which the event
-    loop also fires after the handler (killed packets' flits
-    included)."""
-    if is_router:
-
-        def tapped(wire_vc, flit):
-            receive(wire_vc, flit)
-            now = sim._now
-            registered = sim._observer_snapshot
-            for observer, tap in taps:
-                if observer in registered:
-                    tap(now, wire_vc)
-
-        return tapped
-
-    def tapped_ni(flit):
-        receive(flit)
-        now = sim._now
-        registered = sim._observer_snapshot
-        for observer, tap in taps:
-            if observer in registered:
-                tap(now, flit.wire_vc)
-
-    return tapped_ni

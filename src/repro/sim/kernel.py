@@ -238,7 +238,7 @@ class Simulator:
         The engine owns the drive loop.  The event engines (wheel,
         heap) use :meth:`_event_loop`; the batched engine substitutes
         its cycle-synchronous fast path when every attached observer
-        supplies :meth:`~repro.sim.observers.Observer.arrival_taps`
+        sets :attr:`~repro.sim.observers.Observer.cycle_boundaries_only`
         and falls back to :meth:`_event_loop` otherwise.  Every engine
         preserves the stop/:attr:`events_processed`/time-jump
         semantics documented here.
@@ -424,15 +424,18 @@ class Simulator:
         other in cycles (``gate.module`` and ``module.gates``, each
         module's ``simulator`` and the registry, events and their
         targets), which only the cyclic garbage collector could
-        reclaim.  Closing drops the pending events and the observers,
-        closes every registered module (:meth:`SimModule.close
-        <repro.sim.module.SimModule.close>`, which cuts its gate
-        links) and empties the registry.  The clock, the event count
+        reclaim.  Closing tells each observer (:meth:`Observer.on_close
+        <repro.sim.observers.Observer.on_close>`), drops the pending
+        events and the observers, closes every registered module
+        (:meth:`SimModule.close <repro.sim.module.SimModule.close>`,
+        which cuts its gate links) and empties the registry.  The clock, the event count
         and each module's own state stay readable.
         """
         if self._closed:
             return
         self._closed = True
+        for observer in tuple(self._observers):
+            observer.on_close(self)
         self._queue.clear()
         for module in self._modules:
             module.close()

@@ -27,14 +27,17 @@ Contract:
 * Observers must not schedule, cancel, or deliver events; they read.
   (This is a convention, not an enforced sandbox — violating it
   forfeits the determinism guarantees the test suite pins.)
-* ``arrival_taps()`` opts an observer into the batched engine's fast
-  path (:mod:`repro.sim.batched`), which has no per-event
-  :class:`~repro.sim.events.Event` to hand ``on_event_delivered``.
-  The default, ``None``, keeps that engine on the per-event loop.  On
-  the fast path ``on_time_advanced`` fires at the same instants with
-  the same model state as on the event loop — once per cycle in which
-  something is delivered, plus the final jump to ``until`` — and
-  ``on_event_delivered`` is replaced by the returned taps.
+* ``cycle_boundaries_only = True`` opts an observer into the batched
+  engine's fast path (:mod:`repro.sim.batched`), which has no
+  per-event :class:`~repro.sim.events.Event` to hand
+  ``on_event_delivered``.  The default, ``False``, keeps that engine
+  on the per-event loop.  On the fast path ``on_time_advanced`` fires
+  at the same instants with the same model state as on the event
+  loop — once per cycle in which something is delivered, plus the
+  final jump to ``until`` — and ``on_event_delivered`` never fires.
+* ``on_close(simulator)`` fires once when the simulator closes,
+  before its pending events are dropped: the last moment flits on
+  the wire can be read.
 
 Usage::
 
@@ -54,12 +57,11 @@ Usage::
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.sim.events import Event
     from repro.sim.kernel import Simulator
-    from repro.sim.module import Gate
 
 
 class Observer:
@@ -72,6 +74,11 @@ class Observer:
 
     __slots__ = ()
 
+    #: True if the observer reads only cycle boundaries (its
+    #: :meth:`on_event_delivered` is the no-op), which lets the
+    #: batched engine keep its fast path while it is attached.
+    cycle_boundaries_only = False
+
     def on_event_delivered(
         self, simulator: "Simulator", event: "Event"
     ) -> None:
@@ -82,19 +89,6 @@ class Observer:
     ) -> None:
         """Called whenever simulation time strictly increases."""
 
-    def arrival_taps(self) -> "dict[Gate, Callable[[int, int], None]] | None":
-        """Per-link arrival taps standing in for
-        :meth:`on_event_delivered` on the batched fast path.
-
-        Return ``None`` (the default) if the observer needs every
-        delivery as an event, or reaches into the model in ways the
-        fast path does not reproduce; the batched engine then runs
-        the per-event loop.  Otherwise return ``{arrival_gate: tap}``:
-        after each flit delivered through ``arrival_gate`` while the
-        observer is registered, the engine calls ``tap(now,
-        wire_vc)``, which must record exactly what
-        :meth:`on_event_delivered` records for that delivery (and that
-        hook must ignore every other event).  An observer that needs
-        only :meth:`on_time_advanced` returns ``{}``.
-        """
-        return None
+    def on_close(self, simulator: "Simulator") -> None:
+        """Called when *simulator* closes, before its pending events
+        are dropped and its observers forgotten."""

@@ -11,7 +11,10 @@ contract too: resilience behaviour may not depend on the engine.
 
 import pytest
 
-from repro.experiments.specs import available_topologies, parse_topology
+from repro.experiments.specs import (
+    available_topologies,
+    parse_topology_routing,
+)
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
 from repro.obs import TimelineObserver
@@ -42,9 +45,10 @@ def _run_point(
     seed=11,
     num_vcs=None,
 ):
-    topology = parse_topology(spec)
+    topology, routing = parse_topology_routing(spec)
     network = Network(
         topology,
+        routing=routing,
         config=NocConfig(source_queue_packets=8, num_vcs=num_vcs),
         traffic=TrafficSpec(UniformTraffic(topology), rate),
         seed=seed,
@@ -69,6 +73,15 @@ class TestRunResultEquivalence:
         *engine* agree on every RunResult field."""
         wheel, _ = _run_point(spec, "wheel")
         other, _ = _run_point(spec, engine)
+        assert wheel.to_dict() == other.to_dict()
+
+    @pytest.mark.parametrize("engine", OTHER_ENGINES)
+    def test_o1turn_equivalence(self, engine):
+        """O1TURN hashes packet ids into dimension orders; a network
+        numbers its own packets, so no engine (and no earlier run in
+        the process) can shift them."""
+        wheel, _ = _run_point("mesh4x4:o1turn", "wheel", rate=0.3)
+        other, _ = _run_point("mesh4x4:o1turn", engine, rate=0.3)
         assert wheel.to_dict() == other.to_dict()
 
     @pytest.mark.parametrize("engine", OTHER_ENGINES)

@@ -165,11 +165,11 @@ class TestPositiveControl:
             assert other.extra["drain"] == baseline.extra["drain"]
 
     def test_batched_engine_falls_back_loudly(self):
-        # The controller registers a kernel observer without arrival
-        # taps, the documented trigger for the batched engine's loud
-        # fallback to the classic event loop — forced drain moves
-        # bypass its per-link records, so the fast path would silently
-        # miss them.  Recovery must therefore work (not crash, not
+        # The controller registers a kernel observer that is not
+        # cycle_boundaries_only, the documented trigger for the
+        # batched engine's loud fallback to the classic event loop —
+        # forced drain moves bypass its per-link records, so the fast
+        # path would silently miss them.  Recovery must therefore work (not crash, not
         # drop) under engine="batched".
         network = build_deadlock_network(True, engine="batched")
         assert any(

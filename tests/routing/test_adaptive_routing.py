@@ -93,6 +93,26 @@ class TestInNetwork:
         )
         assert net.run(cycles=6_000, warmup=2_000).throughput > 2.0
 
+    def test_point_does_not_depend_on_process_history(self):
+        """Packet ids, which pick each packet's dimension order, are
+        numbered per network: the same point run twice in one process
+        gives the same result."""
+
+        def point():
+            mesh = MeshTopology(4, 4)
+            net = Network(
+                mesh,
+                routing=MeshO1TurnRouting(mesh),
+                config=NocConfig(source_queue_packets=8),
+                traffic=TrafficSpec(UniformTraffic(mesh), 0.3),
+                seed=3,
+            )
+            result = net.run(cycles=600, warmup=100)
+            net.close()
+            return result.to_dict()
+
+        assert point() == point()
+
     def test_beats_xy_on_transpose(self):
         # Transpose concentrates XY routes on one diagonal family;
         # O1TURN halves that load across XY and YX.

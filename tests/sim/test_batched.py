@@ -331,11 +331,10 @@ class TestModeSelection:
         wheel."""
 
         class Detacher(Observer):
+            cycle_boundaries_only = True
+
             def __init__(self, timeline):
                 self.timeline = timeline
-
-            def arrival_taps(self):
-                return {}
 
             def on_time_advanced(self, simulator, old, new):
                 if new >= 250:

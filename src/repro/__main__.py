@@ -106,7 +106,8 @@ def _serve(rest: list[str]) -> int:
         type=float,
         default=None,
         metavar="S",
-        help="per-point wall-clock deadline in seconds",
+        help="per-point deadline in seconds of run time; a point past "
+        "it has its worker terminated and is retried or failed",
     )
     parser.add_argument(
         "--retries",

@@ -30,8 +30,9 @@ def channel_loads(
     """Expected flits/cycle on each channel for the given *flows*.
 
     Args:
-        routing: Deterministic routing whose ``path`` defines which
-            channels each flow crosses.
+        routing: Routing whose ``paths`` define which channels each
+            flow crosses, and with what share of its rate (O1TURN
+            splits a flow over its XY and YX routes).
         flows: ``(src, dst, rate)`` triples, rate in flits/cycle.
 
     Returns:
@@ -46,9 +47,9 @@ def channel_loads(
             raise ValueError(f"negative rate for flow {src}->{dst}")
         if src == dst:
             raise ValueError(f"self-flow at node {src}")
-        nodes = routing.path(src, dst)
-        for a, b in zip(nodes, nodes[1:]):
-            loads[(a, topology.port_to(a, b))] += rate
+        for nodes, share in routing.paths(src, dst):
+            for a, b in zip(nodes, nodes[1:]):
+                loads[(a, topology.port_to(a, b))] += rate * share
         loads[(dst, LOCAL_PORT)] += rate
     return dict(loads)
 

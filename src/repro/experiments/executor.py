@@ -1,0 +1,278 @@
+"""The one executor core under batch sweeps and the campaign server.
+
+:func:`~repro.experiments.parallel.execute_points` drives a
+:class:`PointExecutor` through ``asyncio.run``, and
+:class:`~repro.serve.jobs.JobManager` awaits one directly:
+
+* At most ``workers + 1`` points sit in the process pool; the spare
+  keeps a worker busy between a completion and the next submission.
+* The pool dispatches in FIFO order, so the ``workers`` oldest points
+  in flight are the running ones.  A point's deadline is armed when
+  it joins them, so it measures run time, not queue time.
+* An expired deadline or a dead worker terminates the pool.  The
+  timed-out points (on a crash, the running ones) are charged one
+  attempt; the others in flight are resubmitted uncharged.
+* A charged point retries after ``backoff * attempts`` seconds,
+  awaited in its own coroutine, so no retry stalls other points.
+* Requests for one ``point_key`` share one run.  An optional store is
+  read first and written before the result resolves; failures are
+  never stored.
+
+:mod:`repro.experiments.parallel` imports this module, and with it
+:mod:`asyncio`, only when a sweep needs it.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import dataclasses
+import functools
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
+from repro.experiments.parallel import (
+    FailedResult,
+    PointResult,
+    check_options,
+    guarded_run,
+    point_key,
+    unguarded_run,
+)
+from repro.experiments.runner import SweepPoint
+from repro.serve.store import ResultStore
+
+_CRASH = "worker process died (pool broken)"
+
+
+@dataclasses.dataclass(slots=True)
+class _Attempt:
+    """One submission of a point to the pool."""
+
+    future: Future
+    #: ``(status, payload)``, a fail-fast model exception, or None,
+    #: which sends the point back uncharged.
+    outcome: asyncio.Future
+    timer: asyncio.TimerHandle | None = None  # fires at the deadline
+
+
+class PointExecutor:
+    """Store-checked, single-flight, deadline-enforcing point runner.
+
+    Args:
+        workers: Worker processes in the pool.
+        timeout: Optional per-point deadline in seconds of run time.
+        retries: Extra attempts after a failed one.
+        backoff: Seconds slept before a retry, times its attempt
+            number.
+        store: Optional result store, read first and written on
+            success.
+        stats: Counts ``timeouts``, ``crashes``, ``retried`` and
+            ``pool_rebuilds``, as ``ExecutionStats`` and
+            ``ServeStats`` both name them.
+        fail_fast: The first failure raises, a model exception as
+            itself, instead of becoming a ``FailedResult``.
+        in_process: Run attempts in this process, blocking the loop;
+            there is then no pool to time out or crash.
+    """
+
+    def __init__(
+        self,
+        workers: int,
+        *,
+        stats,
+        timeout: float | None = None,
+        retries: int = 0,
+        backoff: float = 0.0,
+        store: ResultStore | None = None,
+        fail_fast: bool = False,
+        in_process: bool = False,
+    ) -> None:
+        check_options(workers, timeout, retries)
+        self.workers = workers
+        self.timeout = timeout
+        self.retries = retries
+        self.backoff = backoff
+        self.store = store
+        self.stats = stats
+        self.fail_fast = fail_fast
+        self.in_process = in_process
+        self._entry = unguarded_run if fail_fast else guarded_run
+        self._pool: ProcessPoolExecutor | None = None
+        self._inflight: list[_Attempt] = []  # unsettled, oldest first
+        self._slots = asyncio.Semaphore(workers + 1)
+        self._flights: dict[str, asyncio.Future] = {}
+
+    @property
+    def inflight_keys(self) -> set[str]:
+        """Keys currently being simulated."""
+        return set(self._flights)
+
+    def close(self) -> None:
+        """Kill the pool (idempotent), abandoning points in flight."""
+        self._inflight.clear()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            processes = list((pool._processes or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for process in processes:
+                process.terminate()
+
+    async def run(
+        self, key: str, point: SweepPoint
+    ) -> tuple[PointResult, str]:
+        """Resolve *point*, whose ``point_key`` is *key*, to
+        ``(result, source)``: the tier that answered, ``"store"``,
+        ``"coalesced"`` or ``"simulated"``."""
+        if self.store is not None:
+            hit = self.store.get(key)
+            if hit is not None:
+                return hit, "store"
+        flight = self._flights.get(key)
+        if flight is not None:
+            # shield(): one waiter's cancellation (a dropped client
+            # connection) must not cancel the shared run.
+            return await asyncio.shield(flight), "coalesced"
+        flight = asyncio.get_running_loop().create_future()
+        self._flights[key] = flight
+        try:
+            result = await self._simulate(point)
+            if self.store is not None and result.ok:
+                # Store first, then resolve: a request landing in the
+                # handoff window finds the key in exactly one tier.
+                self.store.put(key, result)
+            flight.set_result(result)
+            return result, "simulated"
+        except BaseException as exc:
+            flight.set_exception(exc)
+            flight.exception()  # nobody may be waiting; don't log it
+            raise
+        finally:
+            del self._flights[key]
+
+    async def _simulate(self, point: SweepPoint) -> PointResult:
+        """Run *point* until it succeeds or its attempts run out."""
+        attempts = 0
+        while True:
+            outcome = await self._attempt(point)
+            if outcome is None:
+                continue  # collateral of a pool rebuild: uncharged
+            if isinstance(outcome, BaseException):
+                raise outcome  # fail-fast: the model's own exception
+            status, payload = outcome
+            if status == "ok":
+                return payload
+            if self.fail_fast:
+                raise BrokenProcessPool(payload)
+            attempts += 1
+            if status == "timeout":
+                self.stats.timeouts += 1
+            elif status == "crash":
+                self.stats.crashes += 1
+            if attempts > self.retries:
+                return FailedResult(
+                    point.topology, point.pattern, point.rate,
+                    point.settings.seed, status, str(payload), attempts,
+                )
+            self.stats.retried += 1
+            await asyncio.sleep(self.backoff * attempts)
+
+    async def _attempt(self, point: SweepPoint):
+        if self.in_process:
+            return guarded_run(point)
+        async with self._slots:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            try:
+                future = self._pool.submit(self._entry, point)
+            except BrokenProcessPool:
+                # The pool died since the last settlement; no charge.
+                self._break("crash", _CRASH, self._inflight[: self.workers])
+                return None
+            attempt = _Attempt(
+                future, asyncio.get_running_loop().create_future()
+            )
+            self._inflight.append(attempt)
+            asyncio.wrap_future(future).add_done_callback(
+                functools.partial(self._settle, attempt)
+            )
+            self._arm()
+            return await attempt.outcome
+
+    def _resolve(self, attempt: _Attempt, value) -> None:
+        self._inflight.remove(attempt)
+        if attempt.timer is not None:
+            attempt.timer.cancel()
+        if not attempt.outcome.done():  # else its coroutine was cancelled
+            attempt.outcome.set_result(value)
+
+    def _arm(self) -> None:
+        """Start the clock on every running attempt."""
+        if self.timeout is None:
+            return
+        loop = asyncio.get_running_loop()
+        for attempt in self._inflight[: self.workers]:
+            if attempt.timer is None:
+                attempt.timer = loop.call_later(
+                    self.timeout, self._expire, attempt
+                )
+
+    def _settle(self, attempt: _Attempt, wrapped: asyncio.Future) -> None:
+        """Pool-future callback, run on the loop."""
+        if wrapped.cancelled():
+            return
+        error = wrapped.exception()  # also marks it retrieved
+        if attempt not in self._inflight:
+            return  # a pool rebuild already decided it
+        if isinstance(error, BrokenProcessPool):
+            self._break("crash", _CRASH, self._inflight[: self.workers])
+            return
+        self._resolve(attempt, wrapped.result() if error is None else error)
+        self._arm()
+
+    def _expire(self, fired: _Attempt) -> None:
+        expired = [
+            attempt
+            for attempt in self._inflight[: self.workers]
+            if attempt.timer.when() <= fired.timer.when()
+            and not attempt.future.done()
+        ]
+        if expired:
+            detail = f"exceeded {self.timeout:.6g}s deadline"
+            self._break("timeout", detail, expired)
+
+    def _break(self, kind: str, detail: str, charged) -> None:
+        """Terminate the pool.  Attempts that finished keep their
+        result, *charged* ones fail with *kind*, and the rest go back
+        uncharged."""
+        for attempt in list(self._inflight):
+            future = attempt.future
+            if future.done() and future.exception() is None:
+                self._resolve(attempt, future.result())
+            elif attempt in charged:
+                self._resolve(attempt, (kind, detail))
+            else:
+                self._resolve(attempt, None)
+        self.close()
+        self.stats.pool_rebuilds += 1
+
+
+def run_points(pending, finish, **options) -> None:
+    """Run each ``(index, key, point)`` of *pending* (a None key is
+    computed here) on one :class:`PointExecutor` built from
+    *options*, calling ``finish(index, point, result, coalesced)``
+    as it settles."""
+
+    async def one(executor, index, key, point) -> None:
+        result, source = await executor.run(key or point_key(point), point)
+        finish(index, point, result, source != "simulated")
+
+    async def main() -> None:
+        executor = PointExecutor(**options)
+        try:
+            await asyncio.gather(
+                *(one(executor, *item) for item in pending)
+            )
+        finally:
+            executor.close()
+
+    asyncio.run(main())

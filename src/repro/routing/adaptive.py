@@ -78,6 +78,17 @@ class MeshO1TurnRouting(RoutingAlgorithm):
             packet.route_state[_ORDER_KEY] = order
         return order
 
+    def paths(self, src: int, dst: int) -> list[tuple[list[int], float]]:
+        """Half of each flow takes the XY route, half the YX route."""
+        if src == dst:
+            return super().paths(src, dst)
+        routes = []
+        for order in ("xy", "yx"):
+            packet = Packet(src, dst, 1, created_at=0, packet_id=0)
+            packet.route_state[_ORDER_KEY] = order
+            routes.append((self._walk(packet), 0.5))
+        return routes
+
     def decide(self, node: int, packet: Packet) -> RouteDecision:
         if node == packet.dst:
             return RouteDecision(LOCAL_PORT, packet.vc)

@@ -101,17 +101,31 @@ class RoutingAlgorithm(ABC):
         """The node sequence a packet would take from *src* to *dst*.
 
         A convenience for tests and analysis: walks the algorithm hop
-        by hop on a throwaway packet.
+        by hop on a throwaway packet.  The packet's id is fixed, so
+        the walk depends only on ``(src, dst)``.
 
         Raises:
             RoutingError: if the walk does not terminate within
                 ``num_nodes`` hops (a routing loop).
         """
+        if src == dst:
+            self.topology.check_node(src)
+            return [src]
+        return self._walk(
+            Packet(src, dst, size_flits, created_at=0, packet_id=0)
+        )
+
+    def paths(self, src: int, dst: int) -> list[tuple[list[int], float]]:
+        """Every route of the flow from *src* to *dst*, with the share
+        of its traffic each carries.  A deterministic algorithm has
+        one route, :meth:`path`."""
+        return [(self.path(src, dst), 1.0)]
+
+    def _walk(self, packet: Packet) -> list[int]:
+        """The nodes *packet* visits on its way to its destination."""
+        src, dst = packet.src, packet.dst
         self.topology.check_node(src)
         self.topology.check_node(dst)
-        if src == dst:
-            return [src]
-        packet = Packet(src, dst, size_flits, created_at=0)
         nodes = [src]
         current = src
         for _ in range(self.topology.num_nodes + 1):

@@ -5,53 +5,35 @@ submissions cost one simulation.  Every request for a
 :class:`~repro.experiments.runner.SweepPoint` resolves through three
 tiers, cheapest first:
 
-1. **Store** — the content-addressed
-   :class:`~repro.serve.store.ResultStore` already holds the key: a
-   disk read, no simulation.
-2. **Coalesce** — another request for the same key is in flight: the
-   request awaits the *same* future instead of submitting a duplicate
-   (single-flight; the classic ``singleflight`` pattern).
-3. **Simulate** — the point is submitted to a persistent
-   :class:`~concurrent.futures.ProcessPoolExecutor` running
-   :func:`~repro.experiments.parallel.guarded_run`, the same worker
-   entry the hardened batch executor uses.  The finished result is
-   written to the store *before* the in-flight future resolves, so a
-   request arriving in the handoff window hits either the future or
-   the store — never a duplicate simulation.
+1. **Store** — the :class:`~repro.serve.store.ResultStore` holds
+   the key: a disk read, no simulation.
+2. **Coalesce** — a request for the same key is in flight: await its
+   future instead of simulating again (single-flight).
+3. **Simulate** — the point runs in the persistent pool of a
+   :class:`~repro.experiments.executor.PointExecutor`, the core the
+   batch executor drives too.  The result is stored *before* the
+   in-flight future resolves, so a request arriving in the handoff
+   window hits the future or the store, never a second simulation.
 
 Failures (worker crash, per-point timeout, model exception) become
 :class:`~repro.experiments.parallel.FailedResult` values.  They
-resolve coalesced waiters — everyone waiting on a doomed key learns
-of the failure once — but are **not** stored, so the next submission
-retries the point instead of serving a cached misfortune.
+resolve coalesced waiters but are **not** stored, so the next
+submission retries the point.  A timed-out point's worker is
+terminated, so the next point never queues behind it.
 
-Everything here runs on one event loop; the dict operations around
-``_inflight`` are atomic between ``await`` points, which is the whole
-concurrency story — no locks.
+Everything runs on one event loop, so no locks are needed.
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
-from repro.experiments.parallel import (
-    FailedResult,
-    PointResult,
-    guarded_run,
-    point_key,
-)
+from repro.experiments.executor import PointExecutor
+from repro.experiments.parallel import PointResult, point_key
 from repro.experiments.runner import SweepPoint
 from repro.serve.store import ResultStore
 
 __all__ = ["JobManager", "ServeStats"]
-
-#: How a request was satisfied, per point.
-SOURCE_STORE = "store"
-SOURCE_COALESCED = "coalesced"
-SOURCE_SIMULATED = "simulated"
 
 
 @dataclasses.dataclass(slots=True)
@@ -67,6 +49,9 @@ class ServeStats:
         failed: Requests that resolved to a
             :class:`~repro.experiments.parallel.FailedResult`
             (coalesced waiters on a failed key count too).
+        timeouts / crashes / retried / pool_rebuilds: The executor
+            core's counts, named as in
+            :class:`~repro.experiments.parallel.ExecutionStats`.
     """
 
     submissions: int = 0
@@ -75,6 +60,10 @@ class ServeStats:
     coalesced: int = 0
     simulated: int = 0
     failed: int = 0
+    timeouts: int = 0
+    crashes: int = 0
+    retried: int = 0
+    pool_rebuilds: int = 0
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -86,15 +75,11 @@ class JobManager:
     Args:
         store: The content-addressed result store.
         workers: Worker processes in the persistent pool.
-        timeout: Optional per-point wall-clock deadline in seconds; an
-            expired point resolves to a ``timeout``
-            :class:`~repro.experiments.parallel.FailedResult`.  (The
-            worker itself is not interruptible; a genuinely wedged
-            worker stays occupied until it finishes — the batch
-            executor's pool-replacement machinery is deliberately out
-            of scope for the server's happy path.)
-        retries: Extra attempts after a crashed or failed simulation
-            before the point settles as failed.
+        timeout: Optional per-point deadline in seconds of run time.
+            An expired point's worker is terminated; once its retries
+            are spent the point resolves to a ``timeout`` failure.
+        retries: Extra attempts after a crashed, hung or failed
+            simulation before the point settles as failed.
     """
 
     def __init__(
@@ -105,47 +90,25 @@ class JobManager:
         timeout: float | None = None,
         retries: int = 0,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
+        self.stats = ServeStats()
+        self._executor = PointExecutor(
+            workers,
+            timeout=timeout,
+            retries=retries,
+            store=store,
+            stats=self.stats,
+        )
         self.store = store
         self.workers = workers
-        self.timeout = timeout
-        self.retries = retries
-        self.stats = ServeStats()
-        self._pool: ProcessPoolExecutor | None = None
-        self._inflight: dict[str, asyncio.Future] = {}
-
-    # -- pool lifecycle -------------------------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers
-            )
-        return self._pool
-
-    def _rebuild_pool(self) -> None:
-        """Replace a broken pool; surviving submissions resubmit."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        self._executor.close()
 
     @property
     def inflight_keys(self) -> set[str]:
         """Keys currently being simulated (diagnostics)."""
-        return set(self._inflight)
-
-    # -- resolution -----------------------------------------------------
+        return self._executor.inflight_keys
 
     async def result_for(
         self, point: SweepPoint
@@ -155,81 +118,16 @@ class JobManager:
         ``source`` is ``"store"``, ``"coalesced"`` or ``"simulated"``
         — the dedupe tier that satisfied the request.
         """
-        key = point_key(point)
         self.stats.points += 1
-        hit = self.store.get(key)
-        if hit is not None:
+        result, source = await self._executor.run(
+            point_key(point), point
+        )
+        if source == "store":
             self.stats.store_hits += 1
-            return hit, SOURCE_STORE
-        pending = self._inflight.get(key)
-        if pending is not None:
+        elif source == "coalesced":
             self.stats.coalesced += 1
-            # shield(): one waiter's cancellation (a dropped client
-            # connection) must not cancel the shared simulation.
-            result = await asyncio.shield(pending)
-            if isinstance(result, FailedResult):
-                self.stats.failed += 1
-            return result, SOURCE_COALESCED
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        try:
-            result = await self._simulate(point)
-            if not isinstance(result, FailedResult):
-                # Store first, then resolve: a request landing in the
-                # handoff window finds the key in exactly one tier.
-                self.store.put(key, result)
-            else:
-                self.stats.failed += 1
+        else:
             self.stats.simulated += 1
-            future.set_result(result)
-            return result, SOURCE_SIMULATED
-        except BaseException as exc:
-            future.set_exception(exc)
-            # Nobody may be awaiting; don't let the loop log it.
-            future.exception()
-            raise
-        finally:
-            del self._inflight[key]
-
-    async def _simulate(self, point: SweepPoint) -> PointResult:
-        """Run *point* in the pool, with retries and crash recovery."""
-        loop = asyncio.get_running_loop()
-        attempts = 0
-        while True:
-            attempts += 1
-            pool = self._ensure_pool()
-            try:
-                call = loop.run_in_executor(pool, guarded_run, point)
-                if self.timeout is not None:
-                    status, payload = await asyncio.wait_for(
-                        call, self.timeout
-                    )
-                else:
-                    status, payload = await call
-            except asyncio.TimeoutError:
-                kind, detail = (
-                    "timeout",
-                    f"exceeded {self.timeout:.6g}s deadline",
-                )
-            except BrokenProcessPool:
-                self._rebuild_pool()
-                kind, detail = (
-                    "crash",
-                    "worker process died (pool broken)",
-                )
-            else:
-                if status == "ok":
-                    return payload
-                kind, detail = "error", str(payload)
-            if attempts <= self.retries:
-                continue
-            return FailedResult(
-                topology=point.topology,
-                pattern=point.pattern,
-                rate=point.rate,
-                seed=point.settings.seed,
-                error=kind,
-                detail=detail,
-                attempts=attempts,
-            )
+        if not result.ok:
+            self.stats.failed += 1
+        return result, source

@@ -11,7 +11,7 @@ from repro.analysis.capacity import (
     uniform_flows,
     uniform_saturation_rate,
 )
-from repro.routing import routing_for
+from repro.routing import MeshO1TurnRouting, MeshXYRouting, routing_for
 from repro.routing.base import LOCAL_PORT
 from repro.topology import (
     MeshTopology,
@@ -19,6 +19,28 @@ from repro.topology import (
     SpidergonTopology,
     TorusTopology,
 )
+from repro.topology.mesh import EAST, NORTH, SOUTH, WEST
+
+
+class TestO1TurnLoads:
+    def test_uniform_loads_are_the_mean_of_xy_and_yx(self):
+        """YX on a square mesh is XY on the transposed mesh, so the
+        YX loads are the XY loads with rows and columns swapped."""
+        mesh = MeshTopology(4, 4)
+        xy = channel_loads(
+            MeshXYRouting(mesh), uniform_flows(MeshXYRouting(mesh))
+        )
+        swap = {EAST: SOUTH, SOUTH: EAST, WEST: NORTH, NORTH: WEST}
+        yx = {
+            ((node % 4) * 4 + node // 4, swap.get(port, port)): load
+            for (node, port), load in xy.items()
+        }
+        routing = MeshO1TurnRouting(mesh)
+        o1turn = channel_loads(routing, uniform_flows(routing))
+        assert set(o1turn) == set(xy) | set(yx)
+        for channel, load in o1turn.items():
+            expected = (xy.get(channel, 0.0) + yx.get(channel, 0.0)) / 2
+            assert load == pytest.approx(expected)
 
 
 class TestChannelLoads:

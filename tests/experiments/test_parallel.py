@@ -169,6 +169,36 @@ class TestExecutePoints:
         )
         assert seen == [(0, 0.05, False), (1, 0.1, False)]
 
+    def test_duplicate_points_simulate_once(self):
+        point = SweepPoint("ring8", "uniform", 0.1, quick_settings())
+        results, stats = execute_points([point, point], workers=2)
+        assert stats.executed == 1
+        assert results[0] == results[1]
+        assert results[0].packets_generated > 0
+
+    def test_import_leaves_asyncio_unloaded(self):
+        """Serial sweeps must not pay asyncio's import time."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        import repro
+
+        code = (
+            "import sys, repro.experiments.parallel; "
+            "print('asyncio' in sys.modules)"
+        )
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestCampaignParallel:
     def test_serial_parallel_csv_equivalence(self, tmp_path):

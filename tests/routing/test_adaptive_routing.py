@@ -62,6 +62,21 @@ class TestRoutes:
             order = pkt.route_state["o1turn_order"]
             assert decision.vc == (0 if order == "xy" else 1)
 
+    def test_path_depends_only_on_endpoints(self):
+        routing = MeshO1TurnRouting(MeshTopology(4, 4))
+        assert len({tuple(routing.path(0, 15)) for _ in range(8)}) == 1
+
+    def test_paths_split_between_xy_and_yx(self):
+        mesh = MeshTopology(3, 3)
+        routing = MeshO1TurnRouting(mesh)
+        corner = mesh.node_at(2, 2)
+        (xy, xy_share), (yx, yx_share) = routing.paths(0, corner)
+        assert (xy_share, yx_share) == (0.5, 0.5)
+        assert xy == MeshXYRouting(mesh).path(0, corner)
+        assert xy[:3] == [0, mesh.node_at(0, 1), mesh.node_at(0, 2)]
+        assert yx[:3] == [0, mesh.node_at(1, 0), mesh.node_at(2, 0)]
+        assert routing.paths(4, 4) == [([4], 1.0)]
+
     def test_requires_two_vcs(self):
         assert MeshO1TurnRouting(MeshTopology(3, 3)).required_vcs == 2
 

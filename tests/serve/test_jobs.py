@@ -241,3 +241,61 @@ class TestFailures:
         assert failed.error == "crash"
         # The replacement pool serves the next request normally.
         assert healthy.ok and source == "simulated"
+
+
+@pytest.mark.chaos
+class TestTimeouts:
+    """An expired deadline terminates the hung worker with the pool,
+    so later points run on a fresh worker instead of behind it."""
+
+    def hang(self, monkeypatch):
+        monkeypatch.setenv(
+            ENV_VAR,
+            json.dumps({"match": ":0.05", "mode": "hang", "seconds": 60}),
+        )
+
+    def test_point_after_a_timeout_runs_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        import time
+
+        self.hang(monkeypatch)
+        jobs = make_jobs(tmp_path, workers=1, timeout=1.0)
+
+        async def hung_then_healthy():
+            hung, _ = await jobs.result_for(quick_point(0.05))
+            start = time.monotonic()
+            healthy, _ = await jobs.result_for(quick_point(0.1))
+            return hung, healthy, time.monotonic() - start
+
+        try:
+            hung, healthy, elapsed = asyncio.run(hung_then_healthy())
+        finally:
+            jobs.close()
+        assert isinstance(hung, FailedResult)
+        assert hung.error == "timeout"
+        assert healthy.ok
+        assert elapsed < 0.5
+        assert jobs.stats.timeouts == 1
+        assert jobs.stats.pool_rebuilds == 1
+
+    def test_retry_of_a_hung_point_runs_on_a_fresh_worker(
+        self, tmp_path, monkeypatch
+    ):
+        import time
+
+        self.hang(monkeypatch)
+        jobs = make_jobs(tmp_path, workers=1, timeout=1.0, retries=1)
+        start = time.monotonic()
+        try:
+            result, _ = asyncio.run(jobs.result_for(quick_point(0.05)))
+        finally:
+            jobs.close()
+        elapsed = time.monotonic() - start
+        assert isinstance(result, FailedResult)
+        assert result.error == "timeout"
+        assert result.attempts == 2
+        assert 2.0 <= elapsed < 3.5
+        assert jobs.stats.timeouts == 2
+        assert jobs.stats.retried == 1
+        assert jobs.stats.pool_rebuilds == 2

@@ -19,6 +19,7 @@ from repro.experiments.parallel import (
     CampaignManifest,
     point_key,
 )
+from repro.resilience.chaos import ENV_VAR
 from repro.serve.client import ServeClient, ServerError
 from repro.serve.jobs import JobManager
 from repro.serve.server import BackgroundServer, CampaignServer
@@ -222,3 +223,26 @@ class TestDedupe:
             s["simulated"] for _, s in outcomes
         )
         assert total_simulated == unique_points
+
+
+@pytest.mark.chaos
+def test_stats_count_a_timeout(tmp_path, monkeypatch):
+    """A hung point times out, its worker is replaced, and /stats
+    reports the executor's counts next to the dedupe tiers."""
+    monkeypatch.setenv(
+        ENV_VAR,
+        json.dumps({"match": ":0.05", "mode": "hang", "seconds": 60}),
+    )
+    jobs = JobManager(
+        ResultStore(tmp_path / "store"), workers=1, timeout=1.0
+    )
+    with BackgroundServer(CampaignServer(jobs, port=0)) as background:
+        client = ServeClient(port=background.port)
+        client.wait_until_ready(10.0)
+        _, summary = client.submit_campaign(small_spec())
+        stats = client.stats()
+    assert (summary["ok"], summary["failed"]) == (1, 1)
+    assert stats["timeouts"] == 1
+    assert stats["pool_rebuilds"] == 1
+    assert stats["crashes"] == 0
+    assert stats["retried"] == 0

@@ -63,6 +63,7 @@ def _info() -> int:
 def _serve(rest: list[str]) -> int:
     import argparse
     import asyncio
+    import signal
 
     from repro.serve.jobs import JobManager
     from repro.serve.server import CampaignServer
@@ -136,6 +137,11 @@ def _serve(rest: list[str]) -> int:
     server = CampaignServer(jobs, host=args.host, port=args.port)
 
     async def run() -> None:
+        # SIGTERM or SIGINT closes the server, which terminates the
+        # pool: no worker outlives it holding the port.
+        stop = asyncio.Event()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            asyncio.get_running_loop().add_signal_handler(signum, stop.set)
         await server.start()
         print(
             f"serving on http://{server.host}:{server.port} "
@@ -143,14 +149,11 @@ def _serve(rest: list[str]) -> int:
             flush=True,
         )
         try:
-            await server.serve_forever()
+            await stop.wait()
         finally:
             await server.close()
 
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass
+    asyncio.run(run())
     return 0
 
 

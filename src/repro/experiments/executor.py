@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -53,6 +54,16 @@ class _Attempt:
     #: which sends the point back uncharged.
     outcome: asyncio.Future
     timer: asyncio.TimerHandle | None = None  # fires at the deadline
+
+
+def _default_signals() -> None:
+    """Give a forked worker default signal handling.  It inherits the
+    server's SIGTERM/SIGINT handlers and their wakeup fd, so
+    ``terminate()`` would not stop it and would wake the server as if
+    the server itself had been signalled."""
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 class PointExecutor:
@@ -181,7 +192,9 @@ class PointExecutor:
             return guarded_run(point)
         async with self._slots:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_default_signals
+                )
             try:
                 future = self._pool.submit(self._entry, point)
             except BrokenProcessPool:

@@ -290,7 +290,7 @@ def _make_ni_send(ni: NetworkInterface):
             packet.injected_at = now
         ni._credits -= 1
         stats.record_injected_flit(now)
-        sink((link, flit, 0))
+        sink((link, flit))
         if index == packet.size_flits - 1:
             backlog.popleft()
             ni._next_flit_index = 0

@@ -131,8 +131,8 @@ class _OutputPort:
         ]
         self.credits = [downstream_capacity] * num_vcs
         self.data_gate = data_gate
-        # ``sink((link, flit, vc))`` puts a flit on the link whose
-        # key is ``flit_link`` (see Router.use_gates).
+        # ``sink((link, flit))`` puts a flit on the link whose key is
+        # ``flit_link`` (see Router.use_gates).
         self.flit_link = data_gate
         self.flit_sink = send_flit
         self.rr_next_vc = 0
@@ -642,6 +642,108 @@ class Router(SimModule):
         return max(peaks, default=0)
 
 
+# -- batched fast-path arrivals ----------------------------------------
+#
+# On the batched engine's fast path a flit on the wire is the plain
+# record ``(entry, flit)`` its sender's sink was given, and a credit is
+# its *entry* alone.  Entries are bound per link at install time:
+#
+# * a router input: ``(lanes, router, port)``;
+# * an NI's ejection input: ``(ni, stats)``;
+# * a router output VC's credit: ``(credits, vc, router)``;
+# * an NI's injection credit: ``(ni,)``.
+#
+# :func:`deliver_records` is Router.receive_flit/receive_credit and
+# NetworkInterface.receive_flit/receive_credit with the call chain
+# inlined; the anomalous branches (killed packets, buffer overflow,
+# misrouted flits) delegate to those methods.  Change both or neither:
+# the equivalence suite pins them together byte for byte.
+
+
+def arrival_entry(gate: Gate) -> tuple:
+    """The arrival entry of the data link leaving *gate*."""
+    peer = gate.peer
+    target = peer.module
+    if isinstance(target, Router):
+        port = target._input_of_gate[peer]
+        return (tuple(port.lanes), target, port)
+    return (target, target.stats)
+
+
+def credit_entries(gate: Gate, num_vcs: int) -> list[tuple]:
+    """Per-VC credit entries of the credit link leaving *gate*."""
+    peer = gate.peer
+    target = peer.module
+    if isinstance(target, Router):
+        credits = target._output_of_gate[peer].credits
+        return [(credits, vc, target) for vc in range(num_vcs)]
+    return [(target,)] * num_vcs
+
+
+def deliver_records(lane, index, stop, now, scheduler, emitted) -> int:
+    """Apply the records ``lane[index:stop]`` in order, as of cycle
+    *now*, and return the index where it stopped: *stop*, or the first
+    item that is not a record (an event).
+
+    An ejection's credit, and the credits a killed packet's dropped
+    flit emits into *emitted*, are appended to *lane*, past *stop*.
+    """
+    agents = scheduler._agents
+    for index in range(index, stop):
+        record = lane[index]
+        if record.__class__ is not tuple:
+            return index
+        size = len(record)
+        if size == 2:
+            entry, flit = record
+            if len(entry) == 3:
+                lanes, router, port = entry
+                if flit.packet.killed:
+                    router.receive_flit(port, flit.wire_vc, flit)
+                    lane += emitted
+                    emitted.clear()
+                    continue
+                fifo = lanes[flit.wire_vc]
+                dq = fifo._flits
+                held = len(dq)
+                if held >= fifo.capacity:
+                    fifo.push(flit)  # raises the flow-control error
+                dq.append(flit)
+                if held >= fifo.peak:
+                    fifo.peak = held + 1
+                agents[router] = True
+                if scheduler._tick_time is None:
+                    scheduler.activate(router)
+                continue
+            ni, stats = entry
+            packet = flit.packet
+            if packet.killed:
+                ni.receive_flit(flit)
+                lane += emitted
+                emitted.clear()
+                continue
+            if packet.dst != ni.node:
+                ni._consume(flit)  # raises the misroute error
+            lane.append(ni.credit_records[flit.wire_vc])
+            stats.record_consumed_flit(now)
+            if flit.index == packet.size_flits - 1:
+                stats.record_packet_delivered(packet, now)
+        elif size == 3:
+            credits, vc, router = record
+            credits[vc] += 1
+            agents[router] = True
+            if scheduler._tick_time is None:
+                scheduler.activate(router)
+        else:
+            ni = record[0]
+            ni._credits += 1
+            if ni._backlog:
+                agents[ni] = True
+                if scheduler._tick_time is None:
+                    scheduler.activate(ni)
+    return stop
+
+
 def _round_robin_tables(count):
     """``(rotations, successor)`` for a round-robin pointer over
     *count* slots: ``rotations[p]`` visits every slot starting at
@@ -1043,7 +1145,7 @@ def _make_router_send(router):
                 if flit.index == 0 and not is_local:
                     flit.packet.hops += 1
                 flit.wire_vc = 0
-                sink((link, flit, 0))
+                sink((link, flit))
                 moved = True
             return moved
 
@@ -1103,7 +1205,7 @@ def _make_router_send(router):
                 if flit.index == 0 and not is_local:
                     flit.packet.hops += 1
                 flit.wire_vc = vc
-                sink((link, flit, vc))
+                sink((link, flit))
                 moved = True
                 break
         return moved

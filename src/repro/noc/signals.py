@@ -15,8 +15,11 @@ buffer sustain one flit per cycle per link.
 The helpers below send them over the gates: the flit sink and credit
 emitter routers and interfaces use unless the batched engine's fast
 path swaps in record-filing ones.  A flit sink takes one
-``(link, flit, vc)`` record, whose *link* is the sender's
-``flit_link``: the data gate here, a link index on the fast path.
+``(link, flit)`` record, whose *link* is the sender's ``flit_link``:
+the data gate here, the link's arrival entry on the fast path (see
+:func:`repro.noc.router.deliver_records`), where the record itself is
+what the calendar files.  The wire VC travels as ``flit.wire_vc``,
+which the sender sets first.
 """
 
 from __future__ import annotations
@@ -72,6 +75,6 @@ def send_credit(record: tuple) -> None:
 
 def send_flit(record: tuple) -> None:
     """The event engines' flit sink: one :class:`FlitMessage` over
-    the data gate of a ``(gate, flit, vc)`` record."""
-    gate, flit, vc = record
-    gate.module.send(FlitMessage(flit, vc), gate)
+    the data gate of a ``(gate, flit)`` record."""
+    gate, flit = record
+    gate.module.send(FlitMessage(flit, flit.wire_vc), gate)

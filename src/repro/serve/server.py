@@ -107,13 +107,8 @@ class CampaignServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
     async def close(self) -> None:
+        """Stop accepting connections and terminate the worker pool."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

@@ -14,22 +14,25 @@ structure instead and advances the whole network one cycle at a time:
    are applied in place right after it, in emission order — exactly
    where the cycle's lane would have delivered them next — and still
    count as delivered events;
-3. **link traversal** — the send phase appends one record per flit
-   put on a wire this cycle to a pending list (no sink call), and a
-   single batched flush computes each arrival cycle from the
-   per-link latency table in one plain loop and files pre-resolved
-   *records* into the arrival lanes — no ``Message``, no ``Event``,
-   no heap;
-4. **credit return / ejection** — records carry specialized receiver
-   closures (built per router port / NI at install time, semantically
-   identical to ``Router.receive_flit``, ``NetworkInterface.
-   receive_credit`` …; anomalous branches delegate to those
-   methods), so dispatch is a plain call.
+3. **link traversal** — the send phase's flit sink is the pending
+   list's ``append``: the ``(entry, flit)`` tuple it builds is the
+   arrival *record* itself, *entry* being the link's arrival entry
+   bound at install time.  One flush per cycle files the whole list
+   with one ``list.extend`` into the lane ``now + d`` when every link
+   has latency *d* (each paper topology), or record by record by each
+   link's latency otherwise — no ``Message``, no ``Event``, no heap;
+4. **arrivals, credit return, ejection** — a run of records, flits
+   and credits alike, is applied by one call to
+   :func:`repro.noc.router.deliver_records`, the fast-path twin of
+   ``Router.receive_flit``, ``NetworkInterface.receive_credit`` …
+   (whose anomalous branches it delegates to).  Credits are plain
+   entries too, so an ejection's credit is one more record appended
+   to the lane the run is draining.
 
 Phases 2 and 3 run the same compiled phase functions on every engine
 (:func:`repro.noc.router._make_router_advance` and its siblings);
 this engine only swaps the credit emitter, the credit records and the
-flit sinks those functions call, from gate sends to records.
+flit sinks those functions call, from gate sends to entries.
 
 Equivalence contract: the engine reproduces the event kernel's
 delivery order and ``events_processed`` count *exactly* — byte-
@@ -78,6 +81,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Iterator
 
+from repro.noc.router import deliver_records
 from repro.sim.engines import Engine, register_engine
 from repro.sim.errors import SimulationError
 from repro.sim.events import Event
@@ -88,14 +92,9 @@ _NO_LIMIT = float("inf")
 
 def _opaque_view(time: int, record: tuple) -> Event:
     """A fast-path record as a read-only :class:`Event` carrying its
-    time but no message (the payload is not materialised)."""
-    return Event(
-        time=time,
-        priority=0,
-        sequence=0,
-        target=getattr(record[0], "__self__", None),
-        message=None,
-    )
+    time but no target or message (the payload is not
+    materialised)."""
+    return Event(time=time, priority=0, sequence=0, target=None, message=None)
 
 
 class CycleCalendar:
@@ -113,7 +112,8 @@ class CycleCalendar:
       append order *is* ``(priority=0, sequence)`` order; draining the
       list front-to-back reproduces the kernel's heap order without a
       heap.  The lane holds :class:`Event` objects and, on the fast
-      path, plain tuple *records* ``(bound_method, args...)``.
+      path, plain tuple *records* (see
+      :func:`repro.noc.router.deliver_records`).
     * ``rest`` — a small binary heap of events with priority ≠ 0
       (normally just the scheduler's advance/send phase events).
 
@@ -199,8 +199,8 @@ class CycleCalendar:
         """Replace every pending fast-path record with its
         :attr:`record_view` event, in place, then restore the opaque
         view: afterwards the calendar references none of the fast
-        path's closures, and :meth:`live_events` yields the same
-        views as before."""
+        path's entries, and :meth:`live_events` yields the same views
+        as before."""
         view = self.record_view
         # The base slot's drained prefix (a stop mid-cycle) goes too.
         del self._lane0[self._base & self._mask][: self._cursor0]
@@ -358,13 +358,6 @@ class CycleCalendar:
 
     # -- fast drain interface -------------------------------------------
 
-    def append_now(self, record: tuple) -> None:
-        """File *record* into the cycle currently draining (the
-        zero-delay credit path)."""
-        self._lane0[self._base & self._mask].append(record)
-        self._ring_items += 1
-        self._live += 1
-
     def begin_cycle(self, limit: int | float = _NO_LIMIT) -> int | None:
         """Advance the cursor to the earliest slot still holding
         items and return its time, or ``None`` when nothing is due at
@@ -505,12 +498,15 @@ class BatchedEngine(Engine):
         self._mode: str | None = None  # None until the first run()
         #: Set by :meth:`release_network`; no run may follow.
         self._released = False
+        #: This cycle's flits on the wire, as records.
         self._pending: list[tuple] = []
-        #: Credits emitted since the last dispatch (their deliver
-        #: functions), applied or filed by :meth:`_run_fast`.
+        #: Credit entries emitted since the last dispatch, applied or
+        #: filed by :meth:`_run_fast`.
         self._emitted: list = []
-        self._recv: list[tuple] = []
-        self._delays: list[int] = []
+        #: The latency every data link has, or 0 when they differ.
+        self._delay = 0
+        #: ``id`` of each arrival entry -> the data gate it stands for.
+        self._gates: dict[int, object] = {}
         #: Flush statistics (introspection and tests).
         self.flush_batches = 0
         self.flushed_flits = 0
@@ -551,10 +547,10 @@ class BatchedEngine(Engine):
         become the event views :meth:`Simulator.pending_events`
         already showed, so post-run inspection (invariant checks,
         flits on the wire) is unchanged; then every agent goes back
-        to its gate wiring (``use_gates``), which drops the receiver,
-        credit, sink and compiled phase closures, and the calendar
-        drops the record renderer that refers to them.  Each of
-        these would otherwise close a reference cycle through the
+        to its gate wiring (``use_gates``), which drops the arrival
+        and credit entries, the sinks and the compiled phase
+        closures, and the calendar drops the record renderer.  Each
+        of these would otherwise close a reference cycle through the
         network (see :meth:`Network.close
         <repro.noc.network.Network.close>`)."""
         if network is not self._network:
@@ -565,10 +561,9 @@ class BatchedEngine(Engine):
         self._released = True
         self._calendar.materialize_records()
         self._calendar.record_view = _opaque_view
-        self._recv = []
-        self._pending = []
-        self._emitted = []
-        self._delays = []
+        self._gates.clear()
+        self._pending.clear()
+        self._emitted.clear()
         for agent in (*network.routers, *network.interfaces):
             agent.use_gates()
         network.scheduler.flush_hook = None
@@ -619,9 +614,8 @@ class BatchedEngine(Engine):
             # belong to the cycle the clock stopped at.
             self._file_credits()
         network = self._network
-        advance_msg = (
-            network.scheduler._advance_msg if network is not None else None
-        )
+        sched = network.scheduler if network is not None else None
+        advance_msg = sched._advance_msg if sched is not None else None
         # Shared with add/remove_observer, so a mid-run detach of the
         # last observer takes effect at the next cycle.
         observers = sim._observers
@@ -673,44 +667,49 @@ class BatchedEngine(Engine):
                                 item = heappop(rest)
                             else:
                                 item = l0[i0]
+                                if item.__class__ is tuple:
+                                    # Records: every one up to the
+                                    # next event in one call, or one
+                                    # under an event cap.  Credits
+                                    # they file join the lane's end.
+                                    size = len(l0)
+                                    stop = size if cap < 0 else i0 + 1
+                                    j = deliver_records(
+                                        l0, i0, stop, t, sched, emitted
+                                    )
+                                    grown = len(l0) - size
+                                    cal._ring_items += grown
+                                    cal._live += grown
+                                    consumed += j - i0
+                                    processed += j - i0
+                                    i0 = j
+                                    continue
                                 i0 += 1
                         elif rest:
                             item = heappop(rest)
                         else:
                             break
                         consumed += 1
-                        if item.__class__ is tuple:
-                            # Records: (receive, wire_vc, flit) for a
-                            # router arrival, (receive, flit) for an
-                            # NI arrival, (deliver,) for a credit.
-                            f = item[0]
-                            n = len(item)
-                            if n == 3:
-                                f(item[1], item[2])
-                            elif n == 2:
-                                f(item[1])
-                            else:
-                                f()
-                            processed += 1
-                        elif item.cancelled:
+                        if item.cancelled:
                             continue
+                        processed += 1
+                        message = item.message
+                        if item.handler is not None:
+                            item.handler(message)
                         else:
-                            processed += 1
-                            message = item.message
-                            if item.handler is not None:
-                                item.handler(message)
-                            else:
-                                item.target.handle_message(message)
-                            if emitted:
-                                processed += self._settle_credits(
-                                    message is advance_msg
-                                    and not sim._stop_requested,
-                                    -1 if cap < 0 else cap - processed,
-                                )
+                            item.target.handle_message(message)
+                        if emitted:
+                            processed += self._settle_credits(
+                                message is advance_msg
+                                and not sim._stop_requested,
+                                -1 if cap < 0 else cap - processed,
+                                t,
+                                sched,
+                            )
                 finally:
                     # Ring bookkeeping committed per slot, not per
                     # item (the deltas compose with the increments
-                    # append_now/_flush/_settle_credits make
+                    # _flush/_settle_credits and filed credits make
                     # mid-slot).
                     cal._ring_items -= consumed
                     cal._live -= processed - before_slot
@@ -743,16 +742,12 @@ class BatchedEngine(Engine):
         first fast run:
 
         * each agent's credit emitter appends to the emitted-credit
-          list :meth:`_settle_credits` applies or files, its credit
-          records become the credits' deliver functions, and its flit
-          sink is the per-cycle pending list's ``append``, keyed by a
-          link index, which :meth:`_flush` files into the arrival
-          lanes;
-        * record delivery runs through per-port receiver closures —
-          the generic receive/activate call chain and the buffer-layer
-          method hops inlined, with invariants (buffer overflow,
-          misroute) still enforced by delegating the anomalous
-          branches to the model's methods;
+          list :meth:`_settle_credits` applies or files, and its
+          credit records become the upstream ends' credit entries;
+        * each sender's flit sink is the pending list's ``append``
+          and its ``flit_link`` the arrival entry of its link, so the
+          ``(link, flit)`` tuple the send phase builds is the record
+          :meth:`_flush` files into the arrival lanes;
         * the scheduler calls :meth:`_flush` after each send phase
           and schedules its phase events through a leaner ``_arm``.
 
@@ -760,72 +755,55 @@ class BatchedEngine(Engine):
         runs: each agent compiles them at its first phase call,
         against whichever wiring it then has.
         """
-        from repro.noc.router import Router
+        from repro.noc.router import arrival_entry, credit_entries
         from repro.noc.signals import FlitMessage
 
         network = self._network
         sched = network.scheduler
         sim = network.simulator
         cal = self._calendar
-        append_now = cal.append_now
-        pending_append = self._pending.append
+        sink = self._pending.append
         emit = self._emitted.append
-        file_credits = self._file_credits
-        agents = sched._agents
         num_vcs = network.num_vcs
-        delays = self._delays
-        recv = self._recv
+        gates = self._gates
 
-        def credit_records_for(gate):
-            # The upstream end of a (zero-delay) credit link: one
-            # deliver function per VC, reused for every credit, so the
-            # hot path never allocates for credits.
-            peer = gate.peer
-            target = peer.module
-            if isinstance(target, Router):
-                out_port = target._output_of_gate[peer]
-                return [
-                    _make_router_credit(
-                        target, out_port.credits, vc, sched, agents
+        def wire(sender, gate):
+            entry = arrival_entry(gate)
+            # Held by flit_link, so the id stays unique until release.
+            gates[id(entry)] = gate
+            sender.flit_link = entry
+            sender.flit_sink = sink
+
+        for router in network.routers:
+            router.emit_credit = emit
+            for port in router._input_order:
+                if port.credit_gate.delay != 0:
+                    raise SimulationError(
+                        "batched fast path requires zero-delay "
+                        "credit links"
                     )
-                    for vc in range(num_vcs)
-                ]
-            deliver = _make_ni_credit(target, sched, agents)
-            return [deliver] * num_vcs
-
-        # Receiver closure -> the arrival gate its records cross, so
-        # pending-event views carry the message the event engines
-        # would hold (the stall snapshot and invariant checks count
-        # flits on the wire through them).
-        gate_of_receiver: dict = {}
-
-        def receiver_for(gate):
-            peer = gate.peer
-            target = peer.module
-            is_router = isinstance(target, Router)
-            if is_router:
-                receive = _make_router_receiver(
-                    target,
-                    target._input_of_gate[peer],
-                    sched,
-                    agents,
-                    file_credits,
+                port.credit_records = credit_entries(
+                    port.credit_gate, num_vcs
                 )
-            else:
-                receive = _make_ni_receiver(
-                    target, append_now, file_credits
-                )
-            gate_of_receiver[receive] = peer
-            return receive, is_router
+            for port in router._output_order:
+                wire(port, port.data_gate)
+        for ni in network.interfaces:
+            ni.emit_credit = emit
+            ni.credit_records = credit_entries(ni.credit_out, num_vcs)
+            wire(ni, ni.data_out)
+        delays = {gate.delay for gate in gates.values()}
+        if delays:
+            cal.grow(max(delays))
+        self._delay = delays.pop() if len(delays) == 1 else 0
 
         def record_view(time, record):
-            gate = gate_of_receiver.get(record[0])
-            if gate is None:  # a credit
+            # Flits on the wire as the message the event engines would
+            # hold (the stall snapshot and invariant checks count them
+            # through it); credits stay opaque.
+            if len(record) != 2:
                 return _opaque_view(time, record)
-            if len(record) == 3:
-                message = FlitMessage(record[2], record[1])
-            else:
-                message = FlitMessage(record[1], record[1].wire_vc)
+            gate = gates[id(record[0])].peer
+            message = FlitMessage(record[1], record[1].wire_vc)
             message.arrival_gate = gate
             return Event(
                 time=time,
@@ -836,38 +814,6 @@ class BatchedEngine(Engine):
             )
 
         cal.record_view = record_view
-
-        # Pass 1: credit records (receivers and phase functions read
-        # them), flit sinks and the link table.
-        for router in network.routers:
-            router.emit_credit = emit
-            for port in router._input_order:
-                if port.credit_gate.delay != 0:
-                    raise SimulationError(
-                        "batched fast path requires zero-delay "
-                        "credit links"
-                    )
-                port.credit_records = credit_records_for(
-                    port.credit_gate
-                )
-            for port in router._output_order:
-                port.flit_link = len(delays)
-                port.flit_sink = pending_append
-                delays.append(port.data_gate.delay)
-                recv.append(port.data_gate)  # resolved in pass 2
-        for ni in network.interfaces:
-            ni.emit_credit = emit
-            ni.credit_records = credit_records_for(ni.credit_out)
-            ni.flit_link = len(delays)
-            ni.flit_sink = pending_append
-            delays.append(ni.data_out.delay)
-            recv.append(ni.data_out)
-        # Pass 2: arrival-side receiver closures (credit records of
-        # every port exist now).
-        for idx, gate in enumerate(recv):
-            recv[idx] = receiver_for(gate)
-        if delays:
-            cal.grow(max(delays))
         sched.flush_hook = self._flush
         # The phase events stay real (priorities 1 and 2), so their
         # order against user-scheduled events and events_processed
@@ -891,7 +837,7 @@ class BatchedEngine(Engine):
 
         sched._arm = fast_arm
 
-    def _settle_credits(self, in_place: bool, room: int) -> int:
+    def _settle_credits(self, in_place: bool, room: int, now, sched) -> int:
         """Deliver or file the credits the event just dispatched
         emitted; returns how many were delivered.
 
@@ -907,24 +853,25 @@ class BatchedEngine(Engine):
         applied = 0
         if in_place:
             applied = len(emitted) if room < 0 else min(room, len(emitted))
-            for deliver in emitted[:applied]:
-                deliver()
+            deliver_records(emitted, 0, applied, now, sched, emitted)
             del emitted[:applied]
             # Applied credits count as delivered in the slot's live
             # bookkeeping, so they enter it here as filed ones do.
             self._calendar._live += applied
-        self._file_credits()
+        if emitted:
+            self._file_credits()
         return applied
 
     def _file_credits(self) -> None:
         """File the emitted credits into the cycle draining, as
-        records: those of any event but an advance phase, of a record
-        delivery (a killed packet's flit dropped on arrival), or of a
+        records: those of any event but an advance phase, or of a
         change made between runs."""
-        append_now = self._calendar.append_now
-        for deliver in self._emitted:
-            append_now((deliver,))
-        self._emitted.clear()
+        emitted = self._emitted
+        cal = self._calendar
+        cal._lane0[cal._base & cal._mask] += emitted
+        cal._ring_items += len(emitted)
+        cal._live += len(emitted)
+        emitted.clear()
 
     def _flush(self) -> None:
         """End-of-send-phase link traversal: file every flit sent
@@ -937,105 +884,15 @@ class BatchedEngine(Engine):
         lane0 = cal._lane0
         mask = cal._mask
         now = cal._base  # the cycle currently draining
-        recv = self._recv
         self.flush_batches += 1
         self.flushed_flits += count
-        delays = self._delays
-        for idx, flit, vc in pending:
-            fn, is_router = recv[idx]
-            lane0[(now + delays[idx]) & mask].append(
-                (fn, vc, flit) if is_router else (fn, flit)
-            )
+        if self._delay:
+            lane0[(now + self._delay) & mask] += pending
+        else:
+            gates = self._gates
+            for record in pending:
+                delay = gates[id(record[0])].delay
+                lane0[(now + delay) & mask].append(record)
         cal._ring_items += count
         cal._live += count
         pending.clear()
-
-
-# -- fast-path record closures ------------------------------------------
-#
-# Each builder compiles the delivery of a credit or flit record into a
-# closure with the call chain inlined: no Message, no Event, no
-# buffer-layer method hops, activation (and waking) folded into
-# delivery.  They are
-# *semantically identical* to Router.receive_flit/receive_credit and
-# NetworkInterface.receive_flit/receive_credit, whose anomalous
-# branches (killed packets, buffer overflow, misrouted flits) they
-# delegate to.  The equivalence suite pins each pair together byte for
-# byte on every topology family; change both or neither.
-
-
-def _make_router_credit(router, credits, vc, sched, agents):
-    """Delivers one credit to an output port VC."""
-
-    def deliver():
-        credits[vc] += 1
-        agents[router] = True
-        if sched._tick_time is None:
-            sched.activate(router)
-
-    return deliver
-
-
-def _make_ni_credit(ni, sched, agents):
-    """Returns one injection credit to *ni*."""
-
-    def deliver():
-        ni._credits += 1
-        if ni._backlog:
-            agents[ni] = True
-            if sched._tick_time is None:
-                sched.activate(ni)
-
-    return deliver
-
-
-def _make_router_receiver(router, port, sched, agents, file_credits):
-    """Arrival side of a data link into router input *port*."""
-    lanes = port.lanes
-
-    def receive(wire_vc, flit):
-        if flit.packet.killed:
-            router.receive_flit(port, wire_vc, flit)
-            file_credits()
-            return
-        lane = lanes[wire_vc]
-        dq = lane._flits
-        if len(dq) >= lane.capacity:
-            lane.push(flit)  # raises the canonical flow-control error
-            return
-        dq.append(flit)
-        occupancy = len(dq)
-        if occupancy > lane.peak:
-            lane.peak = occupancy
-        agents[router] = True
-        if sched._tick_time is None:
-            sched.activate(router)
-
-    return receive
-
-
-def _make_ni_receiver(ni, append_now, file_credits):
-    """Arrival side of an ejection link into *ni* (the sink)."""
-    stats = ni.stats
-    node = ni.node
-    sim = ni.simulator
-    # Delivered as records: the credit follows the cycle's other
-    # arrivals, as the event engines deliver it.
-    records = [(deliver,) for deliver in ni.credit_records]
-
-    def receive(flit):
-        packet = flit.packet
-        if packet.killed:
-            ni.receive_flit(flit)
-            file_credits()
-            return
-        if packet.dst != node:
-            ni._consume(flit)  # raises the canonical misroute error
-            return
-        append_now(records[flit.wire_vc])
-        now = sim._now
-        stats.record_consumed_flit(now)
-        if flit.index == packet.size_flits - 1:
-            stats.record_packet_delivered(packet, now)
-
-    return receive

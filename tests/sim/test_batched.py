@@ -510,6 +510,22 @@ def _model_objects(network):
     return found
 
 
+def _fast_path_entries(network):
+    """Every arrival and credit entry the fast path bound, once each."""
+    entries = {}
+    for router in network.routers:
+        for port in router._input_order:
+            for entry in port.credit_records:
+                entries[id(entry)] = entry
+        for port in router._output_order:
+            entries[id(port.flit_link)] = port.flit_link
+    for ni in network.interfaces:
+        entries[id(ni.flit_link)] = ni.flit_link
+        for entry in ni.credit_records:
+            entries[id(entry)] = entry
+    return list(entries.values())
+
+
 class TestReleaseAfterRun:
     """Network.run drops the fast-path wiring once it has its result;
     post-run inspection sees what the event engines show."""
@@ -537,21 +553,26 @@ class TestReleaseAfterRun:
         network.simulator.run(until=100)  # installs the fast path
         engine = network.simulator.engine
         calendar = network.simulator._queue
-        # Held alive, so their ids stay unique during the scan.
-        receivers = [entry[0] for entry in engine._recv]
-        receiver_ids = {id(receive) for receive in receivers}
+        # Every arrival and credit entry, held alive so their ids stay
+        # unique during the scan.
+        entries = _fast_path_entries(network)
+        assert entries
+        entry_ids = {id(entry) for entry in entries}
         network.run(cycles=200)
-        assert engine._recv == [] and engine._pending == []
-        batched_methods = (
-            CycleCalendar.append_now,
-            BatchedEngine._flush,
-            BatchedEngine._file_credits,
-        )
+        assert engine._gates == {} and engine._pending == []
+        batched_methods = (BatchedEngine._flush, BatchedEngine._file_credits)
+        batched_lists = (id(engine._pending), id(engine._emitted))
         for obj in _model_objects(network):
-            assert id(obj) not in receiver_ids
+            assert id(obj) not in entry_ids, obj
             assert not (
                 isinstance(obj, types.MethodType)
                 and obj.__func__ in batched_methods
+            ), obj
+            # The pending list's append (the sink) and the emitted
+            # list's (the credit emitter).
+            assert not (
+                isinstance(obj, types.BuiltinMethodType)
+                and id(obj.__self__) in batched_lists
             ), obj
         for agent in (*network.routers, *network.interfaces):
             assert agent.emit_credit is send_credit
@@ -584,12 +605,15 @@ class TestReleaseAfterRun:
             weakref.ref(compiled[name])
             for name in ("advance_phase", "send_phase")
         ]
-        receive = weakref.ref(network.simulator.engine._recv[0][0])
+        entries = _fast_path_entries(network)
         gc.disable()
         try:
             network.run(cycles=300)
             assert [ref() for ref in phases] == [None, None]
-            assert receive() is None
+            # Entries are tuples (no weak references): the list, the
+            # loop variable and getrefcount's argument are the only
+            # references left, so no uncollected cycle holds one.
+            assert {sys.getrefcount(entry) for entry in entries} == {3}
         finally:
             gc.enable()
 

@@ -74,7 +74,7 @@ def test_kernel_event_throughput_detached_observer(benchmark):
     """Ping-pong after attach + detach: must sit with the bare-kernel
     benchmark, not the observed one — detaching restores the fast
     path exactly (empty list, falsy, no snapshots)."""
-    from repro.sim.tracing import EventTracer
+    from repro.sim.observers import Observer
 
     def run_detached():
         sim = Simulator()
@@ -82,7 +82,9 @@ def test_kernel_event_throughput_detached_observer(benchmark):
         b = PingPong(sim, "b")
         a.gate("out").connect(b.add_gate("in"), delay=1)
         b.gate("out").connect(a.add_gate("in"), delay=1)
-        EventTracer(sim).detach()
+        observer = Observer()
+        sim.add_observer(observer)
+        sim.remove_observer(observer)
         sim.schedule(0, a, Message("serve"))
         sim.run(max_events=20_000)
         return sim.events_processed

@@ -2,11 +2,13 @@
 """Regenerate every figure and ablation for EXPERIMENTS.md.
 
 Runs the simulation figures at half the default horizon (10k cycles,
-2k warmup) — enough for stable shapes on a single-core box — and the
-analytical figures at full range.  Writes tables to stdout and CSVs
-next to this script.
+2k warmup) — enough for stable shapes — and the analytical figures at
+full range, with one worker process per CPU (results are identical
+for any worker count).  Writes tables to stdout and CSVs next to this
+script.
 """
 
+import os
 import pathlib
 import sys
 import time
@@ -23,6 +25,9 @@ SETTINGS = SimulationSettings(
     config=NocConfig(source_queue_packets=64),
     seed=1,
 )
+#: Every simulated figure and study takes the same run settings and
+#: one worker process per CPU.
+SIM = {"settings": SETTINGS, "workers": os.cpu_count() or 1}
 
 
 def emit(name, figure):
@@ -36,34 +41,30 @@ def main():
     jobs = [
         ("fig2", lambda: figures.figure2()),
         ("fig3", lambda: figures.figure3()),
-        ("fig5", lambda: figures.figure5(settings=SETTINGS)),
-        ("fig6", lambda: figures.figure6(settings=SETTINGS)),
-        ("fig7", lambda: figures.figure7(settings=SETTINGS)),
-        ("fig8", lambda: figures.figure8(settings=SETTINGS)),
-        ("fig9", lambda: figures.figure9(settings=SETTINGS)),
-        ("fig10", lambda: figures.figure10(settings=SETTINGS)),
-        ("fig11", lambda: figures.figure11(settings=SETTINGS)),
+        ("fig5", lambda: figures.figure5(**SIM)),
+        ("fig6", lambda: figures.figure6(**SIM)),
+        ("fig7", lambda: figures.figure7(**SIM)),
+        ("fig8", lambda: figures.figure8(**SIM)),
+        ("fig9", lambda: figures.figure9(**SIM)),
+        ("fig10", lambda: figures.figure10(**SIM)),
+        ("fig11", lambda: figures.figure11(**SIM)),
         (
             "ablation_buffers",
-            lambda: ablations.ablation_output_buffer_depth(
-                settings=SETTINGS
-            ),
+            lambda: ablations.ablation_output_buffer_depth(**SIM),
         ),
         (
             "ablation_vcs",
-            lambda: ablations.ablation_virtual_channels(
-                settings=SETTINGS
-            ),
+            lambda: ablations.ablation_virtual_channels(**SIM),
         ),
         (
             "ablation_routing",
             lambda: ablations.ablation_spidergon_routing(
-                settings=SETTINGS, rates=(0.02, 0.05, 0.1, 0.25)
+                rates=(0.02, 0.05, 0.1, 0.25), **SIM
             ),
         ),
         (
             "ablation_packet_size",
-            lambda: ablations.ablation_packet_size(settings=SETTINGS),
+            lambda: ablations.ablation_packet_size(**SIM),
         ),
         (
             "ablation_mesh_policy",

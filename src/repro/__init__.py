@@ -59,11 +59,7 @@ coalescing, chunked-JSONL progress streams) and its stdlib client
 
 from repro.experiments.campaign import Campaign, campaign_points
 from repro.experiments.parallel import CampaignManifest, FailedResult
-from repro.experiments.runner import (
-    SimulationSettings,
-    run_simulation,
-    sweep_injection_rates,
-)
+from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.experiments.specs import parse_pattern, parse_topology
 from repro.noc import Network, NocConfig, Packet
 from repro.obs import (
@@ -96,7 +92,7 @@ from repro.routing import (
     TableRouting,
     routing_for,
 )
-from repro.sim import EventTracer, Observer, Simulator
+from repro.sim import Observer, Simulator
 from repro.stats import RunResult, detect_saturation_point
 from repro.topology import (
     CirculantTopology,
@@ -123,7 +119,6 @@ __all__ = [
     "CirculantTopology",
     "DrainController",
     "DrainError",
-    "EventTracer",
     "FailedResult",
     "FaultEvent",
     "FaultInjector",
@@ -168,6 +163,5 @@ __all__ = [
     "parse_topology",
     "routing_for",
     "run_simulation",
-    "sweep_injection_rates",
     "__version__",
 ]

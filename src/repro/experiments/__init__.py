@@ -24,7 +24,6 @@ from repro.experiments.runner import (
     SimulationSettings,
     SweepPoint,
     run_simulation,
-    sweep_injection_rates,
 )
 from repro.experiments.specs import (
     available_routings,
@@ -51,6 +50,5 @@ __all__ = [
     "register_routing",
     "run_simulation",
     "run_sweep_point",
-    "sweep_injection_rates",
     "to_csv",
 ]

@@ -30,18 +30,15 @@ import argparse
 import dataclasses
 import sys
 
-from repro.experiments.report import FigureData, format_table
-from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.noc.config import NocConfig
-from repro.routing import TableRouting
-from repro.topology import (
-    MeshTopology,
-    RingTopology,
-    SpidergonTopology,
-    average_distance,
-    diameter,
+from repro.experiments.parallel import (
+    execute_points,
+    rate_points,
+    sweep_series,
 )
-from repro.traffic import UniformTraffic
+from repro.experiments.report import FigureData, format_table
+from repro.experiments.runner import SimulationSettings, SweepPoint
+from repro.experiments.specs import paper_topology_specs, parse_topology
+from repro.topology import MeshTopology, average_distance, diameter
 
 
 def _with_config(
@@ -56,6 +53,7 @@ def ablation_output_buffer_depth(
     depths=(1, 2, 3, 4, 6, 8),
     num_nodes: int = 16,
     injection_rate: float = 0.45,
+    workers: int = 1,
 ) -> FigureData:
     """Saturation throughput vs output-queue depth (paper: 3 flits)."""
     settings = settings or SimulationSettings()
@@ -66,25 +64,19 @@ def ablation_output_buffer_depth(
         "depth",
         list(depths),
     )
-    topologies = [
-        RingTopology(num_nodes),
-        SpidergonTopology(num_nodes),
-        MeshTopology.factorized(num_nodes),
-    ]
-    for topology in topologies:
-        values = []
-        for depth in depths:
-            run_settings = _with_config(
-                settings, output_buffer_flits=depth
-            )
-            result = run_simulation(
-                topology,
-                UniformTraffic(topology),
+    series = {
+        parse_topology(spec).name: [
+            SweepPoint(
+                spec,
+                "uniform",
                 injection_rate,
-                run_settings,
+                _with_config(settings, output_buffer_flits=depth),
             )
-            values.append(result.throughput)
-        figure.add_series(topology.name, values)
+            for depth in depths
+        ]
+        for spec in paper_topology_specs(num_nodes)
+    }
+    figure.add_result_series(sweep_series(series, workers=workers))
     figure.notes.append("paper default depth is 3 flits")
     return figure
 
@@ -93,6 +85,7 @@ def ablation_virtual_channels(
     settings: SimulationSettings | None = None,
     num_nodes: int = 16,
     rates=(0.1, 0.2, 0.4),
+    workers: int = 1,
 ) -> FigureData:
     """One vs two output queues on Ring and Spidergon.
 
@@ -109,20 +102,14 @@ def ablation_virtual_channels(
         "lambda",
         list(rates),
     )
-    for topology_cls in (RingTopology, SpidergonTopology):
-        for num_vcs in (2, 1):
-            topology = topology_cls(num_nodes)
-            values = []
-            for rate in rates:
-                run_settings = _with_config(settings, num_vcs=num_vcs)
-                result = run_simulation(
-                    topology,
-                    UniformTraffic(topology),
-                    rate,
-                    run_settings,
-                )
-                values.append(result.throughput)
-            figure.add_series(f"{topology.name}-{num_vcs}vc", values)
+    series = {
+        f"{spec}-{num_vcs}vc": rate_points(
+            spec, "uniform", rates, _with_config(settings, num_vcs=num_vcs)
+        )
+        for spec in (f"ring{num_nodes}", f"spidergon{num_nodes}")
+        for num_vcs in (2, 1)
+    }
+    figure.add_result_series(sweep_series(series, workers=workers))
     figure.notes.append(
         "1-VC rings can deadlock under wormhole: collapsed throughput "
         "is the expected signature, not a bug"
@@ -134,6 +121,7 @@ def ablation_spidergon_routing(
     settings: SimulationSettings | None = None,
     num_nodes: int = 16,
     rates=(0.1, 0.25, 0.4, 0.6),
+    workers: int = 1,
 ) -> FigureData:
     """Across-first vs table-driven shortest paths on the Spidergon."""
     settings = settings or SimulationSettings()
@@ -144,22 +132,12 @@ def ablation_spidergon_routing(
         "lambda",
         list(rates),
     )
-    topology = SpidergonTopology(num_nodes)
-    for label, routing_factory in (
-        ("across-first", lambda: None),
-        ("table", lambda: TableRouting(topology)),
-    ):
-        values = []
-        for rate in rates:
-            result = run_simulation(
-                topology,
-                UniformTraffic(topology),
-                rate,
-                settings,
-                routing=routing_factory(),
-            )
-            values.append(result.throughput)
-        figure.add_series(label, values)
+    spec = f"spidergon{num_nodes}"
+    series = {
+        "across-first": rate_points(spec, "uniform", rates, settings),
+        "table": rate_points(f"{spec}:table", "uniform", rates, settings),
+    }
+    figure.add_result_series(sweep_series(series, workers=workers))
     figure.notes.append(
         "table routing runs with a single VC and no dateline: "
         "high-load collapse reflects lost deadlock protection"
@@ -172,6 +150,7 @@ def ablation_packet_size(
     sizes=(2, 4, 6, 10, 16),
     num_nodes: int = 16,
     injection_rate: float = 0.3,
+    workers: int = 1,
 ) -> FigureData:
     """Throughput and latency vs packet length (paper: 6 flits).
 
@@ -187,21 +166,18 @@ def ablation_packet_size(
         "flits/packet",
         list(sizes),
     )
-    topology = SpidergonTopology(num_nodes)
-    throughputs: list[float | None] = []
-    latencies: list[float | None] = []
-    for size in sizes:
-        run_settings = _with_config(settings, packet_size_flits=size)
-        result = run_simulation(
-            topology,
-            UniformTraffic(topology),
+    points = [
+        SweepPoint(
+            f"spidergon{num_nodes}",
+            "uniform",
             injection_rate,
-            run_settings,
+            _with_config(settings, packet_size_flits=size),
         )
-        throughputs.append(result.throughput)
-        latencies.append(result.avg_latency)
-    figure.add_series("throughput", throughputs)
-    figure.add_series("latency", latencies)
+        for size in sizes
+    ]
+    results, _ = execute_points(points, workers=workers)
+    figure.add_series("throughput", [r.throughput for r in results])
+    figure.add_series("latency", [r.avg_latency for r in results])
     return figure
 
 

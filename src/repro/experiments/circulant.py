@@ -30,9 +30,9 @@ from repro.analysis.formulas import (
     circulant_diameter,
 )
 from repro.cost.wires import total_wire_length
+from repro.experiments.parallel import rate_points, sweep_series
 from repro.experiments.report import FigureData
-from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.specs import parse_pattern
+from repro.experiments.runner import SimulationSettings
 from repro.topology import CirculantTopology, SpidergonTopology
 
 
@@ -112,32 +112,13 @@ def static_metrics(num_nodes: int, skip: int | None) -> CandidateResult:
     )
 
 
-def _simulate(
-    topology,
-    pattern_spec: str,
-    rates: tuple[float, ...],
-    settings: SimulationSettings,
-    candidate: CandidateResult,
-) -> None:
-    for rate in rates:
-        result = run_simulation(
-            topology,
-            parse_pattern(pattern_spec, topology),
-            rate,
-            settings,
-        )
-        candidate.throughput_curve.append(result.throughput)
-        if rate == rates[0]:
-            candidate.latency = result.avg_latency
-    candidate.saturation_throughput = candidate.throughput_curve[-1]
-
-
 def equal_cost_study(
     num_nodes: int = 16,
     pattern: str = "uniform",
     rates: tuple[float, ...] = (0.05, 0.2, 0.4, 0.6, 0.8),
     settings: SimulationSettings | None = None,
     skips: list[int] | None = None,
+    workers: int = 1,
 ) -> EqualCostStudy:
     """Run the Spidergon-vs-circulant equal-cost comparison.
 
@@ -151,6 +132,8 @@ def equal_cost_study(
             20k-cycle / 4k-warmup run).
         skips: Chord spans to evaluate (default: all canonical spans
             ``2..N/2``).
+        workers: Worker processes; results are identical for any
+            value.
 
     Raises:
         ValueError: for an odd *num_nodes* or an empty rate sweep.
@@ -166,21 +149,24 @@ def equal_cost_study(
     rates = tuple(rates)
 
     reference = static_metrics(num_nodes, None)
-    _simulate(
-        SpidergonTopology(num_nodes), pattern, rates, settings, reference
-    )
-
-    candidates = []
-    for skip in skips if skips is not None else candidate_skips(num_nodes):
-        candidate = static_metrics(num_nodes, skip)
-        _simulate(
-            CirculantTopology(num_nodes, skip),
-            pattern,
-            rates,
-            settings,
-            candidate,
+    candidates = [
+        static_metrics(num_nodes, skip)
+        for skip in (
+            skips if skips is not None else candidate_skips(num_nodes)
         )
-        candidates.append(candidate)
+    ]
+    everyone = [reference, *candidates]
+    runs = sweep_series(
+        {
+            index: rate_points(candidate.spec, pattern, rates, settings)
+            for index, candidate in enumerate(everyone)
+        },
+        workers=workers,
+    )
+    for candidate, results in zip(everyone, runs.values()):
+        candidate.throughput_curve = [r.throughput for r in results]
+        candidate.latency = results[0].avg_latency
+        candidate.saturation_throughput = candidate.throughput_curve[-1]
 
     affordable = [
         c

@@ -10,8 +10,11 @@
   in flight are the running ones.  A point's deadline is armed when
   it joins them, so it measures run time, not queue time.
 * An expired deadline or a dead worker terminates the pool.  The
-  timed-out points (on a crash, the running ones) are charged one
-  attempt; the others in flight are resubmitted uncharged.
+  timed-out points are charged one attempt; the others in flight are
+  resubmitted uncharged.
+* A dead worker cannot be named, so a crash charges the point only
+  when it ran alone.  With several running, each is a suspect and
+  reruns alone in the pool, uncharged, until the crash recurs on one.
 * A charged point retries after ``backoff * attempts`` seconds,
   awaited in its own coroutine, so no retry stalls other points.
 * Requests for one ``point_key`` share one run.  An optional store is
@@ -44,6 +47,10 @@ from repro.serve.store import ResultStore
 
 _CRASH = "worker process died (pool broken)"
 
+#: Outcome of a point that was running beside a crash: uncharged, but
+#: it must rerun alone to clear or convict it.
+_SUSPECT = ("suspect", _CRASH)
+
 
 @dataclasses.dataclass(slots=True)
 class _Attempt:
@@ -54,6 +61,12 @@ class _Attempt:
     #: which sends the point back uncharged.
     outcome: asyncio.Future
     timer: asyncio.TimerHandle | None = None  # fires at the deadline
+
+
+def _finished(attempt: _Attempt) -> bool:
+    """The attempt's worker returned, whatever the point's outcome."""
+    future = attempt.future
+    return future.done() and future.exception() is None
 
 
 def _default_signals() -> None:
@@ -111,6 +124,7 @@ class PointExecutor:
         self._pool: ProcessPoolExecutor | None = None
         self._inflight: list[_Attempt] = []  # unsettled, oldest first
         self._slots = asyncio.Semaphore(workers + 1)
+        self._solo = asyncio.Lock()  # one suspect drains the pool at once
         self._flights: dict[str, asyncio.Future] = {}
 
     @property
@@ -163,10 +177,14 @@ class PointExecutor:
     async def _simulate(self, point: SweepPoint) -> PointResult:
         """Run *point* until it succeeds or its attempts run out."""
         attempts = 0
+        solo = False
         while True:
-            outcome = await self._attempt(point)
+            outcome = await self._attempt(point, solo)
             if outcome is None:
                 continue  # collateral of a pool rebuild: uncharged
+            if outcome is _SUSPECT:
+                solo = True  # from now on the pool runs it alone
+                continue
             if isinstance(outcome, BaseException):
                 raise outcome  # fail-fast: the model's own exception
             status, payload = outcome
@@ -175,10 +193,6 @@ class PointExecutor:
             if self.fail_fast:
                 raise BrokenProcessPool(payload)
             attempts += 1
-            if status == "timeout":
-                self.stats.timeouts += 1
-            elif status == "crash":
-                self.stats.crashes += 1
             if attempts > self.retries:
                 return FailedResult(
                     point.topology, point.pattern, point.rate,
@@ -187,29 +201,46 @@ class PointExecutor:
             self.stats.retried += 1
             await asyncio.sleep(self.backoff * attempts)
 
-    async def _attempt(self, point: SweepPoint):
+    async def _attempt(self, point: SweepPoint, solo: bool = False):
         if self.in_process:
             return guarded_run(point)
-        async with self._slots:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers, initializer=_default_signals
-                )
+        if not solo:
+            async with self._slots:
+                return await self._submit(point)
+        # Holding every slot leaves no other point in the pool.
+        async with self._solo:
+            held = 0
             try:
-                future = self._pool.submit(self._entry, point)
-            except BrokenProcessPool:
-                # The pool died since the last settlement; no charge.
-                self._break("crash", _CRASH, self._inflight[: self.workers])
-                return None
-            attempt = _Attempt(
-                future, asyncio.get_running_loop().create_future()
+                for _ in range(self.workers + 1):
+                    await self._slots.acquire()
+                    held += 1
+                return await self._submit(point)
+            finally:
+                for _ in range(held):
+                    self._slots.release()
+
+    async def _submit(self, point: SweepPoint):
+        """Run one attempt of *point* in the pool; the caller holds a
+        slot."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_default_signals
             )
-            self._inflight.append(attempt)
-            asyncio.wrap_future(future).add_done_callback(
-                functools.partial(self._settle, attempt)
-            )
-            self._arm()
-            return await attempt.outcome
+        try:
+            future = self._pool.submit(self._entry, point)
+        except BrokenProcessPool:
+            # The pool died since the last settlement; no charge.
+            self._crash()
+            return None
+        attempt = _Attempt(
+            future, asyncio.get_running_loop().create_future()
+        )
+        self._inflight.append(attempt)
+        asyncio.wrap_future(future).add_done_callback(
+            functools.partial(self._settle, attempt)
+        )
+        self._arm()
+        return await attempt.outcome
 
     def _resolve(self, attempt: _Attempt, value) -> None:
         self._inflight.remove(attempt)
@@ -237,7 +268,7 @@ class PointExecutor:
         if attempt not in self._inflight:
             return  # a pool rebuild already decided it
         if isinstance(error, BrokenProcessPool):
-            self._break("crash", _CRASH, self._inflight[: self.workers])
+            self._crash()
             return
         self._resolve(attempt, wrapped.result() if error is None else error)
         self._arm()
@@ -250,19 +281,32 @@ class PointExecutor:
             and not attempt.future.done()
         ]
         if expired:
+            self.stats.timeouts += len(expired)
             detail = f"exceeded {self.timeout:.6g}s deadline"
-            self._break("timeout", detail, expired)
+            self._break(("timeout", detail), expired)
 
-    def _break(self, kind: str, detail: str, charged) -> None:
+    def _crash(self) -> None:
+        """A worker died.  The pool runs the ``workers`` oldest
+        unfinished attempts, so the dead one ran one of those: charge
+        it if it is the only one, else make each a suspect."""
+        self.stats.crashes += 1
+        running = [
+            attempt
+            for attempt in self._inflight
+            if not _finished(attempt)
+        ][: self.workers]
+        verdict = _SUSPECT if len(running) > 1 else ("crash", _CRASH)
+        self._break(verdict, running)
+
+    def _break(self, verdict, charged) -> None:
         """Terminate the pool.  Attempts that finished keep their
-        result, *charged* ones fail with *kind*, and the rest go back
-        uncharged."""
+        result, *charged* ones settle as *verdict*, and the rest go
+        back uncharged."""
         for attempt in list(self._inflight):
-            future = attempt.future
-            if future.done() and future.exception() is None:
-                self._resolve(attempt, future.result())
+            if _finished(attempt):
+                self._resolve(attempt, attempt.future.result())
             elif attempt in charged:
-                self._resolve(attempt, (kind, detail))
+                self._resolve(attempt, verdict)
             else:
                 self._resolve(attempt, None)
         self.close()

@@ -18,23 +18,17 @@ protocols and additional NoC topologies".  This module covers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.experiments.parallel import (
+    execute_points,
+    rate_points,
+    sweep_series,
+)
 from repro.experiments.report import FigureData
-from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.stats import RunResult, confidence_interval
-from repro.topology import (
-    MeshTopology,
-    RingTopology,
-    SpidergonTopology,
-    TorusTopology,
-)
-from repro.traffic import (
-    BitComplementTraffic,
-    NearestNeighborTraffic,
-    TornadoTraffic,
-    UniformTraffic,
-)
+from repro.experiments.runner import SimulationSettings, SweepPoint
+from repro.experiments.specs import paper_topology_specs, parse_topology
+from repro.stats import confidence_interval
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,24 +49,28 @@ class Replication:
 
 
 def replicate(
-    topology_factory,
-    pattern_factory,
+    topology: str,
+    pattern: str,
     injection_rate: float,
     settings: SimulationSettings,
     seeds=(1, 2, 3, 4, 5),
     metric: str = "throughput",
+    workers: int = 1,
 ) -> Replication:
     """Run one configuration under several seeds and summarise.
 
     Args:
-        topology_factory: Zero-argument callable building a fresh
-            topology per run (topologies are cheap; networks are
-            single-use).
-        pattern_factory: Callable mapping a topology to its pattern.
+        topology: Topology spec string, e.g. ``"spidergon8"``
+            (routing suffixes and ``faulty:`` specs work too).
+        pattern: Traffic spec string, e.g. ``"uniform"``.
         injection_rate: Offered load per source, flits/cycle.
-        settings: Run-length parameters (the seed field is ignored).
+        settings: Run parameters; each run is a copy with its seed
+            replaced, so fault plans, watchdogs and the rest apply to
+            every replicate.
         seeds: Independent root seeds.
         metric: RunResult attribute to aggregate.
+        workers: Worker processes; results are identical for any
+            value.
 
     Raises:
         ValueError: with fewer than two seeds (no CI), or if the
@@ -80,21 +78,15 @@ def replicate(
     """
     if len(seeds) < 2:
         raise ValueError("replication needs at least 2 seeds")
+    points = [
+        SweepPoint(
+            topology, pattern, injection_rate, replace(settings, seed=seed)
+        )
+        for seed in seeds
+    ]
+    results, _ = execute_points(points, workers=workers)
     samples = []
-    for seed in seeds:
-        topology = topology_factory()
-        run_settings = SimulationSettings(
-            cycles=settings.cycles,
-            warmup=settings.warmup,
-            config=settings.config,
-            seed=seed,
-        )
-        result = run_simulation(
-            topology,
-            pattern_factory(topology),
-            injection_rate,
-            run_settings,
-        )
+    for seed, result in zip(seeds, results):
         value = getattr(result, metric)
         if value is None:
             raise ValueError(
@@ -110,6 +102,7 @@ def extension_torus_comparison(
     rows: int = 4,
     cols: int = 4,
     rates=(0.1, 0.3, 0.5, 0.7),
+    workers: int = 1,
 ) -> FigureData:
     """Torus vs Mesh vs Spidergon vs Ring, uniform traffic."""
     settings = settings or SimulationSettings()
@@ -121,19 +114,17 @@ def extension_torus_comparison(
         "lambda",
         list(rates),
     )
-    candidates = [RingTopology(n)]
+    specs = [f"ring{n}"]
     if n % 2 == 0:
-        candidates.append(SpidergonTopology(n))
-    candidates.append(MeshTopology(rows, cols))
-    candidates.append(TorusTopology(rows, cols))
-    for topology in candidates:
-        values = []
-        for rate in rates:
-            result = run_simulation(
-                topology, UniformTraffic(topology), rate, settings
-            )
-            values.append(result.throughput)
-        figure.add_series(topology.name, values)
+        specs.append(f"spidergon{n}")
+    specs += [f"mesh{rows}x{cols}", f"torus{rows}x{cols}"]
+    series = {
+        parse_topology(spec).name: rate_points(
+            spec, "uniform", rates, settings
+        )
+        for spec in specs
+    }
+    figure.add_result_series(sweep_series(series, workers=workers))
     figure.notes.append(
         "torus = mesh + wraparound; constant degree 4, vertex "
         "symmetric like the Spidergon"
@@ -145,42 +136,32 @@ def extension_traffic_patterns(
     settings: SimulationSettings | None = None,
     num_nodes: int = 16,
     injection_rate: float = 0.25,
+    workers: int = 1,
 ) -> FigureData:
     """Throughput of each synthetic pattern on the paper topologies.
 
     The x-axis indexes the pattern list; see the notes for labels.
     """
     settings = settings or SimulationSettings()
-    pattern_factories = [
-        ("uniform", UniformTraffic),
-        ("tornado", TornadoTraffic),
-        ("bit-complement", BitComplementTraffic),
-        ("nearest-neighbor", NearestNeighborTraffic),
-    ]
+    patterns = ["uniform", "tornado", "bit-complement", "nearest-neighbor"]
     figure = FigureData(
         "ext-patterns",
         f"Throughput by traffic pattern (N={num_nodes}, lambda="
         f"{injection_rate})",
         "pattern#",
-        list(range(len(pattern_factories))),
+        list(range(len(patterns))),
     )
-    for topology in (
-        RingTopology(num_nodes),
-        SpidergonTopology(num_nodes),
-        MeshTopology.factorized(num_nodes),
-    ):
-        values = []
-        for _, factory in pattern_factories:
-            result = run_simulation(
-                topology, factory(topology), injection_rate, settings
-            )
-            values.append(result.throughput)
-        figure.add_series(topology.name, values)
+    series = {
+        parse_topology(spec).name: [
+            SweepPoint(spec, pattern, injection_rate, settings)
+            for pattern in patterns
+        ]
+        for spec in paper_topology_specs(num_nodes)
+    }
+    figure.add_result_series(sweep_series(series, workers=workers))
     figure.notes.append(
         "patterns: "
-        + ", ".join(
-            f"{i}={name}" for i, (name, _) in enumerate(pattern_factories)
-        )
+        + ", ".join(f"{i}={name}" for i, name in enumerate(patterns))
     )
     return figure
 
@@ -192,6 +173,7 @@ def extension_fault_tolerance(
     fault_counts=(0, 2, 4, 8),
     injection_rate: float = 0.1,
     seed: int = 5,
+    workers: int = 1,
 ) -> FigureData:
     """Graceful degradation of a torus under random link faults.
 
@@ -200,10 +182,6 @@ def extension_fault_tolerance(
     with damage — the irregular-topology robustness story extended
     to in-field faults.
     """
-    from repro.routing import TableRouting
-    from repro.topology import TorusTopology
-    from repro.topology.faults import FaultyTopology
-
     settings = settings or SimulationSettings()
     figure = FigureData(
         "ext-faults",
@@ -212,29 +190,22 @@ def extension_fault_tolerance(
         "failed links",
         list(fault_counts),
     )
-    throughputs: list[float | None] = []
-    latencies: list[float | None] = []
-    hops: list[float | None] = []
-    for count in fault_counts:
-        base = TorusTopology(rows, cols)
-        topology = (
-            base
+    base = f"torus{rows}x{cols}"
+    points = [
+        SweepPoint(
+            f"{base}:table"
             if count == 0
-            else FaultyTopology.with_random_faults(base, count, seed)
-        )
-        result = run_simulation(
-            topology,
-            UniformTraffic(topology),
+            else f"faulty:{base}:{count}@{seed}:table",
+            "uniform",
             injection_rate,
             settings,
-            routing=TableRouting(topology),
         )
-        throughputs.append(result.throughput)
-        latencies.append(result.avg_latency)
-        hops.append(result.avg_hops)
-    figure.add_series("throughput", throughputs)
-    figure.add_series("latency", latencies)
-    figure.add_series("hops", hops)
+        for count in fault_counts
+    ]
+    results, _ = execute_points(points, workers=workers)
+    figure.add_series("throughput", [r.throughput for r in results])
+    figure.add_series("latency", [r.avg_latency for r in results])
+    figure.add_series("hops", [r.avg_hops for r in results])
     figure.notes.append(
         "faults picked at random, retried to keep the network "
         "connected; table routing detours around them"
@@ -246,6 +217,7 @@ def extension_large_networks(
     settings: SimulationSettings | None = None,
     node_counts=(32, 48, 64),
     injection_rate: float = 0.3,
+    workers: int = 1,
 ) -> FigureData:
     """Figure 10's comparison at node counts beyond the paper's 32."""
     settings = settings or SimulationSettings()
@@ -256,21 +228,14 @@ def extension_large_networks(
         "N",
         list(node_counts),
     )
-    ring_values, spider_values, mesh_values = [], [], []
+    labels = ("ring", "spidergon", "real-mesh")
+    series = {label: [] for label in labels}
     for n in node_counts:
-        for topology, values in (
-            (RingTopology(n), ring_values),
-            (SpidergonTopology(n), spider_values),
-            (MeshTopology.factorized(n), mesh_values),
-        ):
-            result = run_simulation(
-                topology, UniformTraffic(topology), injection_rate,
-                settings,
+        for label, spec in zip(labels, paper_topology_specs(n)):
+            series[label].append(
+                SweepPoint(spec, "uniform", injection_rate, settings)
             )
-            values.append(result.throughput)
-    figure.add_series("ring", ring_values)
-    figure.add_series("spidergon", spider_values)
-    figure.add_series("real-mesh", mesh_values)
+    figure.add_result_series(sweep_series(series, workers=workers))
     figure.notes.append(
         "paper future work: 'extension of the analysis and "
         "simulation with more NoC nodes'"

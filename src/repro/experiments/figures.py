@@ -21,15 +21,15 @@ import pathlib
 import sys
 
 from repro.analysis import figures as analytical
-from repro.experiments.parallel import execute_points
+from repro.experiments.parallel import (
+    execute_points,
+    rate_points,
+    sweep_series,
+)
 from repro.experiments.report import FigureData, format_table, to_csv
 from repro.experiments.runner import SimulationSettings, SweepPoint
-from repro.experiments.specs import parse_topology
-from repro.topology import (
-    MeshTopology,
-    Topology,
-    average_distance,
-)
+from repro.experiments.specs import paper_topology_specs, parse_topology
+from repro.topology import MeshTopology, average_distance
 from repro.traffic import double_hotspot_targets
 
 #: Injection-rate grid (flits/cycle/source) for hot-spot scenarios —
@@ -46,45 +46,6 @@ UNIFORM_RATES = [0.05, 0.1, 0.2, 0.3, 0.45, 0.7]
 SIM_NODE_COUNTS = (8, 24)
 VALIDATION_NODE_COUNTS = (8, 12, 16, 24, 32)
 UNIFORM_NODE_COUNTS = (8, 16, 24, 32)
-
-
-def _paper_topology_specs(num_nodes: int) -> list[str]:
-    """Ring, Spidergon and the factorized ("real") mesh at size N,
-    as spec strings (``mesh<N>`` parses to the factorized mesh)."""
-    return [
-        f"ring{num_nodes}",
-        f"spidergon{num_nodes}",
-        f"mesh{num_nodes}",
-    ]
-
-
-def _paper_topologies(num_nodes: int) -> list[Topology]:
-    """Ring, Spidergon and the factorized ("real") mesh at size N."""
-    return [
-        parse_topology(spec)
-        for spec in _paper_topology_specs(num_nodes)
-    ]
-
-
-def _sweep_series(
-    series: list[tuple[str, str, str]],
-    rates,
-    settings: SimulationSettings,
-    workers: int,
-) -> dict[str, list]:
-    """Run every (label, topology spec, pattern spec) series over
-    *rates* in one fan-out, returning results grouped by label."""
-    rates = [float(rate) for rate in rates]
-    points = [
-        SweepPoint(topo_spec, pattern_spec, rate, settings)
-        for _, topo_spec, pattern_spec in series
-        for rate in rates
-    ]
-    results, _ = execute_points(points, workers=workers)
-    return {
-        label: results[i * len(rates):(i + 1) * len(rates)]
-        for i, (label, _, _) in enumerate(series)
-    }
 
 
 def _from_series(
@@ -164,7 +125,7 @@ def figure5(
     simulated: dict[str, list[float | None]] = {k: [] for k in labels}
     points = []
     for n in node_counts:
-        for label, spec in zip(labels, _paper_topology_specs(n)):
+        for label, spec in zip(labels, paper_topology_specs(n)):
             analytic[label].append(
                 average_distance(
                     parse_topology(spec), include_self=False
@@ -218,9 +179,9 @@ def _hotspot_figure(
         "lambda",
         list(rates),
     )
-    series: list[tuple[str, str, str]] = []
+    series: dict[str, list[SweepPoint]] = {}
     for n in node_counts:
-        for topo_spec in _paper_topology_specs(n):
+        for topo_spec in paper_topology_specs(n):
             topology = parse_topology(topo_spec)
             is_mesh = isinstance(topology, MeshTopology)
             if num_hotspots == 1:
@@ -236,16 +197,13 @@ def _hotspot_figure(
                 pattern_spec = "hotspot:" + ",".join(
                     str(t) for t in targets
                 )
-                series.append(
-                    (f"{topology.name}{suffix}", topo_spec, pattern_spec)
+                series[f"{topology.name}{suffix}"] = rate_points(
+                    topo_spec, pattern_spec, rates, settings
                 )
-    by_label = _sweep_series(series, rates, settings, workers)
-    for label, _, _ in series:
-        values = [
-            r.throughput if metric == "throughput" else r.avg_latency
-            for r in by_label[label]
-        ]
-        figure.add_series(label, values)
+    figure.add_result_series(
+        sweep_series(series, workers=workers),
+        "throughput" if metric == "throughput" else "avg_latency",
+    )
     figure.notes.append(
         "lambda = injection rate per source (flits/cycle); hot-spot "
         "targets are pure sinks"
@@ -354,18 +312,17 @@ def _uniform_figure(
         "lambda",
         list(rates),
     )
-    series = [
-        (parse_topology(topo_spec).name, topo_spec, "uniform")
+    series = {
+        parse_topology(topo_spec).name: rate_points(
+            topo_spec, "uniform", rates, settings
+        )
         for n in node_counts
-        for topo_spec in _paper_topology_specs(n)
-    ]
-    by_label = _sweep_series(series, rates, settings, workers)
-    for label, _, _ in series:
-        values = [
-            r.throughput if metric == "throughput" else r.avg_latency
-            for r in by_label[label]
-        ]
-        figure.add_series(label, values)
+        for topo_spec in paper_topology_specs(n)
+    }
+    figure.add_result_series(
+        sweep_series(series, workers=workers),
+        "throughput" if metric == "throughput" else "avg_latency",
+    )
     figure.notes.append(
         "all nodes are sources; destinations uniform over the other "
         "nodes"

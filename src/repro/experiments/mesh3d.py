@@ -39,9 +39,10 @@ from repro.analysis.formulas import (
     torus3d_num_tsv_links,
 )
 from repro.cost.wires import total_wire_length
+from repro.experiments.parallel import rate_points, sweep_series
 from repro.experiments.report import FigureData
-from repro.experiments.runner import SimulationSettings, run_simulation
-from repro.experiments.specs import parse_pattern, parse_topology
+from repro.experiments.runner import SimulationSettings
+from repro.experiments.specs import parse_topology
 from repro.topology import MeshTopology, Topology
 
 #: Default TSV latency penalties swept by the study.
@@ -137,28 +138,6 @@ def _static_metrics(topology: Topology) -> StackingCandidate:
     )
 
 
-def _simulate(
-    topology: Topology,
-    pattern_spec: str,
-    rates: tuple[float, ...],
-    settings: SimulationSettings,
-    candidate: StackingCandidate,
-) -> None:
-    metrics = TrafficMetrics(pattern_spec, 0.0, 0.0)
-    for rate in rates:
-        result = run_simulation(
-            topology,
-            parse_pattern(pattern_spec, topology),
-            rate,
-            settings,
-        )
-        metrics.throughput_curve.append(result.throughput)
-        if rate == rates[0]:
-            metrics.latency = result.avg_latency
-    metrics.saturation_throughput = metrics.throughput_curve[-1]
-    candidate.traffic[pattern_spec] = metrics
-
-
 def candidate_specs(
     side: int, tsv_latencies: tuple[int, ...]
 ) -> list[str]:
@@ -177,6 +156,7 @@ def stacking_study(
     tsv_latencies: tuple[int, ...] = DEFAULT_TSV_LATENCIES,
     rates: tuple[float, ...] = (0.05, 0.15, 0.3, 0.45),
     settings: SimulationSettings | None = None,
+    workers: int = 1,
 ) -> StackingStudy:
     """Run the 2D-vs-3D equal-node-count comparison.
 
@@ -193,6 +173,8 @@ def stacking_study(
             ``rates[-1]`` the saturation point.
         settings: Run-length parameters (defaults to the standard
             20k-cycle / 4k-warmup run).
+        workers: Worker processes; results are identical for any
+            value.
 
     Raises:
         ValueError: for ``side < 3`` (the 3D torus needs every
@@ -216,18 +198,27 @@ def stacking_study(
     tsv_latencies = tuple(tsv_latencies)
     num_nodes = side**3
 
-    reference_topology = MeshTopology.factorized(num_nodes)
-    reference = _static_metrics(reference_topology)
-    for pattern in patterns:
-        _simulate(reference_topology, pattern, rates, settings, reference)
-
-    candidates = []
-    for spec in candidate_specs(side, tsv_latencies):
-        topology = parse_topology(spec)
-        candidate = _static_metrics(topology)
-        for pattern in patterns:
-            _simulate(topology, pattern, rates, settings, candidate)
-        candidates.append(candidate)
+    reference = _static_metrics(MeshTopology.factorized(num_nodes))
+    candidates = [
+        _static_metrics(parse_topology(spec))
+        for spec in candidate_specs(side, tsv_latencies)
+    ]
+    everyone = [reference, *candidates]
+    runs = sweep_series(
+        {
+            (index, pattern): rate_points(
+                candidate.spec, pattern, rates, settings
+            )
+            for index, candidate in enumerate(everyone)
+            for pattern in patterns
+        },
+        workers=workers,
+    )
+    for (index, pattern), results in runs.items():
+        curve = [r.throughput for r in results]
+        everyone[index].traffic[pattern] = TrafficMetrics(
+            pattern, results[0].avg_latency, curve[-1], curve
+        )
 
     figures = []
     for pattern in patterns:

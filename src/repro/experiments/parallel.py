@@ -35,7 +35,7 @@ import json
 import pathlib
 import time
 import traceback
-from typing import Callable, Sequence, Union
+from typing import Callable, Hashable, Mapping, Sequence, Union
 
 from repro.experiments.runner import SweepPoint, run_simulation
 from repro.experiments.specs import parse_pattern, parse_topology_routing
@@ -274,9 +274,12 @@ class ExecutionStats:
         events_processed: Kernel events of the points actually
             simulated, for the summary's events/sec.
         failed: Points that ended as :class:`FailedResult`.
-        timeouts / crashes: Failure attempts by class (every attempt
-            counts, so these can exceed ``failed`` when retries
-            eventually succeed).
+        timeouts: Attempts that ran past their deadline (every
+            attempt counts, so this can exceed ``failed`` when
+            retries eventually succeed).
+        crashes: Worker processes that died.  A crash beside other
+            running points charges none of them; each reruns alone
+            until one crashes again.
         retried: Re-submissions after a failed attempt.
         pool_rebuilds: Times the process pool was torn down and
             rebuilt (crash or unkillable hung worker).
@@ -454,3 +457,30 @@ def execute_points(
 
     stats.wall_seconds = time.perf_counter() - start
     return results, stats  # type: ignore[return-value]
+
+
+def rate_points(
+    topology: str, pattern: str, rates, settings
+) -> list[SweepPoint]:
+    """One point per injection rate, same topology, pattern and
+    settings."""
+    return [
+        SweepPoint(topology, pattern, float(rate), settings)
+        for rate in rates
+    ]
+
+
+def sweep_series(
+    series: Mapping[Hashable, Sequence[SweepPoint]], *, workers: int = 1
+) -> dict[Hashable, list[RunResult]]:
+    """Run every labelled series of points in one :func:`execute_points`
+    fan-out and regroup the results by label, each list in the order
+    of its points.  Each point carries its own settings, so a series
+    may sweep rates, configurations, topologies or seeds alike."""
+    flat = [point for points in series.values() for point in points]
+    results, _ = execute_points(flat, workers=workers)
+    grouped, start = {}, 0
+    for label, points in series.items():
+        grouped[label] = results[start:start + len(points)]
+        start += len(points)
+    return grouped

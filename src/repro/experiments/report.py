@@ -46,6 +46,14 @@ class FigureData:
             raise ValueError(f"duplicate series label {label!r}")
         self.series[label] = values
 
+    def add_result_series(
+        self, by_label, metric: str = "throughput"
+    ) -> None:
+        """Attach one series per label of *by_label* (label -> run
+        results), reading *metric* off each result."""
+        for label, results in by_label.items():
+            self.add_series(label, [getattr(r, metric) for r in results])
+
     def column(self, label: str) -> list[float | None]:
         """The y-values of one series."""
         return self.series[label]

@@ -1,8 +1,7 @@
-"""Single-run and sweep execution helpers."""
+"""Run settings, sweep points, and one simulation run end to end."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -57,12 +56,6 @@ class SimulationSettings:
             ``RunResult``s, so the sweep cache key leaves the engine
             out and a result stored under one engine is a hit under
             any other.
-        link_delay: **Deprecated.** Global link-latency multiplier,
-            folded into ``config.link_delay`` for back compatibility.
-            It can only retime *every* link at once; per-link timing
-            (TSV penalties, slow chords) belongs to the topology via
-            :meth:`~repro.topology.base.Topology.link_attrs` — see
-            docs/timing_model.md for the migration.
     """
 
     cycles: int = 20_000
@@ -74,28 +67,6 @@ class SimulationSettings:
     stall_cycles: int | None = None
     invariant_check_interval: int = 0
     engine: str | None = None
-    link_delay: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.link_delay is not None:
-            warnings.warn(
-                "SimulationSettings.link_delay is deprecated: it is a "
-                "uniform multiplier over every link and cannot express "
-                "non-uniform timing; set per-link latencies via "
-                "Topology.link_attrs (or NocConfig.link_delay for a "
-                "deliberate global scale) — see docs/timing_model.md",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(
-                self,
-                "config",
-                replace(self.config, link_delay=self.link_delay),
-            )
-            # Folded: config.link_delay is the single source of truth
-            # from here on (also keeps scaled()/replace() from
-            # re-warning on every copy).
-            object.__setattr__(self, "link_delay", None)
 
     def scaled(self, factor: float) -> "SimulationSettings":
         """A copy with run length scaled by *factor* (for quick tests)."""
@@ -209,18 +180,3 @@ def run_simulation(
     network.close()
     return result
 
-
-def sweep_injection_rates(
-    topology: Topology,
-    pattern: TrafficPattern,
-    injection_rates: list[float],
-    settings: SimulationSettings,
-    routing: RoutingAlgorithm | None = None,
-) -> list[RunResult]:
-    """One run per injection rate, same topology and pattern."""
-    return [
-        run_simulation(
-            topology, pattern, rate, settings, routing=routing
-        )
-        for rate in injection_rates
-    ]

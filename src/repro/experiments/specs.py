@@ -262,6 +262,13 @@ def _parse_faulty(match: re.Match[str]) -> Topology:
     )
 
 
+def paper_topology_specs(num_nodes: int) -> list[str]:
+    """Ring, Spidergon and the factorized ("real") mesh at size N,
+    the paper's three candidates (``mesh<N>`` is the factorized
+    mesh)."""
+    return [f"ring{num_nodes}", f"spidergon{num_nodes}", f"mesh{num_nodes}"]
+
+
 @dataclass(frozen=True, slots=True)
 class RoutingFamily:
     """One registered routing spec scheme.

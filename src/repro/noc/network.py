@@ -363,9 +363,7 @@ class Network:
         self.routing.on_fault_update(self.dead_links)
         if self.routing.adaptive:
             # Adaptive routing re-decides around faults natively;
-            # the BFS fallback table would be dead weight (see
-            # install_legacy_fallback for the deprecated escape
-            # hatch).
+            # the BFS fallback table would be dead weight.
             self._install_fallback(None)
             residual_connected = bool(
                 getattr(self.routing, "fully_connected", False)
@@ -427,41 +425,6 @@ class Network:
         }
         self._fault_events.append(record)
         return record
-
-    def install_legacy_fallback(self):
-        """Build and install the BFS detour table for the current
-        dead-link set — the pre-adaptive fault path.
-
-        .. deprecated:: under adaptive routing.
-            Adaptive algorithms (``routing.adaptive``) re-decide
-            around dead ports natively and their reroute path never
-            consults the table, so installing one is dead weight;
-            calling this with adaptive routing active warns with
-            :class:`DeprecationWarning` and installs it anyway (it
-            then only documents residual connectivity).
-
-        Returns:
-            The installed
-            :class:`~repro.resilience.fallback.FallbackTable`, or
-            None when no link is failed.
-        """
-        from repro.resilience.fallback import FallbackTable
-
-        if self.routing.adaptive:
-            warnings.warn(
-                "install_legacy_fallback() under adaptive routing is"
-                " deprecated: adaptive algorithms detour natively"
-                " and their reroute path ignores the BFS table",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        fallback = (
-            FallbackTable(self.topology, self._dead_links)
-            if self._dead_links
-            else None
-        )
-        self._install_fallback(fallback)
-        return fallback
 
     def _install_fallback(self, fallback) -> None:
         for router in self.routers:

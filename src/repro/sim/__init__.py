@@ -36,14 +36,12 @@ from repro.sim.messages import Message
 from repro.sim.module import Gate, SimModule
 from repro.sim.observers import Observer
 from repro.sim.rng import RngStream
-from repro.sim.tracing import EventTracer, TraceRecord
 
 __all__ = [
     "Engine",
     "EngineFamily",
     "Event",
     "EventQueue",
-    "EventTracer",
     "Gate",
     "GateConnectionError",
     "Message",
@@ -53,7 +51,6 @@ __all__ = [
     "SimModule",
     "SimulationError",
     "Simulator",
-    "TraceRecord",
     "available_engines",
     "register_engine",
     "resolve_engine",

@@ -1,5 +1,7 @@
 """Tests for the extension experiments."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.extensions import (
@@ -10,10 +12,10 @@ from repro.experiments.extensions import (
     extension_traffic_patterns,
     replicate,
 )
-from repro.experiments.runner import SimulationSettings
+from repro.experiments.parallel import run_sweep_point
+from repro.experiments.runner import SimulationSettings, SweepPoint
 from repro.noc.config import NocConfig
-from repro.topology import SpidergonTopology
-from repro.traffic import UniformTraffic
+from repro.resilience import FaultEvent, FaultPlan
 
 TINY = SimulationSettings(
     cycles=1_500,
@@ -26,8 +28,8 @@ TINY = SimulationSettings(
 class TestReplicate:
     def test_ci_across_seeds(self):
         rep = replicate(
-            lambda: SpidergonTopology(8),
-            UniformTraffic,
+            "spidergon8",
+            "uniform",
             0.15,
             TINY,
             seeds=(1, 2, 3),
@@ -43,8 +45,8 @@ class TestReplicate:
 
     def test_relative_error_reasonable_at_low_load(self):
         rep = replicate(
-            lambda: SpidergonTopology(8),
-            UniformTraffic,
+            "spidergon8",
+            "uniform",
             0.15,
             TINY,
             seeds=(1, 2, 3, 4),
@@ -54,8 +56,8 @@ class TestReplicate:
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError):
             replicate(
-                lambda: SpidergonTopology(8),
-                UniformTraffic,
+                "spidergon8",
+                "uniform",
                 0.1,
                 TINY,
                 seeds=(1,),
@@ -63,14 +65,40 @@ class TestReplicate:
 
     def test_other_metric(self):
         rep = replicate(
-            lambda: SpidergonTopology(8),
-            UniformTraffic,
+            "spidergon8",
+            "uniform",
             0.15,
             TINY,
             seeds=(1, 2),
             metric="avg_latency",
         )
         assert rep.mean > 0
+
+    def test_every_setting_reaches_each_seed(self):
+        # A fault plan is part of the settings: each replicate runs it,
+        # so every sample equals a direct run of that seed.
+        plan = FaultPlan((FaultEvent(300, 0, 1), FaultEvent(300, 2, 3)))
+        settings = replace(TINY, fault_plan=plan)
+        rep = replicate(
+            "spidergon8", "uniform", 0.3, settings, seeds=(1, 2)
+        )
+        direct = [
+            run_sweep_point(
+                SweepPoint(
+                    "spidergon8", "uniform", 0.3,
+                    replace(settings, seed=seed),
+                )
+            ).throughput
+            for seed in (1, 2)
+        ]
+        assert list(rep.samples) == direct
+        fault_free = replicate(
+            "spidergon8", "uniform", 0.3, TINY, seeds=(1, 2)
+        )
+        assert all(
+            faulty < free
+            for faulty, free in zip(rep.samples, fault_free.samples)
+        )
 
     def test_zero_mean_relative_error(self):
         rep = Replication("m", 0.0, 0.0, (0.0, 0.0))

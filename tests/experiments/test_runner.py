@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    SimulationSettings,
-    run_simulation,
-    sweep_injection_rates,
-)
+from repro.experiments.parallel import execute_points, rate_points
+from repro.experiments.runner import SimulationSettings, run_simulation
 from repro.noc.config import NocConfig
 from repro.routing import TableRouting
 from repro.topology import SpidergonTopology
@@ -71,19 +68,14 @@ class TestRunSimulation:
 
 class TestSweep:
     def test_one_result_per_rate(self):
-        topology = SpidergonTopology(8)
-        results = sweep_injection_rates(
-            topology, UniformTraffic(topology), [0.05, 0.1], SETTINGS
+        results, _ = execute_points(
+            rate_points("spidergon8", "uniform", [0.05, 0.1], SETTINGS)
         )
         assert [r.injection_rate for r in results] == [0.05, 0.1]
 
     def test_throughput_nondecreasing_below_saturation(self):
-        topology = SpidergonTopology(8)
-        results = sweep_injection_rates(
-            topology,
-            UniformTraffic(topology),
-            [0.02, 0.08, 0.2],
-            SETTINGS,
+        results, _ = execute_points(
+            rate_points("spidergon8", "uniform", [0.02, 0.08, 0.2], SETTINGS)
         )
         throughputs = [r.throughput for r in results]
         assert throughputs[0] < throughputs[-1]

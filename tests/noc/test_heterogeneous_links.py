@@ -10,8 +10,8 @@ Pins the tentpole API contract:
   oracle).  With all-unit delays this collapses to ``2h + S + 2``.
 * TSV penalty 1 reproduces the uniform-link model **byte-for-byte**,
 * penalty > 1 measurably shifts average latency,
-* the deprecation shims fold ``SimulationSettings.link_delay`` into
-  the config and warn on mixed global/per-link intent.
+* the global ``NocConfig.link_delay`` knob warns on mixed
+  global/per-link intent.
 """
 
 import warnings
@@ -179,20 +179,6 @@ class TestLinkAttrsApi:
 
 
 class TestDeprecationShims:
-    def test_settings_link_delay_folds_and_warns(self):
-        with pytest.warns(DeprecationWarning, match="link_delay"):
-            settings = SimulationSettings(link_delay=3)
-        assert settings.config.link_delay == 3
-        assert settings.link_delay is None
-
-    def test_scaled_copy_does_not_rewarn(self):
-        with pytest.warns(DeprecationWarning):
-            settings = SimulationSettings(link_delay=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            scaled = settings.scaled(0.5)
-        assert scaled.config.link_delay == 2
-
     def test_global_knob_on_heterogeneous_topology_warns(self):
         topo = Mesh3DTopology(3, 3, 2, tsv_latency=2)
         with pytest.warns(DeprecationWarning, match="link_attrs"):

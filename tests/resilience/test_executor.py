@@ -222,6 +222,26 @@ class TestHardenedPool:
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    def test_crash_is_charged_to_its_own_point(self, monkeypatch):
+        # The 0.1 point kills its worker on every attempt.  Points
+        # running beside it rerun alone, so only 0.1 uses up retries.
+        monkeypatch.setenv(
+            ENV_VAR, json.dumps({"match": ":0.1", "mode": "crash"})
+        )
+        rates = (0.05, 0.1, 0.2, 0.3)
+        results, stats = execute_points(
+            [quick_point(rate=rate) for rate in rates],
+            workers=2,
+            retries=2,
+        )
+        failures = [(r.rate, r.error, r.attempts) for r in results
+                    if not r.ok]
+        assert failures == [(0.1, "crash", 3)]
+        assert stats.failed == 1
+        assert stats.retried == 2  # 0.1's retries, and no one else's
+        # Three attempts alone, plus the first if others ran beside it.
+        assert stats.crashes in (3, 4)
+
     def test_hang_times_out_into_failed_result(
         self, monkeypatch, tmp_path
     ):

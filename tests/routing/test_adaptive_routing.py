@@ -254,6 +254,9 @@ class TestAdaptiveFaultAgreement:
 
 
 class TestLegacyFallbackShim:
+    """Adaptive routing detours natively, with no BFS fallback table
+    (the table is installed only for non-adaptive routing)."""
+
     def _adaptive_network(self):
         topology = MeshTopology(4, 4)
         return Network(
@@ -263,29 +266,6 @@ class TestLegacyFallbackShim:
             traffic=TrafficSpec(UniformTraffic(topology), 0.05),
             seed=3,
         )
-
-    def test_warns_under_adaptive_routing(self):
-        net = self._adaptive_network()
-        net.fail_link(5, 6)
-        with pytest.warns(DeprecationWarning, match="adaptive"):
-            table = net.install_legacy_fallback()
-        assert isinstance(table, FallbackTable)
-        assert table.dead_links == frozenset({(5, 6)})
-
-    def test_silent_under_table_routing(self):
-        import warnings
-
-        topology = MeshTopology(4, 4)
-        net = Network(
-            topology,
-            config=NocConfig(source_queue_packets=16),
-            traffic=TrafficSpec(UniformTraffic(topology), 0.05),
-            seed=3,
-        )
-        net.fail_link(5, 6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            net.install_legacy_fallback()
 
     def test_adaptive_network_reroutes_around_fault(self):
         net = self._adaptive_network()
@@ -298,3 +278,4 @@ class TestLegacyFallbackShim:
         resilience = result.extra["resilience"]
         record = resilience["fault_events"][0]
         assert record["residual_connected"] is True
+        assert all(router.fallback is None for router in net.routers)

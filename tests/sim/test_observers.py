@@ -7,7 +7,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import SimModule
 from repro.sim.observers import Observer
-from repro.sim.tracing import EventTracer
 
 
 class Echo(SimModule):
@@ -181,16 +180,44 @@ class TestDetachMidRun:
         assert names == ["before"]
 
 
+class TestKernelOrdering:
+    def test_traces_full_noc_run(self):
+        # Kernel-ordering regression: in a real NoC run, deliveries
+        # at each cycle precede that cycle's phase messages.
+        from repro.noc.network import Network
+        from repro.noc.packet import Packet
+        from repro.topology import RingTopology
+
+        net = Network(RingTopology(4))
+        journal = []
+        net.simulator.add_observer(Recording("trace", journal))
+        net.interfaces[0].enqueue_packet(Packet(0, 2, 2, created_at=0))
+        net.simulator.run(until=100)
+        events = [(t, name) for _, kind, t, name in journal
+                  if kind == "event"]
+        assert events
+        times = [t for t, _ in events]
+        assert times == sorted(times)
+        by_time = {}
+        for time, name in events:
+            by_time.setdefault(time, []).append(name)
+        for names in by_time.values():
+            if "phase-advance" in names and "flit" in names:
+                assert names.index("flit") < names.index(
+                    "phase-advance"
+                )
+
+
 class TestNoMonkeyPatching:
     def test_tracer_does_not_replace_run(self):
         sim = Simulator()
         original_run = sim.run
-        tracer = EventTracer(sim)
+        tracer = sim.add_observer(Recording("trace", []))
         # The observer protocol leaves the simulator untouched: no
         # instance attribute shadows the class method.
         assert "run" not in vars(sim)
         assert sim.run == original_run
-        tracer.detach()
+        sim.remove_observer(tracer)
         assert "run" not in vars(sim)
 
     def test_base_observer_hooks_are_noops(self):

@@ -4,7 +4,7 @@
 
     python -m repro info                 # library and paper summary
     python -m repro figures fig10 ...    # == repro.experiments.figures
-    python -m repro ablations vcs ...    # == repro.experiments.ablations
+    python -m repro figures all --csv results --check   # reproduction
     python -m repro campaign SPEC CSV    # declarative sweep
     python -m repro circulant 16         # equal-cost chord study
     python -m repro mesh3d               # 2D vs 3D TSV stacking study
@@ -25,8 +25,7 @@ import sys
 
 def _info() -> int:
     from repro import __version__
-    from repro.experiments.figures import ALL_FIGURES
-    from repro.experiments.ablations import ALL_ABLATIONS
+    from repro.experiments.figures import ARTEFACTS
 
     print(f"repro {__version__}")
     print(
@@ -35,18 +34,21 @@ def _info() -> int:
         "Mesh', DATE 2006."
     )
     print()
-    print("figures:  ", " ".join(sorted(ALL_FIGURES)))
-    print("ablations:", " ".join(sorted(ALL_ABLATIONS)))
+    print("artefacts:", " ".join(ARTEFACTS))
     print()
     print(
         "usage: python -m repro "
-        "{info|figures|ablations|campaign SPEC.json OUT.csv"
+        "{info|figures NAME...|campaign SPEC.json OUT.csv"
         "|circulant [N]|mesh3d [SIDE]|topologies|engines|routings"
         "|drain|trace TOPOLOGY PATTERN RATE"
         "|chaos TOPOLOGY PATTERN RATE"
         "|serve|submit SPEC.json} [args...]\n"
-        "       (figures and campaign accept --workers N; campaign "
-        "also --no-cache, --cache-dir DIR,\n"
+        "       (figures takes artefact names or all, and --quick, "
+        "--chart, --csv DIR, and --check\n"
+        "        with --csv DIR to compare the CSVs and check the "
+        "claims; figures and campaign\n"
+        "        accept --workers N; campaign also --no-cache, "
+        "--cache-dir DIR,\n"
         "        --timeout S, --retries N, --resume; trace accepts "
         "--cycles, --warmup, --seed,\n"
         "        --window, --out, --limit, --no-flits; chaos accepts "
@@ -808,10 +810,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.experiments.figures import main as figures_main
 
         return figures_main(rest)
-    if command == "ablations":
-        from repro.experiments.ablations import main as ablations_main
-
-        return ablations_main(rest)
     if command == "campaign":
         return _campaign(rest)
     if command == "circulant":

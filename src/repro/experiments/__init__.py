@@ -2,9 +2,9 @@
 
 Each paper figure has a generator function in
 :mod:`repro.experiments.figures` that returns a
-:class:`~repro.experiments.report.FigureData`; the ``main`` entry
-point (``python -m repro.experiments.figures <fig>``) prints it as an
-aligned table and optionally writes CSV.
+:class:`~repro.experiments.report.FigureData`; its ``main`` entry
+point (``python -m repro figures <name>``) prints any committed
+artefact as an aligned table, and writes or checks its CSV.
 """
 
 from repro.experiments.parallel import (

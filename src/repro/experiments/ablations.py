@@ -1,8 +1,10 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
 Each function returns a :class:`~repro.experiments.report.FigureData`
-like the paper-figure generators, and has a matching benchmark in
-``benchmarks/``.
+like the paper-figure generators; the committed ``results/ablation_*``
+CSVs and the claims checked on them
+(:mod:`repro.experiments.claims`) come from
+:data:`repro.experiments.figures.ARTEFACTS`.
 
 * :func:`ablation_output_buffer_depth` — the paper reports that
   "small buffer tuning ha[s] some marginal impact on the peak
@@ -21,21 +23,19 @@ like the paper-figure generators, and has a matching benchmark in
 
 Run from the command line::
 
-    python -m repro.experiments.ablations buffers --quick
+    python -m repro figures ablation_buffers --quick
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import sys
 
 from repro.experiments.parallel import (
     execute_points,
     rate_points,
     sweep_series,
 )
-from repro.experiments.report import FigureData, format_table
+from repro.experiments.report import FigureData
 from repro.experiments.runner import SimulationSettings, SweepPoint
 from repro.experiments.specs import paper_topology_specs, parse_topology
 from repro.topology import MeshTopology, average_distance, diameter
@@ -210,43 +210,3 @@ def ablation_mesh_policy(
     figure.add_series("factorized-E[D]", fact_ed)
     figure.add_series("irregular-E[D]", irr_ed)
     return figure
-
-
-ALL_ABLATIONS = {
-    "buffers": ablation_output_buffer_depth,
-    "vcs": ablation_virtual_channels,
-    "spidergon-routing": ablation_spidergon_routing,
-    "packet-size": ablation_packet_size,
-    "mesh-policy": ablation_mesh_policy,
-}
-
-_ANALYTICAL = {"mesh-policy"}
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point mirroring ``repro.experiments.figures``."""
-    parser = argparse.ArgumentParser(description="Run ablation studies.")
-    parser.add_argument(
-        "ablation", choices=sorted(ALL_ABLATIONS) + ["all"]
-    )
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args(argv)
-    names = (
-        sorted(ALL_ABLATIONS) if args.ablation == "all" else [args.ablation]
-    )
-    settings = SimulationSettings()
-    if args.quick:
-        settings = settings.scaled(0.1)
-    for name in names:
-        generator = ALL_ABLATIONS[name]
-        if name in _ANALYTICAL:
-            figure = generator()
-        else:
-            figure = generator(settings=settings)
-        sys.stdout.write(format_table(figure))
-        sys.stdout.write("\n")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

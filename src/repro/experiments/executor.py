@@ -30,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import os
 import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -69,14 +70,18 @@ def _finished(attempt: _Attempt) -> bool:
     return future.done() and future.exception() is None
 
 
-def _default_signals() -> None:
-    """Give a forked worker default signal handling.  It inherits the
-    server's SIGTERM/SIGINT handlers and their wakeup fd, so
-    ``terminate()`` would not stop it and would wake the server as if
-    the server itself had been signalled."""
+def _init_worker(listening_fds: tuple[int, ...]) -> None:
+    """Reset what a forked worker inherits from the server.  Its
+    SIGTERM/SIGINT handlers and their wakeup fd would keep
+    ``terminate()`` from stopping it and wake the server as if the
+    server itself had been signalled.  Its copies of the listening
+    sockets would hold the port if the server were killed with
+    SIGKILL."""
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
+    for fd in listening_fds:
+        os.close(fd)
 
 
 class PointExecutor:
@@ -97,6 +102,9 @@ class PointExecutor:
             itself, instead of becoming a ``FailedResult``.
         in_process: Run attempts in this process, blocking the loop;
             there is then no pool to time out or crash.
+
+    ``listening_fds`` holds the descriptors of the server's listening
+    sockets, which each worker forked after it is set closes first.
     """
 
     def __init__(
@@ -126,6 +134,7 @@ class PointExecutor:
         self._slots = asyncio.Semaphore(workers + 1)
         self._solo = asyncio.Lock()  # one suspect drains the pool at once
         self._flights: dict[str, asyncio.Future] = {}
+        self.listening_fds: tuple[int, ...] = ()
 
     @property
     def inflight_keys(self) -> set[str]:
@@ -224,7 +233,9 @@ class PointExecutor:
         slot."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=_default_signals
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(self.listening_fds,),
             )
         try:
             future = self._pool.submit(self._entry, point)

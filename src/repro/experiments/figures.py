@@ -7,16 +7,24 @@ on the simulator's timing details; the *shapes* (rankings, crossovers,
 saturation knees) are the reproduction targets — see EXPERIMENTS.md
 for the paper-vs-measured comparison.
 
-Run from the command line::
+The :data:`ARTEFACTS` table names every committed CSV under
+``results/``: the figures, the ablations and two extensions.  One
+command regenerates, writes and checks them all::
 
-    python -m repro.experiments.figures fig10           # full size
-    python -m repro.experiments.figures fig10 --quick   # ~10x faster
-    python -m repro.experiments.figures all --csv out/  # everything
+    python -m repro figures fig10                  # print one table
+    python -m repro figures fig10 --quick          # ~10x faster
+    python -m repro figures all --csv results      # rewrite every CSV
+    python -m repro figures all --csv results --check
+
+``--check`` compares each regenerated CSV byte for byte with the
+committed one and evaluates the paper's claims on it
+(:mod:`repro.experiments.claims`).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import pathlib
 import sys
 
@@ -29,6 +37,7 @@ from repro.experiments.parallel import (
 from repro.experiments.report import FigureData, format_table, to_csv
 from repro.experiments.runner import SimulationSettings, SweepPoint
 from repro.experiments.specs import paper_topology_specs, parse_topology
+from repro.noc.config import NocConfig
 from repro.topology import MeshTopology, average_distance
 from repro.traffic import double_hotspot_targets
 
@@ -364,30 +373,96 @@ def figure11(
     )
 
 
-ALL_FIGURES = {
-    "fig2": figure2,
-    "fig3": figure3,
-    "fig5": figure5,
-    "fig6": figure6,
-    "fig7": figure7,
-    "fig8": figure8,
-    "fig9": figure9,
-    "fig10": figure10,
-    "fig11": figure11,
+#: The run settings of the reproduction: the committed
+#: ``results/*.csv`` regenerate from these, byte for byte.
+SETTINGS = SimulationSettings(
+    cycles=10_000,
+    warmup=2_000,
+    config=NocConfig(source_queue_packets=64),
+    seed=1,
+)
+
+#: Every committed artefact, by CSV stem: its generator, as
+#: ``module.function`` under :mod:`repro.experiments` (resolved when
+#: it runs, so importing this module imports no study), and the
+#: keyword arguments it runs with.  Simulated generators also get
+#: the run settings and the worker count.
+ARTEFACTS = {
+    "fig2": ("figures.figure2", {}),
+    "fig3": ("figures.figure3", {}),
+    "fig5": ("figures.figure5", {}),
+    "fig6": ("figures.figure6", {}),
+    "fig7": ("figures.figure7", {}),
+    "fig8": ("figures.figure8", {}),
+    "fig9": ("figures.figure9", {}),
+    "fig10": ("figures.figure10", {}),
+    "fig11": ("figures.figure11", {}),
+    "ablation_buffers": ("ablations.ablation_output_buffer_depth", {}),
+    "ablation_vcs": ("ablations.ablation_virtual_channels", {}),
+    "ablation_routing": (
+        "ablations.ablation_spidergon_routing",
+        {"rates": (0.02, 0.05, 0.1, 0.25)},
+    ),
+    "ablation_packet_size": ("ablations.ablation_packet_size", {}),
+    "ablation_mesh_policy": ("ablations.ablation_mesh_policy", {}),
+    "extension_torus": (
+        "extensions.extension_torus_comparison",
+        {"rates": (0.1, 0.3, 0.6)},
+    ),
+    "extension_patterns": (
+        "extensions.extension_traffic_patterns",
+        {"injection_rate": 0.3},
+    ),
 }
 
-_ANALYTICAL = {"fig2", "fig3"}
+_ANALYTICAL = {"fig2", "fig3", "ablation_mesh_policy"}
+
+
+def generate(
+    name: str, settings: SimulationSettings = SETTINGS, workers: int = 1
+) -> FigureData:
+    """Regenerate the artefact *name* of :data:`ARTEFACTS`."""
+    path, kwargs = ARTEFACTS[name]
+    module, function = path.split(".")
+    generator = getattr(
+        importlib.import_module(f"repro.experiments.{module}"), function
+    )
+    if name in _ANALYTICAL:
+        return generator(**kwargs)
+    return generator(settings=settings, workers=workers, **kwargs)
+
+
+def _check(name: str, figure: FigureData, directory: pathlib.Path):
+    """Problems of *figure* against its committed CSV and claims."""
+    from repro.experiments.claims import failed_claims
+
+    problems = []
+    path = directory / f"{name}.csv"
+    if not path.exists():
+        problems.append(f"MISSING {path}")
+    elif path.read_bytes() != to_csv(figure).encode():
+        problems.append(f"MISMATCH {path}: regenerated CSV differs")
+    problems.extend(
+        f"FAILED {name}: claim {claim}"
+        for claim in failed_claims(name, figure)
+    )
+    return problems
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: print (and optionally save) figure data."""
+    """CLI entry point: print, write and check artefacts."""
     parser = argparse.ArgumentParser(
-        description="Regenerate the paper's figures as tables."
+        prog="python -m repro figures",
+        description="Regenerate the paper's figures, the ablations and "
+        "the extensions as tables; write or check their CSVs.",
     )
     parser.add_argument(
-        "figure",
-        choices=sorted(ALL_FIGURES) + ["all"],
-        help="which figure to regenerate",
+        "names",
+        nargs="+",
+        choices=list(ARTEFACTS) + ["all"],
+        metavar="NAME",
+        help="artefacts to regenerate, by CSV stem, or all: "
+        + " ".join(ARTEFACTS),
     )
     parser.add_argument(
         "--quick",
@@ -397,7 +472,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--csv",
         metavar="DIR",
-        help="also write <figure>.csv files into DIR",
+        help="also write <name>.csv files into DIR",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="with --csv DIR: compare each CSV with the copy in DIR "
+        "instead of writing it, evaluate the artefact's claims, and "
+        "exit 1 on any mismatch or failed claim",
     )
     parser.add_argument(
         "--chart",
@@ -415,16 +497,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be >= 1, got {args.workers}")
-    names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
-    settings = SimulationSettings()
-    if args.quick:
-        settings = settings.scaled(0.1)
+    if args.check and not args.csv:
+        parser.error("--check needs --csv DIR")
+    if args.check and args.quick:
+        parser.error("--check compares full-length runs; drop --quick")
+    names = (
+        list(ARTEFACTS)
+        if "all" in args.names
+        else list(dict.fromkeys(args.names))
+    )
+    settings = SETTINGS.scaled(0.1) if args.quick else SETTINGS
+    problems = []
     for name in names:
-        generator = ALL_FIGURES[name]
-        if name in _ANALYTICAL:
-            figure = generator()
-        else:
-            figure = generator(settings=settings, workers=args.workers)
+        figure = generate(name, settings, args.workers)
         sys.stdout.write(format_table(figure))
         sys.stdout.write("\n")
         if args.chart:
@@ -432,11 +517,21 @@ def main(argv: list[str] | None = None) -> int:
 
             sys.stdout.write(render_chart(figure))
             sys.stdout.write("\n")
-        if args.csv:
+        sys.stdout.flush()
+        if args.check:
+            problems.extend(_check(name, figure, pathlib.Path(args.csv)))
+        elif args.csv:
             directory = pathlib.Path(args.csv)
             directory.mkdir(parents=True, exist_ok=True)
             (directory / f"{name}.csv").write_text(to_csv(figure))
-    return 0
+    if not args.check:
+        return 0
+    for problem in problems:
+        print(problem)
+    print(
+        f"check: {len(names)} artefact(s), {len(problems)} problem(s)"
+    )
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from repro.cost.wires import total_wire_length
 from repro.experiments.parallel import rate_points, sweep_series
 from repro.experiments.report import FigureData
 from repro.experiments.runner import SimulationSettings
-from repro.experiments.specs import parse_topology
+from repro.experiments.specs import parse_pattern, parse_topology
 from repro.topology import MeshTopology, Topology
 
 #: Default TSV latency penalties swept by the study.
@@ -178,8 +178,10 @@ def stacking_study(
 
     Raises:
         ValueError: for ``side < 3`` (the 3D torus needs every
-            dimension >= 3), an empty rate sweep, or an empty
-            pattern/penalty list.
+            dimension >= 3), an empty rate sweep, an empty
+            pattern/penalty list, or a pattern that does not fit a
+            topology (``transpose`` on a non-square reference), all
+            before any point runs.
     """
     if side < 3:
         raise ValueError(
@@ -198,11 +200,20 @@ def stacking_study(
     tsv_latencies = tuple(tsv_latencies)
     num_nodes = side**3
 
-    reference = _static_metrics(MeshTopology.factorized(num_nodes))
-    candidates = [
-        _static_metrics(parse_topology(spec))
+    topologies = [MeshTopology.factorized(num_nodes)] + [
+        parse_topology(spec)
         for spec in candidate_specs(side, tsv_latencies)
     ]
+    for topology in topologies:
+        for pattern in patterns:
+            try:
+                parse_pattern(pattern, topology)
+            except ValueError as exc:
+                raise ValueError(
+                    f"pattern {pattern!r} does not fit {topology.name}: "
+                    f"{exc}"
+                ) from None
+    reference, *candidates = map(_static_metrics, topologies)
     everyone = [reference, *candidates]
     runs = sweep_series(
         {

@@ -58,6 +58,26 @@ class FigureData:
         """The y-values of one series."""
         return self.series[label]
 
+    def at(self, label: str, x: float) -> float | None:
+        """The value of series *label* at the x value *x*."""
+        return self.series[label][self.x_values.index(x)]
+
+    @classmethod
+    def from_csv(
+        cls, text: str, figure_id: str = "", title: str = ""
+    ) -> "FigureData":
+        """Parse :func:`to_csv` output (which carries neither the id
+        nor the title) back into a figure."""
+        header, *rows = (line.split(",") for line in text.splitlines())
+        cells = [
+            [None if cell == "" else float(cell) for cell in row]
+            for row in rows
+        ]
+        figure = cls(figure_id, title, header[0], [row[0] for row in cells])
+        for column, label in enumerate(header[1:], start=1):
+            figure.add_series(label, [row[column] for row in cells])
+        return figure
+
 
 def _format_value(value: float | None, precision: int) -> str:
     if value is None:

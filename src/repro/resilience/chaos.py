@@ -9,8 +9,10 @@ matches — crashes, hangs, or raises on purpose.  The variable holds a
 JSON object:
 
 ``match``
-    Substring of the point descriptor (``"<topology>:<pattern>:<rate>"``)
-    selecting which points misbehave.  Empty string matches all.
+    Whole ``:``-separated fields of the point descriptor
+    (``"<topology>:<pattern>:<rate>"``) selecting which points
+    misbehave: ``":0.1"`` selects rate 0.1 but not 0.15, ``"ring8"``
+    selects ring8 but not ring80.  Empty string matches all.
 ``mode``
     ``"crash"`` (``os._exit(42)``, which a process pool surfaces as
     :class:`~concurrent.futures.process.BrokenProcessPool`),
@@ -61,8 +63,8 @@ def apply_chaos(descriptor: str) -> None:
         config = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid {ENV_VAR} JSON: {exc}") from exc
-    match = config.get("match", "")
-    if match not in descriptor:
+    fields = config.get("match", "").strip(":")
+    if fields and f":{fields}:" not in f":{descriptor}:":
         return
     mode = config.get("mode", "crash")
     if mode not in ("crash", "hang", "error"):

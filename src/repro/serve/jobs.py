@@ -105,6 +105,11 @@ class JobManager:
         """Shut the worker pool down (idempotent)."""
         self._executor.close()
 
+    def close_in_workers(self, listening_fds) -> None:
+        """Have every worker forked from now on close *listening_fds*,
+        the server's listening sockets."""
+        self._executor.listening_fds = tuple(listening_fds)
+
     @property
     def inflight_keys(self) -> set[str]:
         """Keys currently being simulated (diagnostics)."""

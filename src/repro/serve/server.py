@@ -106,6 +106,9 @@ class CampaignServer:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self.jobs.close_in_workers(
+            sock.fileno() for sock in self._server.sockets
+        )
 
     async def close(self) -> None:
         """Stop accepting connections and terminate the worker pool."""

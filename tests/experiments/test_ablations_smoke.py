@@ -1,6 +1,6 @@
 """Smoke tests for the ablation studies (tiny sizes)."""
 
-from repro.experiments import ablations
+from repro.experiments import ablations, figures
 from repro.experiments.runner import SimulationSettings
 from repro.noc.config import NocConfig
 
@@ -56,5 +56,5 @@ class TestAblations:
             assert irr <= fact
 
     def test_cli(self, capsys):
-        assert ablations.main(["mesh-policy"]) == 0
+        assert figures.main(["ablation_mesh_policy"]) == 0
         assert "mesh-policy" in capsys.readouterr().out

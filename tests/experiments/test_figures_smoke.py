@@ -1,7 +1,8 @@
 """Smoke tests for every figure generator (tiny simulation sizes).
 
 Full-fidelity shape assertions live in
-``tests/integration/test_paper_claims.py`` and in ``benchmarks/``;
+``tests/integration/test_paper_claims.py`` and in
+``repro.experiments.claims``;
 here we verify that every generator produces well-formed FigureData
 and that the CLI wiring works.
 """

@@ -1,7 +1,8 @@
 """Integration tests: the paper's qualitative claims, at reduced scale.
 
-These runs are sized for CI (seconds each); the benchmarks regenerate
-the full figures.  Each test cites the claim it checks.
+These runs are sized for CI (seconds each); ``python -m repro figures
+all --csv results --check`` regenerates the full figures and checks
+their claims.  Each test cites the claim it checks.
 """
 
 import pytest

@@ -122,6 +122,22 @@ class TestChaosHook:
         with pytest.raises(ChaosError):
             apply_chaos("ring8:uniform:0.1")
 
+    def test_match_selects_whole_fields(self, monkeypatch):
+        for match, selected, spared in (
+            (":0.1", "ring8:uniform:0.1", "ring8:uniform:0.15"),
+            (":0.1", "ring8:uniform:0.1", "ring8:uniform:0.125"),
+            ("ring8", "ring8:uniform:0.1", "ring80:uniform:0.1"),
+            ("hotspot:0", "ring8:hotspot:0:0.1", "ring8:hotspot:0,4:0.1"),
+            ("", "ring8:uniform:0.1", None),
+        ):
+            monkeypatch.setenv(
+                ENV_VAR, json.dumps({"match": match, "mode": "error"})
+            )
+            with pytest.raises(ChaosError):
+                apply_chaos(selected)
+            if spared is not None:
+                apply_chaos(spared)
+
     def test_rejects_bad_json(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "{not json")
         with pytest.raises(ValueError, match="invalid"):
@@ -228,7 +244,7 @@ class TestHardenedPool:
         monkeypatch.setenv(
             ENV_VAR, json.dumps({"match": ":0.1", "mode": "crash"})
         )
-        rates = (0.05, 0.1, 0.2, 0.3)
+        rates = (0.05, 0.1, 0.15, 0.2, 0.3)
         results, stats = execute_points(
             [quick_point(rate=rate) for rate in rates],
             workers=2,

@@ -1,9 +1,11 @@
-"""``python -m repro serve`` shuts down cleanly on SIGTERM.
+"""``python -m repro serve`` shuts down cleanly on SIGTERM, and frees
+its port even when killed.
 
 The server runs as a real subprocess.  After it has simulated a point
 (so its worker pool exists), SIGTERM must make it exit with status 0,
 leave none of its worker processes running, and free its port for a
-new server.
+new server.  SIGKILL leaves the workers running, but they must not
+hold the port.
 """
 
 import os
@@ -76,42 +78,70 @@ def _alive(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def _simulate_a_point(server, port):
+    """Submit one point; return the server's worker pids."""
+    client = ServeClient(port=port)
+    client.wait_until_ready(15.0)
+    _, summary = client.submit_campaign(
+        {
+            "name": "signals",
+            "cycles": 300,
+            "warmup": 50,
+            "seed": 2,
+            "topologies": ["ring8"],
+            "patterns": ["uniform"],
+            "rates": [0.05],
+        }
+    )
+    assert summary["ok"] == 1
+    workers = _live_children(server.pid)
+    assert workers  # the pool is up
+    return workers
+
+
+def _rebind(port, store):
+    """A new server binds *port*, then stops on SIGTERM."""
+    again, again_port = _start_server(port, store)
+    try:
+        assert again_port == port
+        again.send_signal(signal.SIGTERM)
+        assert again.wait(timeout=30) == 0
+    finally:
+        again.kill()
+        again.communicate(timeout=30)
+
+
 def test_sigterm_stops_workers_and_frees_the_port(tmp_path):
     server, port = _start_server(0, tmp_path / "store")
     workers = []
     try:
-        client = ServeClient(port=port)
-        client.wait_until_ready(15.0)
-        _, summary = client.submit_campaign(
-            {
-                "name": "sigterm",
-                "cycles": 300,
-                "warmup": 50,
-                "seed": 2,
-                "topologies": ["ring8"],
-                "patterns": ["uniform"],
-                "rates": [0.05],
-            }
-        )
-        assert summary["ok"] == 1
-        workers = _live_children(server.pid)
-        assert workers  # the pool is up
+        workers = _simulate_a_point(server, port)
         server.send_signal(signal.SIGTERM)
         assert server.wait(timeout=30) == 0
         deadline = time.monotonic() + 10
         while any(map(_alive, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_alive, workers))
-        again, again_port = _start_server(port, tmp_path / "store")
-        try:
-            assert again_port == port
-            again.send_signal(signal.SIGTERM)
-            assert again.wait(timeout=30) == 0
-        finally:
-            again.kill()
-            again.communicate(timeout=30)
+        _rebind(port, tmp_path / "store")
     finally:
         # Orphaned workers hold the server's pipes: kill them first.
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        server.kill()
+        server.communicate(timeout=30)
+
+
+def test_sigkill_leaves_the_port_free(tmp_path):
+    server, port = _start_server(0, tmp_path / "store")
+    workers = []
+    try:
+        workers = _simulate_a_point(server, port)
+        server.kill()
+        server.wait(timeout=30)
+        # The orphaned workers live on, without the listening socket.
+        _rebind(port, tmp_path / "store")
+    finally:
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)

@@ -23,7 +23,7 @@ class TestMain:
         assert "spidergon" in capsys.readouterr().out
 
     def test_ablations_dispatch(self, capsys):
-        assert main(["ablations", "mesh-policy"]) == 0
+        assert main(["figures", "ablation_mesh_policy"]) == 0
         assert "irregular" in capsys.readouterr().out
 
     def test_unknown_command(self, capsys):
@@ -115,6 +115,20 @@ class TestMain:
         assert "side >= 3" in capsys.readouterr().out
         # ...and malformed sweeps are caught before any run.
         assert main(["mesh3d", "--tsv", "abc"]) == 2
+
+    def test_mesh3d_pattern_that_does_not_fit(self, capsys, monkeypatch):
+        # Side 3's 2D reference is mesh3x9, which the default transpose
+        # pattern cannot run: the study stops before simulating a point.
+        from repro.experiments import parallel
+
+        simulated = []
+        monkeypatch.setattr(
+            parallel, "run_simulation", lambda *a, **k: simulated.append(a)
+        )
+        assert main(["mesh3d", "3", "--cycles", "300", "--warmup", "50"]) == 2
+        out = capsys.readouterr().out
+        assert "'transpose' does not fit mesh3x9" in out
+        assert len(simulated) == 0
 
     def test_campaign_usage_error(self, capsys):
         assert main(["campaign", "only-one-arg"]) == 2

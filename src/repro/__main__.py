@@ -4,14 +4,12 @@
 
     python -m repro info                 # library and paper summary
     python -m repro figures fig10 ...    # == repro.experiments.figures
+    python -m repro figures study_circulant   # a study, by CSV stem
     python -m repro figures all --csv results --check   # reproduction
     python -m repro campaign SPEC CSV    # declarative sweep
-    python -m repro circulant 16         # equal-cost chord study
-    python -m repro mesh3d               # 2D vs 3D TSV stacking study
     python -m repro topologies           # registered topology specs
     python -m repro engines              # registered simulation engines
     python -m repro routings             # registered routing suffixes
-    python -m repro drain                # avoidance-vs-recovery study
     python -m repro trace ring16 hotspot:0 0.1   # JSONL observability
     python -m repro chaos mesh4x4 uniform 0.1 --fail 5:6@2000
     python -m repro serve --port 8642    # campaign-as-a-service
@@ -39,8 +37,7 @@ def _info() -> int:
     print(
         "usage: python -m repro "
         "{info|figures NAME...|campaign SPEC.json OUT.csv"
-        "|circulant [N]|mesh3d [SIDE]|topologies|engines|routings"
-        "|drain|trace TOPOLOGY PATTERN RATE"
+        "|topologies|engines|routings|trace TOPOLOGY PATTERN RATE"
         "|chaos TOPOLOGY PATTERN RATE"
         "|serve|submit SPEC.json} [args...]\n"
         "       (figures takes artefact names or all, and --quick, "
@@ -812,24 +809,12 @@ def main(argv: list[str] | None = None) -> int:
         return figures_main(rest)
     if command == "campaign":
         return _campaign(rest)
-    if command == "circulant":
-        from repro.experiments.circulant import main as circulant_main
-
-        return circulant_main(rest)
-    if command == "mesh3d":
-        from repro.experiments.mesh3d import main as mesh3d_main
-
-        return mesh3d_main(rest)
     if command == "topologies":
         return _topologies()
     if command == "engines":
         return _engines()
     if command == "routings":
         return _routings()
-    if command == "drain":
-        from repro.experiments.drain import main as drain_main
-
-        return drain_main(rest)
     if command == "trace":
         return _trace(rest)
     if command == "chaos":

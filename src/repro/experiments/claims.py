@@ -2,8 +2,10 @@
 
 Every committed artefact of :data:`repro.experiments.figures.ARTEFACTS`
 carries the claims its data must show: who wins, where curves cross,
-where saturation knees sit.  :data:`CLAIMS` maps each artefact to its
-claims by name; a claim is a function of the artefact's
+where saturation knees sit, and, for the uniform-traffic studies,
+that no measured throughput exceeds the analytic capacity bound
+(:mod:`repro.analysis.capacity`).  :data:`CLAIMS` maps each artefact
+to its claims by name; a claim is a function of the artefact's
 :class:`~repro.experiments.report.FigureData` that returns whether it
 holds.  Claims read values by x value (``f.at(label, x)``), never by
 list position, so they read the committed CSV
@@ -14,9 +16,15 @@ them, and so does the tier-1 suite on the committed data.
 
 from __future__ import annotations
 
+import functools
 import math
 
+from repro.analysis.capacity import uniform_capacity
+from repro.cost.wires import total_wire_length
+from repro.experiments.drain import SWEEP_SCHEMES
 from repro.experiments.report import FigureData
+from repro.experiments.specs import parse_topology, parse_topology_routing
+from repro.routing import routing_for
 from repro.stats import detect_saturation_point
 
 #: Series labels of the paper topologies at each node count, in the
@@ -52,6 +60,49 @@ def _bigger_ring_saturates_earlier(f: FigureData) -> bool:
     system nodes increases" (checked when both rings saturate)."""
     knee16, knee24 = _knee(f, "ring16"), _knee(f, "ring24")
     return math.inf in (knee16, knee24) or knee24 <= knee16
+
+
+def _specs(f: FigureData) -> list[str]:
+    """The names of a study's ``<name>-thr`` columns, in order."""
+    return [l.removesuffix("-thr") for l in f.series if l.endswith("-thr")]
+
+
+@functools.lru_cache(maxsize=None)
+def _wire(spec: str) -> float:
+    """Total wire length of the topology *spec* (closed form)."""
+    return total_wire_length(parse_topology(spec))
+
+
+@functools.lru_cache(maxsize=None)
+def _capacity(spec: str) -> float:
+    """Uniform-traffic channel-load bound of *spec*'s routing."""
+    topology, routing = parse_topology_routing(spec)
+    return uniform_capacity(routing or routing_for(topology))
+
+
+def _within_capacity(f: FigureData, spec_of=None) -> bool:
+    """Every throughput column stays at or below the capacity bound of
+    its spec (*spec_of* maps the column names that are not specs)."""
+    spec_of = spec_of or {}
+    return all(
+        value <= _capacity(spec_of.get(name, name))
+        for name in _specs(f)
+        for value in f.column(f"{name}-thr")
+    )
+
+
+def equal_cost_candidates(f: FigureData) -> list[str]:
+    """The circulants of a circulant study whose total wire length
+    fits the Spidergon's; the diametral chord, which is the Spidergon,
+    does not count."""
+    reference, *circulants = _specs(f)
+    n = parse_topology(reference).num_nodes
+    return [
+        spec
+        for spec in circulants
+        if spec != f"circulant{n}s{n // 2}"
+        and _wire(spec) <= _wire(reference) + 1e-9
+    ]
 
 
 #: Claims by artefact, then by name.  Rates the committed grid lacks
@@ -293,6 +344,118 @@ CLAIMS = {
         "bit-complement-ring-worst": lambda f: (
             f.at("ring16", 2) <= f.at("spidergon16", 2) + 0.2
         ),
+    },
+    # N=16, uniform; the throughput at lambda 0.8 is the highest swept
+    # rate's, from one seed.
+    "study_circulant": {
+        # So s2 is the winner at equal cost whatever it measures.
+        "s2-is-the-only-cheaper-chord": lambda f: (
+            equal_cost_candidates(f) == ["circulant16s2"]
+        ),
+        "s2-beats-the-spidergon": lambda f: (
+            f.at("circulant16s2-thr", 0.8) > f.at("spidergon16-thr", 0.8)
+        ),
+        "s2-lower-latency-at-low-load": lambda f: (
+            f.at("circulant16s2-lat", 0.05) < f.at("spidergon16-lat", 0.05)
+        ),
+        # The multiplicative circulant (N = s^2) is the best chord
+        # overall, at about 30% more wire than the Spidergon.
+        "s4-is-the-unconstrained-best": lambda f: (
+            f.at("circulant16s4-thr", 0.8)
+            == max(f.at(f"{s}-thr", 0.8) for s in _specs(f))
+        ),
+        "s4-over-the-budget": lambda f: (
+            _wire("circulant16s4") > 1.25 * _wire("spidergon16")
+        ),
+        # circulant16s8 is the Spidergon graph.
+        "diametral-chord-matches-the-spidergon": lambda f: all(
+            _close(
+                f.at("circulant16s8-thr", rate),
+                f.at("spidergon16-thr", rate),
+                rel=0.05,
+            )
+            for rate in f.x_values
+        ),
+        "within-capacity": _within_capacity,
+    },
+    # N=64, TSV penalties 1/2/4; "saturation" throughput is the one at
+    # the highest swept rate, 0.45, from one seed.
+    "study_mesh3d_uniform": {
+        "free-tsvs-cut-latency": lambda f: (
+            f.at("mesh3d4x4x4-lat", 0.05) < f.at("mesh8x8-lat", 0.05)
+        ),
+        "free-tsvs-lift-throughput": lambda f: (
+            f.at("mesh3d4x4x4-thr", 0.45) > 1.5 * f.at("mesh8x8-thr", 0.45)
+        ),
+        "3d-mesh-uses-less-wire": lambda f: (
+            _wire("mesh3d4x4x4") < _wire("mesh8x8")
+        ),
+        "tsv2-throughput-matches-planar": lambda f: _close(
+            f.at("mesh3d4x4x4@tsv2-thr", 0.45),
+            f.at("mesh8x8-thr", 0.45),
+            rel=0.1,
+        ),
+        "tsv4-worse-than-planar": lambda f: (
+            f.at("mesh3d4x4x4@tsv4-thr", 0.45) < f.at("mesh8x8-thr", 0.45)
+            and f.at("mesh3d4x4x4@tsv4-lat", 0.05)
+            > f.at("mesh8x8-lat", 0.05)
+        ),
+        "torus3d-tsv2-beats-planar": lambda f: (
+            f.at("torus3d4x4x4@tsv2-thr", 0.45) > f.at("mesh8x8-thr", 0.45)
+        ),
+        "within-capacity": _within_capacity,
+    },
+    "study_mesh3d_transpose": {
+        "free-tsvs-win": lambda f: (
+            f.at("mesh3d4x4x4-thr", 0.45) > f.at("mesh8x8-thr", 0.45)
+            and f.at("mesh3d4x4x4-lat", 0.05) < f.at("mesh8x8-lat", 0.05)
+        ),
+        "tsv2-below-planar": lambda f: (
+            f.at("mesh3d4x4x4@tsv2-thr", 0.45) < f.at("mesh8x8-thr", 0.45)
+        ),
+        "tsv4-below-half-planar": lambda f: (
+            f.at("mesh3d4x4x4@tsv4-thr", 0.45)
+            < 0.5 * f.at("mesh8x8-thr", 0.45)
+        ),
+    },
+    # One sink ejects at most 1 flit/cycle, and every rate swept
+    # offers more than that.
+    "study_mesh3d_hotspot": {
+        "ejection-bound": lambda f: all(
+            value <= 1.01 for s in _specs(f) for value in f.column(f"{s}-thr")
+        ),
+        "free-tsvs-reach-the-bound": lambda f: all(
+            _close(f.at(f"{s}-thr", 0.45), 1.0, abs_tol=0.01)
+            for s in ("mesh8x8", "mesh3d4x4x4", "torus3d4x4x4")
+        ),
+        # The non-pipelined vertical links into the hot spot become
+        # the bottleneck before its ejection link does...
+        "slow-tsvs-fall-below-the-bound": lambda f: all(
+            f.at(f"{s}-thr", 0.45) < 0.9
+            for s in (
+                "mesh3d4x4x4@tsv2", "mesh3d4x4x4@tsv4", "torus3d4x4x4@tsv4"
+            )
+        ),
+        # ...except on the torus at penalty 2: its wrap gives the hot
+        # spot two vertical links in.
+        "torus3d-tsv2-reaches-the-bound": lambda f: _close(
+            f.at("torus3d4x4x4@tsv2-thr", 0.45), 1.0, abs_tol=0.01
+        ),
+    },
+    # ring8, uniform, every run under the positive control's watchdog.
+    "study_drain": {
+        "drain-stays-idle": lambda f: not any(f.column("flits_spun")),
+        "drain-leaves-adaptive-untouched": lambda f: all(
+            f.column(f"adaptive+drain-{metric}")
+            == f.column(f"adaptive-{metric}")
+            for metric in ("thr", "lat")
+        ),
+        "adaptive-flows-like-dateline": lambda f: all(
+            _close(f.at("adaptive-thr", rate), f.at("dateline-thr", rate),
+                   rel=0.01)
+            for rate in f.x_values
+        ),
+        "within-capacity": lambda f: _within_capacity(f, SWEEP_SCHEMES),
     },
 }
 

@@ -7,46 +7,47 @@ VCs and routing freedom.  The adaptive algorithms of
 :mod:`repro.routing.adaptive` drop it (``deadlock_free = False``) and
 pair with the DRAIN-style
 :class:`~repro.resilience.drain.DrainController` instead, which costs
-nothing until a deadlock actually forms.  This study measures both
+nothing until a deadlock actually forms.  This module measures both
 sides of that trade:
 
-* **Positive control** — a deterministic wormhole deadlock on an
-  8-ring: single VC, 4-flit packets, and three synchronized
-  all-nodes bursts to ``(i + 3) % 8``.  Without recovery the cycle
-  wedges with zero packets delivered and the stall watchdog truncates
-  the run; with a :class:`DrainController` attached every packet is
-  delivered, byte-identically across repeats.  The packet length
-  matters: 4-flit worms wedge with each head parked one hop beyond
-  its queued tail flits, which is exactly the owner-free shape the
-  drain rotation can break (see :mod:`repro.resilience.drain` on the
-  recovery bound).
+* **Positive control** (:func:`run_deadlock_control`) — a
+  deterministic wormhole deadlock on an 8-ring: single VC, 4-flit
+  packets, and three synchronized all-nodes bursts to
+  ``(i + 3) % 8``.  Without recovery the cycle wedges with zero
+  packets delivered and the stall watchdog truncates the run; with a
+  :class:`DrainController` attached every packet is delivered,
+  byte-identically across repeats.  The packet length matters: 4-flit
+  worms wedge with each head parked one hop beyond its queued tail
+  flits, which is exactly the owner-free shape the drain rotation can
+  break (see :mod:`repro.resilience.drain` on the recovery bound).
+  ``tests/resilience/test_drain.py`` pins it.
 
-* **Load sweep** — uniform traffic on the same ring comparing the
-  paper's dateline routing against minimal-adaptive with and without
-  a controller.  At sane loads the adaptive network never wedges, so
-  the controller's detection timer stays idle and the measured
-  results with and without it are identical — recovery is free until
-  needed, which is the argument for recovery over avoidance.
-
-``python -m repro drain`` runs it from the command line (``--smoke``
-for the abbreviated CI variant); measured outcomes are recorded in
-EXPERIMENTS.md.
+* **Load sweep** (:func:`drain_study`) — uniform traffic on the same
+  ring comparing the paper's dateline routing against
+  minimal-adaptive with and without a controller.  At sane loads the
+  adaptive network never wedges, so the controller's detection timer
+  stays idle and the measured results with and without it are
+  identical — recovery is free until needed, which is the argument
+  for recovery over avoidance.  ``python -m repro figures
+  study_drain`` regenerates the committed ``results/study_drain.csv``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import replace
 
+from repro.experiments.parallel import rate_points, sweep_series
+from repro.experiments.report import FigureData
+from repro.experiments.runner import SimulationSettings, run_simulation
+from repro.experiments.specs import parse_pattern, parse_topology_routing
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
-from repro.routing.adaptive import MinimalAdaptiveRouting
-from repro.routing import routing_for
 from repro.resilience.drain import DrainController
 from repro.resilience.watchdog import StallWatchdog
-from repro.experiments.specs import parse_pattern
+from repro.routing.adaptive import MinimalAdaptiveRouting
 from repro.stats.summary import RunResult
 from repro.topology.ring import RingTopology
-from repro.traffic.base import TrafficSpec
 from repro.traffic.trace import Trace, TraceEntry
 
 #: Canonical positive-control parameters (shared with the deadlock
@@ -118,255 +119,79 @@ def run_deadlock_control(
     return result
 
 
-@dataclass(slots=True)
-class SweepPoint:
-    """One injection rate of the avoidance-vs-recovery sweep."""
-
-    rate: float
-    #: scheme name -> (throughput, avg latency or None, degraded).
-    schemes: dict
-    #: Drain summary of the controller-attached adaptive run.
-    drain: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "rate": self.rate,
-            "schemes": {
-                name: {
-                    "throughput": throughput,
-                    "avg_latency": latency,
-                    "degraded": degraded,
-                }
-                for name, (throughput, latency, degraded)
-                in self.schemes.items()
-            },
-            "drain": self.drain,
-        }
-
-
-@dataclass(slots=True)
-class DrainStudy:
-    """Everything ``python -m repro drain`` measures."""
-
-    control_without: RunResult
-    control_with: RunResult
-    sweep: list
-    cycles: int
-    warmup: int
-
-    @property
-    def control_packets(self) -> int:
-        return len(DEADLOCK_BURST_TIMES) * DEADLOCK_NODES
-
-
-SWEEP_SCHEMES = ("dateline", "adaptive", "adaptive+drain")
+#: Sweep columns: scheme name -> the ring8 spec it runs.
+SWEEP_SCHEMES = {
+    "dateline": "ring8",
+    "adaptive": "ring8:adaptive",
+    "adaptive+drain": "ring8:adaptive",
+}
 
 
 def drain_study(
+    settings: SimulationSettings | None = None,
     rates=(0.05, 0.15, 0.3),
-    cycles: int = 10_000,
-    warmup: int = 2_000,
-    seed: int = 1,
-) -> DrainStudy:
-    """Run the positive control and the load sweep."""
-    sweep = []
+    workers: int = 1,
+) -> FigureData:
+    """Uniform load sweep on ring8: dateline routing against
+    minimal-adaptive routing without and with a
+    :class:`DrainController`.
+
+    Every run carries the positive control's stall watchdog.  The
+    controller is an observer, which a sweep point cannot carry, so
+    the ``adaptive+drain`` runs go through :func:`run_simulation` in
+    this process; the others fan out over *workers*.
+
+    Returns:
+        ``<scheme>-thr`` and ``<scheme>-lat`` columns per scheme, and
+        ``flits_spun``: the flits the controller forced per drain run.
+    """
+    settings = replace(
+        settings or SimulationSettings(),
+        stall_cycles=DEADLOCK_STALL_CYCLES,
+    )
+    runs = sweep_series(
+        {
+            name: rate_points(spec, "uniform", rates, settings)
+            for name, spec in SWEEP_SCHEMES.items()
+            if name != "adaptive+drain"
+        },
+        workers=workers,
+    )
+    drained = []
     for rate in rates:
-        schemes: dict = {}
-        drain_summary: dict = {}
-        for name in SWEEP_SCHEMES:
-            topology = RingTopology(DEADLOCK_NODES)
-            routing = (
-                routing_for(topology)
-                if name == "dateline"
-                else MinimalAdaptiveRouting(topology)
-            )
-            network = Network(
+        topology, routing = parse_topology_routing(
+            SWEEP_SCHEMES["adaptive+drain"]
+        )
+        drained.append(
+            run_simulation(
                 topology,
-                routing,
-                traffic=TrafficSpec(
-                    parse_pattern("uniform", topology), rate
-                ),
-                seed=seed,
-            )
-            StallWatchdog(
-                network, stall_cycles=DEADLOCK_STALL_CYCLES
-            )
-            if name == "adaptive+drain":
-                controller = DrainController(
-                    network,
-                    detect_cycles=DEADLOCK_DETECT_CYCLES,
-                    spin_interval=DEADLOCK_SPIN_INTERVAL,
-                )
-            result = network.run(cycles, warmup=warmup)
-            schemes[name] = (
-                result.throughput,
-                result.avg_latency,
-                result.degraded,
-            )
-            if name == "adaptive+drain":
-                drain_summary = controller.summary()
-            network.close()
-        sweep.append(
-            SweepPoint(rate=rate, schemes=schemes, drain=drain_summary)
-        )
-    return DrainStudy(
-        control_without=run_deadlock_control(False),
-        control_with=run_deadlock_control(True),
-        sweep=sweep,
-        cycles=cycles,
-        warmup=warmup,
-    )
-
-
-def format_study(study: DrainStudy) -> str:
-    """Render the study as an aligned text report."""
-    total = study.control_packets
-    without, with_drain = study.control_without, study.control_with
-    drain = with_drain.extra.get("drain", {})
-    lines = [
-        "== Deadlock recovery study: avoidance vs DRAIN-style drain ==",
-        "",
-        "-- positive control: ring8, 1 VC, 4-flit packets, 3 "
-        "synchronized bursts --",
-        f"without drain: degraded={without.degraded} "
-        f"delivered={without.packets_delivered}/{total} "
-        f"(stall watchdog truncated the run)",
-        f"with drain:    degraded={with_drain.degraded} "
-        f"delivered={with_drain.packets_delivered}/{total} "
-        f"avg_latency={with_drain.avg_latency:.1f} "
-        f"(detections={drain.get('stall_detections')}, "
-        f"epochs={drain.get('epochs')}, "
-        f"flits_spun={drain.get('flits_spun')}, "
-        f"recoveries={drain.get('recoveries')})",
-        "",
-        f"-- uniform sweep: ring8, {study.cycles} cycles, "
-        f"{study.warmup} warmup --",
-        f"{'rate':>6}  "
-        + "  ".join(
-            f"{name + ' thr':>16} {'lat':>8}" for name in SWEEP_SCHEMES
-        )
-        + f"  {'drain activity':>14}",
-    ]
-    for point in study.sweep:
-        cells = []
-        for name in SWEEP_SCHEMES:
-            throughput, latency, degraded = point.schemes[name]
-            lat = f"{latency:.2f}" if latency is not None else "-"
-            flag = "!" if degraded else ""
-            cells.append(f"{throughput:>16.4f}{flag} {lat:>8}")
-        activity = (
-            f"{point.drain.get('stall_detections', 0)} det/"
-            f"{point.drain.get('flits_spun', 0)} spun"
-        )
-        lines.append(
-            f"{point.rate:>6.3g}  " + "  ".join(cells)
-            + f"  {activity:>14}"
-        )
-    idle = all(
-        point.drain.get("flits_spun", 0) == 0 for point in study.sweep
-    )
-    agree = all(
-        point.schemes["adaptive"] == point.schemes["adaptive+drain"]
-        for point in study.sweep
-    )
-    if idle:
-        lines.append(
-            "drain controller stayed idle at every swept load"
-            + (
-                " and left the adaptive results untouched"
-                if agree
-                else ""
-            )
-            + " — recovery costs nothing until a deadlock forms"
-        )
-    return "\n".join(lines)
-
-
-def main(rest: list[str]) -> int:
-    """CLI entry: ``python -m repro drain [options]``."""
-    import argparse
-    import json
-    import pathlib
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro drain",
-        description="Deadlock avoidance vs DRAIN-style recovery: a "
-        "deterministic wormhole-deadlock positive control (wedges "
-        "without the controller, completes with it) plus a uniform "
-        "load sweep of dateline vs adaptive routing.",
-    )
-    parser.add_argument(
-        "--rates",
-        default="0.05,0.15,0.3",
-        help="comma-separated injection-rate sweep",
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=10_000, help="sweep run length"
-    )
-    parser.add_argument(
-        "--warmup", type=int, default=2_000, help="sweep warmup cycles"
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--json",
-        metavar="FILE",
-        help="also dump the study as JSON here",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="abbreviated CI variant: one rate, short sweep runs "
-        "(the positive control always runs in full)",
-    )
-    try:
-        args = parser.parse_args(rest)
-        rates = tuple(float(r) for r in args.rates.split(",") if r)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except ValueError:
-        print("error: bad --rates value")
-        return 2
-    if args.smoke:
-        rates = (0.1,)
-        args.cycles, args.warmup = 2_000, 400
-    if args.cycles < 1 or not 0 <= args.warmup < args.cycles:
-        print("error: need cycles >= 1 and 0 <= warmup < cycles")
-        return 2
-    study = drain_study(
-        rates=rates,
-        cycles=args.cycles,
-        warmup=args.warmup,
-        seed=args.seed,
-    )
-    print(format_study(study))
-    if args.json is not None:
-        drain = study.control_with.extra.get("drain", {})
-        payload = {
-            "control": {
-                "packets": study.control_packets,
-                "without_drain": {
-                    "degraded": study.control_without.degraded,
-                    "delivered": (
-                        study.control_without.packets_delivered
+                parse_pattern("uniform", topology),
+                rate,
+                settings,
+                routing=routing,
+                observers=(
+                    functools.partial(
+                        DrainController,
+                        detect_cycles=DEADLOCK_DETECT_CYCLES,
+                        spin_interval=DEADLOCK_SPIN_INTERVAL,
                     ),
-                },
-                "with_drain": {
-                    "degraded": study.control_with.degraded,
-                    "delivered": study.control_with.packets_delivered,
-                    "drain": drain,
-                },
-            },
-            "sweep": [point.to_dict() for point in study.sweep],
-        }
-        pathlib.Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+                ),
+            )
         )
-        print(f"full study -> {args.json}")
-    ok = (
-        study.control_without.degraded
-        and study.control_without.packets_delivered == 0
-        and not study.control_with.degraded
-        and study.control_with.packets_delivered
-        == study.control_packets
+    runs["adaptive+drain"] = drained
+    figure = FigureData(
+        "study-drain",
+        "Deadlock avoidance vs recovery on ring8, uniform traffic: "
+        "throughput (-thr), latency (-lat), forced drain moves",
+        "lambda",
+        list(rates),
     )
-    return 0 if ok else 1
+    figure.add_throughput_and_latency(runs)
+    figure.add_series(
+        "flits_spun", [r.extra["drain"]["flits_spun"] for r in drained]
+    )
+    figure.notes.append(
+        f"stall watchdog at {DEADLOCK_STALL_CYCLES} cycles on every run; "
+        f"drain detects after {DEADLOCK_DETECT_CYCLES} quiet cycles"
+    )
+    return figure

@@ -32,6 +32,8 @@ import dataclasses
 import functools
 import os
 import signal
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -70,18 +72,30 @@ def _finished(attempt: _Attempt) -> bool:
     return future.done() and future.exception() is None
 
 
-def _init_worker(listening_fds: tuple[int, ...]) -> None:
+def _exit_when_orphaned(parent: int) -> None:
+    """End this worker once *parent* is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _init_worker(listening_fds: tuple[int, ...], parent: int) -> None:
     """Reset what a forked worker inherits from the server.  Its
     SIGTERM/SIGINT handlers and their wakeup fd would keep
     ``terminate()`` from stopping it and wake the server as if the
     server itself had been signalled.  Its copies of the listening
     sockets would hold the port if the server were killed with
-    SIGKILL."""
+    SIGKILL.  A watcher thread ends the worker once *parent*, the
+    process that forked it, is gone (a SIGKILL runs no cleanup), or
+    at once if it died before this ran."""
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.default_int_handler)
     for fd in listening_fds:
         os.close(fd)
+    threading.Thread(
+        target=_exit_when_orphaned, args=(parent,), daemon=True
+    ).start()
 
 
 class PointExecutor:
@@ -235,7 +249,7 @@ class PointExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(self.listening_fds,),
+                initargs=(self.listening_fds, os.getpid()),
             )
         try:
             future = self._pool.submit(self._entry, point)

@@ -8,8 +8,8 @@ saturation knees) are the reproduction targets — see EXPERIMENTS.md
 for the paper-vs-measured comparison.
 
 The :data:`ARTEFACTS` table names every committed CSV under
-``results/``: the figures, the ablations and two extensions.  One
-command regenerates, writes and checks them all::
+``results/``: the figures, the ablations, two extensions and the
+studies.  One command regenerates, writes and checks them all::
 
     python -m repro figures fig10                  # print one table
     python -m repro figures fig10 --quick          # ~10x faster
@@ -413,6 +413,17 @@ ARTEFACTS = {
         "extensions.extension_traffic_patterns",
         {"injection_rate": 0.3},
     ),
+    "study_circulant": ("circulant.equal_cost_study", {}),
+    "study_mesh3d_uniform": ("mesh3d.stacking_study", {"pattern": "uniform"}),
+    "study_mesh3d_hotspot": (
+        "mesh3d.stacking_study",
+        {"pattern": "hotspot:0"},
+    ),
+    "study_mesh3d_transpose": (
+        "mesh3d.stacking_study",
+        {"pattern": "transpose"},
+    ),
+    "study_drain": ("drain.drain_study", {}),
 }
 
 _ANALYTICAL = {"fig2", "fig3", "ablation_mesh_policy"}
@@ -453,8 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point: print, write and check artefacts."""
     parser = argparse.ArgumentParser(
         prog="python -m repro figures",
-        description="Regenerate the paper's figures, the ablations and "
-        "the extensions as tables; write or check their CSVs.",
+        description="Regenerate the paper's figures, the ablations, "
+        "the extensions and the studies as tables; write or check "
+        "their CSVs.",
     )
     parser.add_argument(
         "names",

@@ -54,6 +54,16 @@ class FigureData:
         for label, results in by_label.items():
             self.add_series(label, [getattr(r, metric) for r in results])
 
+    def add_throughput_and_latency(self, by_label) -> None:
+        """Attach a ``<label>-thr`` throughput series per label of
+        *by_label*, then a ``<label>-lat`` mean-latency series per
+        label: the columns of a study."""
+        for suffix, metric in (("thr", "throughput"), ("lat", "avg_latency")):
+            self.add_result_series(
+                {f"{l}-{suffix}": runs for l, runs in by_label.items()},
+                metric,
+            )
+
     def column(self, label: str) -> list[float | None]:
         """The y-values of one series."""
         return self.series[label]

@@ -2,44 +2,38 @@
 
 import pytest
 
+from repro.experiments import figures
 from repro.experiments.circulant import (
-    CandidateResult,
     candidate_skips,
     equal_cost_study,
-    format_study,
-    main as circulant_main,
-    static_metrics,
+    static_note,
 )
+from repro.experiments.claims import equal_cost_candidates
 from repro.experiments.parallel import derive_seed, point_key
+from repro.experiments.report import format_table
 from repro.experiments.runner import SimulationSettings, SweepPoint
-from repro.topology import SpidergonTopology
+from repro.topology import CirculantTopology, SpidergonTopology
 from repro.cost.wires import total_wire_length
 
 FAST = SimulationSettings(cycles=1_200, warmup=200, seed=5)
 
 
+def wire(num_nodes, skip=None):
+    if skip is None:
+        return total_wire_length(SpidergonTopology(num_nodes))
+    return total_wire_length(CirculantTopology(num_nodes, skip))
+
+
 class TestStaticMetrics:
     def test_reference_is_the_spidergon(self):
-        reference = static_metrics(16, None)
-        assert reference.spec == "spidergon16"
-        assert reference.is_reference
-        assert reference.num_links == 48
-        assert reference.wire_length == pytest.approx(
-            total_wire_length(SpidergonTopology(16))
+        assert static_note(16, None) == (
+            f"spidergon16: ND 4, E[D] 2.438, links 48, wire {wire(16):.2f}"
         )
 
     def test_diametral_candidate_matches_reference(self):
         # circulant16s8 IS the Spidergon; every static number agrees.
-        reference = static_metrics(16, None)
-        diametral = static_metrics(16, 8)
-        assert diametral.diameter == reference.diameter
-        assert diametral.average_distance == pytest.approx(
-            reference.average_distance
-        )
-        assert diametral.num_links == reference.num_links
-        assert diametral.wire_length == pytest.approx(
-            reference.wire_length
-        )
+        reference = static_note(16, None).split(": ")[1]
+        assert static_note(16, 8) == f"circulant16s8: {reference}"
 
     def test_candidate_skips_cover_canonical_range(self):
         assert candidate_skips(16) == [2, 3, 4, 5, 6, 7, 8]
@@ -47,10 +41,7 @@ class TestStaticMetrics:
     def test_short_chords_cost_less_wire(self):
         # sin is increasing on [0, pi/2]: shorter chords, less wire
         # even with 4N links vs the Spidergon's 3N at N=16.
-        assert (
-            static_metrics(16, 2).wire_length
-            < static_metrics(16, None).wire_length
-        )
+        assert wire(16, 2) < wire(16)
 
 
 class TestStudy:
@@ -63,82 +54,64 @@ class TestStudy:
             equal_cost_study(8, rates=(), settings=FAST)
 
     def test_study_shape_and_winner(self):
-        study = equal_cost_study(
+        figure = equal_cost_study(
             8, rates=(0.05, 0.5), settings=FAST, skips=[2, 3, 4]
         )
-        assert [c.skip for c in study.candidates] == [2, 3, 4]
-        assert study.reference.latency is not None
-        for candidate in study.candidates:
-            assert len(candidate.throughput_curve) == 2
-            assert candidate.saturation_throughput is not None
-        # The diametral candidate (s=4 == N/2) never wins: it is the
-        # reference itself.
-        if study.winner is not None:
-            assert study.winner.skip != 4
-            assert (
-                study.winner.wire_length
-                <= study.reference.wire_length + 1e-9
-            )
+        specs = ["spidergon8", "circulant8s2", "circulant8s3", "circulant8s4"]
+        assert list(figure.series) == [f"{s}-thr" for s in specs] + [
+            f"{s}-lat" for s in specs
+        ]
+        assert all(len(column) == 2 for column in figure.series.values())
+        # The diametral candidate (s=4 == N/2) never wins at equal
+        # cost: it is the reference itself.
+        assert "circulant8s4" not in equal_cost_candidates(figure)
 
     def test_figure_has_one_series_per_topology(self):
-        study = equal_cost_study(
+        figure = equal_cost_study(
             8, rates=(0.3,), settings=FAST, skips=[2]
         )
-        assert set(study.figure.series) == {"spidergon8", "circulant8s2"}
+        assert set(figure.series) == {
+            "spidergon8-thr", "circulant8s2-thr",
+            "spidergon8-lat", "circulant8s2-lat",
+        }
 
-    def test_format_study_reports_winner_line(self):
-        study = equal_cost_study(
-            8, rates=(0.05, 0.5), settings=FAST, skips=[2, 3]
+    def test_table_notes_carry_static_metrics(self):
+        figure = equal_cost_study(
+            8, rates=(0.05,), settings=FAST, skips=[2, 3]
         )
-        text = format_study(study)
-        assert "spidergon8" in text
-        assert "circulant8s2" in text
-        if study.winner is not None:
-            assert "winner at equal cost" in text
+        text = format_table(figure)
+        for skip in (None, 2, 3):
+            assert f"({static_note(8, skip)})" in text
+        assert "equal-cost rule" in text
 
     def test_equal_cost_filter_matches_wire_rule(self):
-        study = equal_cost_study(
+        figure = equal_cost_study(
             8, rates=(0.3,), settings=FAST, skips=[2, 3, 4]
         )
-        budget = study.reference.wire_length
-        assert {c.spec for c in study.equal_cost_candidates} == {
-            c.spec
-            for c in study.candidates
-            if c.wire_length <= budget + 1e-9
-        }
-        # The diametral candidate always fits (it IS the reference).
-        assert "circulant8s4" in {
-            c.spec for c in study.equal_cost_candidates
-        }
+        # The diametral candidate fits (it IS the reference) but does
+        # not count.
+        assert equal_cost_candidates(figure) == [
+            f"circulant8s{skip}"
+            for skip in (2, 3)
+            if wire(8, skip) <= wire(8) + 1e-9
+        ]
 
     def test_short_chord_fits_budget_at_n16(self):
         # At N=16 the s=2 circulant undercuts the Spidergon's wire
         # budget despite its 4N links — the regime the study exploits.
-        assert (
-            static_metrics(16, 2).wire_length
-            < static_metrics(16, None).wire_length
-        )
+        assert wire(16, 2) < wire(16)
         # ... but at N=8 it does not: the link-count overhead wins.
-        assert (
-            static_metrics(8, 2).wire_length
-            > static_metrics(8, None).wire_length
-        )
+        assert wire(8, 2) > wire(8)
 
 
 class TestCli:
-    def test_main_runs(self, capsys):
-        code = circulant_main(
-            ["8", "--rates", "0.05,0.4", "--cycles", "1200",
-             "--warmup", "200"]
-        )
+    def test_main_runs(self, monkeypatch, capsys):
+        # The study's command line is its artefact of ``repro figures``.
+        monkeypatch.setattr(figures, "SETTINGS", FAST)
+        assert figures.main(["study_circulant", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "equal-cost circulant study" in out
-        assert "ext-circulant" in out
-
-    def test_main_rejects_odd_n(self, capsys):
-        assert circulant_main(["9"]) == 2
-        assert "even" in capsys.readouterr().out
+        assert "== study-circulant:" in out
+        assert "circulant16s2-thr" in out
 
 
 class TestCacheKeys:
@@ -186,16 +159,3 @@ class TestCacheKeys:
         )
         with pytest.raises(ValueError):
             campaign.validate()
-
-    def test_candidate_result_defaults(self):
-        candidate = CandidateResult(
-            spec="circulant8s2",
-            skip=2,
-            diameter=2,
-            average_distance=1.5,
-            num_links=32,
-            wire_length=30.0,
-        )
-        assert candidate.latency is None
-        assert candidate.throughput_curve == []
-        assert not candidate.is_reference

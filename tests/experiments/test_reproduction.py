@@ -49,6 +49,16 @@ class TestMutations:
             "single-vc-ring-collapses"
         ]
 
+    def test_circulant_below_the_spidergon_fails_its_claim(self):
+        figure = committed("study_circulant")
+        column = figure.column("circulant16s2-thr")
+        column[figure.x_values.index(0.8)] = (
+            figure.at("spidergon16-thr", 0.8) - 0.1
+        )
+        assert failed_claims("study_circulant", figure) == [
+            "s2-beats-the-spidergon"
+        ]
+
     def test_missing_measurement_fails_its_claim(self):
         figure = committed("fig10")
         column = figure.column("mesh4x6")

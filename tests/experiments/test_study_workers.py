@@ -1,5 +1,5 @@
-"""Every study runs its points through ``execute_points``: its output
-is the same for any worker count."""
+"""Every study runs its points through ``execute_points``: the
+``FigureData`` it returns is the same for any worker count."""
 
 import functools
 
@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import ablations, extensions
 from repro.experiments.circulant import equal_cost_study
+from repro.experiments.drain import drain_study
 from repro.experiments.mesh3d import stacking_study
 from repro.experiments.runner import SimulationSettings
 from repro.noc.config import NocConfig
@@ -59,11 +60,12 @@ STUDIES = {
     "stacking": functools.partial(
         stacking_study,
         3,
-        patterns=("uniform", "hotspot:0"),
+        pattern="hotspot:0",
         tsv_latencies=(1, 2),
         rates=(0.1,),
         settings=SMOKE,
     ),
+    "drain": functools.partial(drain_study, SMOKE, rates=(0.1, 0.3)),
 }
 
 

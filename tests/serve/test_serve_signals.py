@@ -4,8 +4,8 @@ its port even when killed.
 The server runs as a real subprocess.  After it has simulated a point
 (so its worker pool exists), SIGTERM must make it exit with status 0,
 leave none of its worker processes running, and free its port for a
-new server.  SIGKILL leaves the workers running, but they must not
-hold the port.
+new server.  SIGKILL runs no cleanup: the orphaned workers must not
+hold the port, and must exit on their own within a few seconds.
 """
 
 import os
@@ -78,6 +78,14 @@ def _alive(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+def _wait_for_exit(pids, seconds):
+    """Whether every process of *pids* has exited within *seconds*."""
+    deadline = time.monotonic() + seconds
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return not any(map(_alive, pids))
+
+
 def _simulate_a_point(server, port):
     """Submit one point; return the server's worker pids."""
     client = ServeClient(port=port)
@@ -118,10 +126,7 @@ def test_sigterm_stops_workers_and_frees_the_port(tmp_path):
         workers = _simulate_a_point(server, port)
         server.send_signal(signal.SIGTERM)
         assert server.wait(timeout=30) == 0
-        deadline = time.monotonic() + 10
-        while any(map(_alive, workers)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not any(map(_alive, workers))
+        assert _wait_for_exit(workers, 10)
         _rebind(port, tmp_path / "store")
     finally:
         # Orphaned workers hold the server's pipes: kill them first.
@@ -139,9 +144,12 @@ def test_sigkill_leaves_the_port_free(tmp_path):
         workers = _simulate_a_point(server, port)
         server.kill()
         server.wait(timeout=30)
-        # The orphaned workers live on, without the listening socket.
+        # The orphaned workers do not hold the listening socket...
         _rebind(port, tmp_path / "store")
+        # ...and notice they are orphaned and exit.
+        assert _wait_for_exit(workers, 5)
     finally:
+        # Only a failed run leaves workers behind to clean up.
         for pid in workers:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)

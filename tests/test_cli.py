@@ -3,8 +3,14 @@
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.__main__ import main
+from repro.experiments.runner import SimulationSettings
+
+#: ``--quick`` scales this to 100 cycles: enough to print a table.
+TINY = SimulationSettings(cycles=1_000, warmup=200, seed=1)
 
 
 class TestMain:
@@ -28,6 +34,11 @@ class TestMain:
 
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
+        # The studies run as artefacts of ``figures``; their old
+        # commands are gone, with no alias.
+        for command in ("circulant", "mesh3d", "drain"):
+            assert main([command]) == 2
+            assert f"unknown command {command!r}" in capsys.readouterr().out
 
     def test_campaign_dispatch(self, tmp_path, capsys):
         import json
@@ -93,42 +104,26 @@ class TestMain:
         assert "torus3d4x4x4@tsv2" in out
         assert "faulty" in out
 
-    def test_mesh3d_dispatch(self, capsys):
-        assert main(
-            [
-                "mesh3d", "3",
-                "--patterns", "uniform",
-                "--tsv", "2",
-                "--rates", "0.1",
-                "--cycles", "400",
-                "--warmup", "100",
-            ]
-        ) == 0
+    def test_mesh3d_dispatch(self, capsys, monkeypatch):
+        from repro.experiments import figures
+
+        monkeypatch.setattr(figures, "SETTINGS", TINY)
+        assert main(["figures", "study_mesh3d_transpose", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "mesh3d3x3x3@tsv2" in out
-        assert "torus3d3x3x3@tsv2" in out
-        assert "uniform traffic" in out
+        assert "N=64, transpose traffic" in out
+        assert "mesh3d4x4x4@tsv4-thr" in out
+        assert "torus3d4x4x4@tsv2-lat" in out
 
     def test_mesh3d_usage_errors(self, capsys):
-        # Side below the torus3d minimum fails fast...
-        assert main(["mesh3d", "2"]) == 2
-        assert "side >= 3" in capsys.readouterr().out
-        # ...and malformed sweeps are caught before any run.
-        assert main(["mesh3d", "--tsv", "abc"]) == 2
+        # Only the committed configurations are artefacts...
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "study_mesh3d"])
+        assert exc.value.code == 2
+        # ...and a side below the torus3d minimum fails fast.
+        from repro.experiments.mesh3d import stacking_study
 
-    def test_mesh3d_pattern_that_does_not_fit(self, capsys, monkeypatch):
-        # Side 3's 2D reference is mesh3x9, which the default transpose
-        # pattern cannot run: the study stops before simulating a point.
-        from repro.experiments import parallel
-
-        simulated = []
-        monkeypatch.setattr(
-            parallel, "run_simulation", lambda *a, **k: simulated.append(a)
-        )
-        assert main(["mesh3d", "3", "--cycles", "300", "--warmup", "50"]) == 2
-        out = capsys.readouterr().out
-        assert "'transpose' does not fit mesh3x9" in out
-        assert len(simulated) == 0
+        with pytest.raises(ValueError, match="side >= 3"):
+            stacking_study(2)
 
     def test_campaign_usage_error(self, capsys):
         assert main(["campaign", "only-one-arg"]) == 2
@@ -139,14 +134,21 @@ class TestMain:
         assert "adaptive" in out
         assert "mesh4x4:adaptive" in out
 
-    def test_drain_smoke(self, capsys):
-        assert main(["drain", "--smoke"]) == 0
+    def test_drain_smoke(self, capsys, monkeypatch):
+        # The positive control is pinned in tests/resilience/test_drain.py.
+        from repro.experiments import figures
+
+        monkeypatch.setattr(figures, "SETTINGS", TINY)
+        assert main(["figures", "study_drain", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "without drain: degraded=True delivered=0/24" in out
-        assert "with drain:    degraded=False delivered=24/24" in out
+        assert "adaptive+drain-thr" in out
+        assert "flits_spun" in out
 
     def test_drain_usage_error(self, capsys):
-        assert main(["drain", "--rates", "abc"]) == 2
+        # The study takes no options of its own any more.
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "study_drain", "--rates", "0.1"])
+        assert exc.value.code == 2
 
     def test_trace_accepts_routing_suffix(self, tmp_path, capsys):
         out_path = tmp_path / "trace.jsonl"

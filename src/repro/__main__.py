@@ -10,14 +10,18 @@
     python -m repro topologies           # registered topology specs
     python -m repro engines              # registered simulation engines
     python -m repro routings             # registered routing suffixes
-    python -m repro trace ring16 hotspot:0 0.1   # JSONL observability
-    python -m repro chaos mesh4x4 uniform 0.1 --fail 5:6@2000
+    python -m repro run mesh4x4 uniform 0.1 fail=5:6@2000   # one point
+    python -m repro run ring16 hotspot:0 0.1 --trace out.jsonl
     python -m repro serve --port 8642    # campaign-as-a-service
     python -m repro submit SPEC.json     # stream a campaign to it
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import json
+import pathlib
 import sys
 
 
@@ -35,32 +39,46 @@ def _info() -> int:
     print("artefacts:", " ".join(ARTEFACTS))
     print()
     print(
-        "usage: python -m repro "
-        "{info|figures NAME...|campaign SPEC.json OUT.csv"
-        "|topologies|engines|routings|trace TOPOLOGY PATTERN RATE"
-        "|chaos TOPOLOGY PATTERN RATE"
-        "|serve|submit SPEC.json} [args...]\n"
-        "       (figures takes artefact names or all, and --quick, "
-        "--chart, --csv DIR, and --check\n"
-        "        with --csv DIR to compare the CSVs and check the "
-        "claims; figures and campaign\n"
-        "        accept --workers N; campaign also --no-cache, "
-        "--cache-dir DIR,\n"
-        "        --timeout S, --retries N, --resume; trace accepts "
-        "--cycles, --warmup, --seed,\n"
-        "        --window, --out, --limit, --no-flits; chaos accepts "
-        "--fail SRC:DST@T[:REPAIR_T],\n"
-        "        --random-faults N@T, --stall N, --audit N, --json "
-        "FILE; serve accepts --host,\n"
-        "        --port, --workers, --store DIR, --timeout, "
-        "--retries; submit accepts --host,\n"
-        "        --port, --wait S, --out FILE, --quiet)"
+        "usage: python -m repro {info|figures|campaign|topologies|engines"
+        "|routings|run|serve|submit} [args...]\n"
+        "       figures, campaign, run, serve and submit list their "
+        "options with --help"
     )
     return 0
 
 
+def _parse_executor_args(parser, rest, workers: int, workers_help: str):
+    """Add the executor options to *parser* and parse *rest*; options
+    no run could honour are usage errors."""
+    from repro.experiments.parallel import check_options
+
+    parser.add_argument(
+        "--workers", type=int, default=workers, metavar="N", help=workers_help
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        metavar="S",
+        help="per-point deadline in seconds; a point past it has its "
+        "worker terminated and is retried or failed",
+    )
+    parser.add_argument(
+        "--retries",
+        type=int,
+        default=0,
+        metavar="N",
+        help="extra attempts per crashed, timed-out or failed point "
+        "(default 0)",
+    )
+    args = parser.parse_args(rest)
+    try:
+        check_options(args.workers, args.timeout, args.retries)
+    except ValueError as exc:
+        parser.error(f"--{exc}")
+    return args
+
+
 def _serve(rest: list[str]) -> int:
-    import argparse
     import asyncio
     import signal
 
@@ -87,13 +105,6 @@ def _serve(rest: list[str]) -> int:
         "printed on startup)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="persistent worker processes (default 2)",
-    )
-    parser.add_argument(
         "--store",
         metavar="DIR",
         default=".repro-store",
@@ -101,29 +112,10 @@ def _serve(rest: list[str]) -> int:
         ".repro-store; compatible with campaign .repro-cache "
         "directories)",
     )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-point deadline in seconds of run time; a point past "
-        "it has its worker terminated and is retried or failed",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra attempts per crashed / failed point (default 0)",
-    )
     try:
-        args = parser.parse_args(rest)
-        if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
-        if args.timeout is not None and args.timeout <= 0:
-            parser.error(f"--timeout must be > 0, got {args.timeout}")
-        if args.retries < 0:
-            parser.error(f"--retries must be >= 0, got {args.retries}")
+        args = _parse_executor_args(
+            parser, rest, 2, "persistent worker processes (default 2)"
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -157,11 +149,6 @@ def _serve(rest: list[str]) -> int:
 
 
 def _submit(rest: list[str]) -> int:
-    import argparse
-    import json as _json
-    import pathlib
-    import sys as _sys
-
     from repro.serve.client import ServeClient, ServerError
 
     parser = argparse.ArgumentParser(
@@ -197,16 +184,16 @@ def _submit(rest: list[str]) -> int:
         return int(exc.code or 0)
 
     try:
-        spec = _json.loads(pathlib.Path(args.spec).read_text())
-    except (OSError, _json.JSONDecodeError) as exc:
-        print(f"error: cannot read spec: {exc}", file=_sys.stderr)
+        spec = json.loads(pathlib.Path(args.spec).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return 2
     client = ServeClient(args.host, args.port)
     try:
         if args.wait > 0:
             client.wait_until_ready(args.wait)
     except TimeoutError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     out_handle = None
@@ -217,7 +204,7 @@ def _submit(rest: list[str]) -> int:
     try:
         for entry in client.submit(spec):
             if out_handle is not None:
-                out_handle.write(_json.dumps(entry) + "\n")
+                out_handle.write(json.dumps(entry) + "\n")
                 out_handle.flush()
             if entry.get("type") == "summary":
                 summary = entry
@@ -235,13 +222,13 @@ def _submit(rest: list[str]) -> int:
                     f"[{done}] {label} {entry['source']} {status}"
                 )
     except (ConnectionError, OSError, ServerError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if out_handle is not None:
             out_handle.close()
     if summary is None:
-        print("error: stream ended without a summary", file=_sys.stderr)
+        print("error: stream ended without a summary", file=sys.stderr)
         return 2
     print(
         f"{summary['points']} points: {summary['store_hits']} store "
@@ -251,37 +238,34 @@ def _submit(rest: list[str]) -> int:
     return 1 if summary["failed"] else 0
 
 
-def _topologies() -> int:
+def _print_columns(rows) -> None:
+    """Print rows of strings with every column but the last padded."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    widths[-1] = 0
+    for row in rows:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+
+
+def _topologies(rest: list[str]) -> int:
     from repro.experiments.specs import available_topologies
 
-    families = available_topologies()
-    width = max(len(f.prefix) for f in families)
-    example_width = max(len(f.example) for f in families)
-    for family in families:
-        print(
-            f"{family.prefix:<{width}}  "
-            f"{family.example:<{example_width}}  {family.description}"
-        )
+    _print_columns(
+        [(f.prefix, f.example, f.description) for f in available_topologies()]
+    )
     return 0
 
 
-def _engines() -> int:
+def _engines(rest: list[str]) -> int:
     from repro.sim import available_engines
 
-    families = available_engines()
-    width = max(len(f.name) for f in families)
-    for family in families:
-        print(f"{family.name:<{width}}  {family.description}")
+    _print_columns([(f.name, f.description) for f in available_engines()])
     return 0
 
 
-def _routings() -> int:
+def _routings(rest: list[str]) -> int:
     from repro.experiments.specs import available_routings
 
-    families = available_routings()
-    width = max(len(f.name) for f in families)
-    for family in families:
-        print(f"{family.name:<{width}}  {family.description}")
+    _print_columns([(f.name, f.description) for f in available_routings()])
     print()
     print(
         "append as a topology-spec suffix, e.g. mesh4x4:adaptive "
@@ -290,10 +274,13 @@ def _routings() -> int:
     return 0
 
 
-def _campaign(rest: list[str]) -> int:
-    import argparse
-    import pathlib
+def _figures(rest: list[str]) -> int:
+    from repro.experiments.figures import main as figures_main
 
+    return figures_main(rest)
+
+
+def _campaign(rest: list[str]) -> int:
     from repro.experiments.campaign import Campaign
     from repro.experiments.report import format_execution_summary
 
@@ -303,14 +290,6 @@ def _campaign(rest: list[str]) -> int:
     )
     parser.add_argument("spec", help="campaign spec (JSON file)")
     parser.add_argument("csv", help="output CSV (appended, resumable)")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1); any value produces "
-        "identical rows because seeds derive from sweep coordinates",
-    )
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -323,39 +302,23 @@ def _campaign(rest: list[str]) -> int:
         "the CSV)",
     )
     parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-point wall-clock deadline in seconds; selects the "
-        "crash-tolerant executor",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        metavar="N",
-        help="extra attempts per crashed / timed-out / failed point "
-        "(default 0)",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
         help="keep the outcome manifest from the previous run and "
         "skip every point it already marks ok",
     )
     try:
-        args = parser.parse_args(rest)
-        if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
-        if args.timeout is not None and args.timeout <= 0:
-            parser.error(f"--timeout must be > 0, got {args.timeout}")
-        if args.retries < 0:
-            parser.error(f"--retries must be >= 0, got {args.retries}")
+        args = _parse_executor_args(
+            parser,
+            rest,
+            1,
+            "worker processes (default 1); any value produces identical "
+            "rows because seeds derive from sweep coordinates",
+        )
     except SystemExit as exc:
         return int(exc.code or 0)
-    campaign = Campaign.from_json(pathlib.Path(args.spec).read_text())
     try:
+        campaign = Campaign.from_json(pathlib.Path(args.spec).read_text())
         campaign.validate()
     except ValueError as exc:
         print(f"error: {exc}")
@@ -391,97 +354,43 @@ def _campaign(rest: list[str]) -> int:
     return 0
 
 
-def _chaos(rest: list[str]) -> int:
-    import argparse
-    import json as _json
-    import pathlib
-    import re
-    import sys as _sys
-
-    from repro.experiments.runner import (
-        SimulationSettings,
-        run_simulation,
-    )
+def _run(rest: list[str]) -> int:
+    from repro.experiments.runner import run_simulation
     from repro.experiments.specs import (
+        RUN_KEYS,
         parse_pattern,
+        parse_point,
         parse_topology_routing,
     )
-    from repro.noc.config import NocConfig
-    from repro.resilience import FaultEvent, FaultPlan
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description="Run one simulation under runtime link faults "
-        "with the stall watchdog and periodic invariant audits "
-        "attached, then print the resilience report.",
-    )
-    parser.add_argument("topology", help="topology spec, e.g. mesh4x4")
-    parser.add_argument(
-        "pattern", help="traffic spec, e.g. uniform or hotspot:0"
-    )
-    parser.add_argument(
-        "rate", type=float, help="injection rate (flits/cycle/source)"
+        prog="python -m repro run",
+        description="Run one simulation point and print its report: "
+        "the fault plan and log, the summary line and, after a stall, "
+        "the watchdog's snapshot.  Exits 1 when the run is degraded.",
+        epilog="KEYs: " + ", ".join(RUN_KEYS) + " (random_faults="
+        "COUNT@AT[:REPAIR_AFTER]), and fail=SRC:DST@T[:REPAIR_T], "
+        "repeatable.",
     )
     parser.add_argument(
-        "--cycles", type=int, default=20_000, help="run length"
+        "point",
+        nargs="+",
+        metavar="POINT",
+        help="TOPOLOGY[:ROUTING] PATTERN RATE [KEY=VALUE ...]",
     )
     parser.add_argument(
-        "--warmup",
+        "--trace",
+        metavar="FILE",
+        help="write the run here as JSONL: flit lifecycle records, "
+        "per-link utilization and the timeline (when the point sets "
+        "timeline_window), and a summary with the kernel profile",
+    )
+    parser.add_argument(
+        "--limit",
         type=int,
-        default=4_000,
-        help="cycles excluded from the summary metrics",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--fail",
-        action="append",
-        default=[],
-        metavar="SRC:DST@T[:REPAIR_T]",
-        help="fail link SRC-DST at cycle T, optionally repairing it "
-        "at REPAIR_T; repeatable",
-    )
-    parser.add_argument(
-        "--random-faults",
-        metavar="N@T",
-        help="fail N random links at cycle T instead of --fail "
-        "(deterministic in topology, N, T and --fault-seed)",
-    )
-    parser.add_argument(
-        "--repair-after",
-        type=int,
-        default=None,
-        metavar="D",
-        help="with --random-faults: repair each link D cycles after "
-        "it failed",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        metavar="S",
-        help="seed for --random-faults picks (default: --seed)",
-    )
-    parser.add_argument(
-        "--stall",
-        type=int,
-        default=2_000,
         metavar="N",
-        help="stall-watchdog threshold in cycles without a consumed "
-        "flit (default 2000; 0 disables)",
-    )
-    parser.add_argument(
-        "--audit",
-        type=int,
-        default=0,
-        metavar="N",
-        help="run the full invariant suite every N cycles (0 = off)",
-    )
-    parser.add_argument(
-        "--source-queue",
-        type=int,
-        default=64,
-        metavar="PKTS",
-        help="IP memory bound in packets",
+        help="with --trace: cap the flit records at N, 0 for none "
+        "(dropped ones are counted in the summary)",
     )
     parser.add_argument(
         "--json",
@@ -490,79 +399,58 @@ def _chaos(rest: list[str]) -> int:
     )
     try:
         args = parser.parse_args(rest)
-        if args.cycles < 1:
-            parser.error(f"--cycles must be >= 1, got {args.cycles}")
-        if not 0 <= args.warmup < args.cycles:
-            parser.error(
-                f"--warmup must be in [0, cycles), got {args.warmup}"
-            )
-        if args.fail and args.random_faults:
-            parser.error("--fail and --random-faults are exclusive")
-        if not args.fail and not args.random_faults:
-            parser.error("need at least one --fail or --random-faults")
+        if args.limit is not None and (args.trace is None or args.limit < 0):
+            parser.error("--limit needs --trace and must be >= 0")
+        point = parse_point(args.point)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    try:
-        topology, routing = parse_topology_routing(args.topology)
-        pattern = parse_pattern(args.pattern, topology)
-        if args.random_faults:
-            match = re.fullmatch(r"(\d+)@(\d+)", args.random_faults)
-            if match is None:
-                raise ValueError(
-                    f"--random-faults must look like N@T, got "
-                    f"{args.random_faults!r}"
-                )
-            plan = FaultPlan.random_faults(
-                topology,
-                count=int(match.group(1)),
-                at=int(match.group(2)),
-                repair_after=args.repair_after,
-                seed=(
-                    args.fault_seed
-                    if args.fault_seed is not None
-                    else args.seed
-                ),
-            )
-        else:
-            events = []
-            for spec in args.fail:
-                match = re.fullmatch(
-                    r"(\d+):(\d+)@(\d+)(?::(\d+))?", spec
-                )
-                if match is None:
-                    raise ValueError(
-                        f"--fail must look like SRC:DST@T[:REPAIR_T], "
-                        f"got {spec!r}"
-                    )
-                src, dst, at = (int(match.group(i)) for i in (1, 2, 3))
-                events.append(FaultEvent(at, src, dst, "fail"))
-                if match.group(4) is not None:
-                    events.append(
-                        FaultEvent(
-                            int(match.group(4)), src, dst, "repair"
-                        )
-                    )
-            plan = FaultPlan(tuple(events))
-        plan.validate_for(topology)
     except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    settings = SimulationSettings(
-        cycles=args.cycles,
-        warmup=args.warmup,
-        config=NocConfig(source_queue_packets=args.source_queue),
-        seed=args.seed,
-        fault_plan=plan,
-        stall_cycles=args.stall or None,
-        invariant_check_interval=args.audit,
-    )
-    result = run_simulation(
-        topology, pattern, args.rate, settings, routing=routing
-    )
+    topology, routing = parse_topology_routing(point.topology)
+    pattern = parse_pattern(point.pattern, topology)
+    settings = point.settings
+    with contextlib.ExitStack() as stack:
+        observers = []
+        if args.trace is not None:
+            from repro.obs import FlitTracer, TraceSink
 
-    for event in plan.events:
+            networks = []
+            observers.append(networks.append)
+
+            sink = stack.enter_context(
+                TraceSink.to_path(args.trace, limit=args.limit or None)
+            )
+            sink.write(
+                {
+                    "type": "meta",
+                    "topology": point.topology,
+                    "pattern": point.pattern,
+                    "rate": point.rate,
+                    "cycles": settings.cycles,
+                    "warmup": settings.warmup,
+                    "seed": settings.seed,
+                    "window": settings.timeline_window,
+                    "num_nodes": topology.num_nodes,
+                }
+            )
+            if args.limit != 0:
+                observers.append(lambda network: FlitTracer(network, sink))
+        result = run_simulation(
+            topology,
+            pattern,
+            point.rate,
+            settings,
+            routing=routing,
+            observers=observers,
+            profile=args.trace is not None,
+        )
+        if args.trace is not None:
+            _write_trace_tail(sink, result, networks[0])
+
+    plan = settings.fault_plan.events if settings.fault_plan else ()
+    for event in plan:
         print(
             f"plan: {event.action} {event.src}-{event.dst} "
             f"at cycle {event.time}"
@@ -597,205 +485,73 @@ def _chaos(rest: list[str]) -> int:
             for k, v in stall.items()
             if k not in ("reason", "blocked_routers")
         }
-        print(f"stall snapshot: {_json.dumps(snapshot, sort_keys=True)}")
+        print(f"stall snapshot: {json.dumps(snapshot, sort_keys=True)}")
+    if args.trace is not None:
+        print(f"trace: {sink.records_written} records -> {args.trace}")
     if args.json is not None:
         pathlib.Path(args.json).write_text(
-            _json.dumps(result.to_dict(), indent=2, sort_keys=True)
+            json.dumps(result.to_dict(), indent=2, sort_keys=True)
             + "\n"
         )
         print(f"full result -> {args.json}")
     return 1 if result.degraded else 0
 
 
-def _trace(rest: list[str]) -> int:
-    import argparse
-    import contextlib
-    import sys as _sys
+def _write_trace_tail(sink, result, network) -> None:
+    """The records of a traced run after its flit records: one per
+    link, busiest first, and the timeline (when the run kept one),
+    then the summary."""
+    from repro.stats.utilization import UtilizationTimeline
 
-    from repro.experiments.specs import (
-        parse_pattern,
-        parse_topology_routing,
-    )
-    from repro.noc.config import NocConfig
-    from repro.noc.network import Network
-    from repro.obs import (
-        FlitTracer,
-        KernelProfiler,
-        TimelineObserver,
-        TraceSink,
-    )
-    from repro.traffic.base import TrafficSpec
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description="Run one simulation with the observability layer "
-        "attached and stream it as JSONL: flit lifecycle records, "
-        "per-link utilization, the windowed timeline, and a kernel "
-        "profile.",
-    )
-    parser.add_argument("topology", help="topology spec, e.g. ring16")
-    parser.add_argument(
-        "pattern", help="traffic spec, e.g. uniform or hotspot:0"
-    )
-    parser.add_argument(
-        "rate", type=float, help="injection rate (flits/cycle/source)"
-    )
-    parser.add_argument(
-        "--cycles", type=int, default=2_000, help="run length"
-    )
-    parser.add_argument(
-        "--warmup",
-        type=int,
-        default=0,
-        help="cycles excluded from the summary metrics",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=100,
-        metavar="W",
-        help="utilization-timeline window width in cycles",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        help="write the JSONL here instead of stdout",
-    )
-    parser.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap flit-lifecycle records (dropped ones are counted "
-        "in the summary)",
-    )
-    parser.add_argument(
-        "--no-flits",
-        action="store_true",
-        help="skip per-flit lifecycle records (timeline and summary "
-        "only)",
-    )
-    parser.add_argument(
-        "--source-queue",
-        type=int,
-        default=64,
-        metavar="PKTS",
-        help="IP memory bound in packets",
-    )
-    try:
-        args = parser.parse_args(rest)
-        if args.cycles < 1:
-            parser.error(f"--cycles must be >= 1, got {args.cycles}")
-        if not 0 <= args.warmup < args.cycles:
-            parser.error(
-                f"--warmup must be in [0, cycles), got {args.warmup}"
-            )
-        if args.window < 1:
-            parser.error(f"--window must be >= 1, got {args.window}")
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
-        topology, routing = parse_topology_routing(args.topology)
-        pattern = parse_pattern(args.pattern, topology)
-    except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-
-    network = Network(
-        topology,
-        routing,
-        config=NocConfig(source_queue_packets=args.source_queue),
-        traffic=TrafficSpec(pattern, args.rate),
-        seed=args.seed,
-    )
-    with contextlib.ExitStack() as stack:
-        if args.out is not None:
-            sink = stack.enter_context(
-                TraceSink.to_path(args.out, limit=args.limit)
-            )
-        else:
-            sink = TraceSink(_sys.stdout, limit=args.limit)
-        sink.write(
-            {
-                "type": "meta",
-                "topology": args.topology,
-                "pattern": args.pattern,
-                "rate": args.rate,
-                "cycles": args.cycles,
-                "warmup": args.warmup,
-                "seed": args.seed,
-                "window": args.window,
-                "num_nodes": topology.num_nodes,
-            }
-        )
-        tracer = None
-        if not args.no_flits:
-            tracer = FlitTracer(network, sink)
-        timeline_observer = TimelineObserver(
-            network, window=args.window
-        )
-        profiler = KernelProfiler(network.simulator)
-        result = network.run(cycles=args.cycles, warmup=args.warmup)
-        if tracer is not None:
-            tracer.detach()
-        # --limit bounds the flit-lifecycle stream; the trailing
-        # link/timeline/summary records always go out.
-        flit_records_dropped = sink.records_dropped
-        sink.limit = None
-        timeline = timeline_observer.timeline()
+    # --limit bounds the flit records only.
+    flit_records_dropped = sink.records_dropped
+    sink.limit = None
+    exported = result.extra.get("timeline")
+    if exported is not None:
+        timeline = UtilizationTimeline.from_dict(exported)
+        totals = timeline.link_totals()
+        attrs = {
+            (link["node"], link["port"]): (link["kind"], link["latency"])
+            for link in exported["links"]
+        }
         for node, port, dst, utilization in timeline.busiest_links(
-            count=len(timeline.links)
+            count=len(totals)
         ):
-            attrs = network.link_attrs_of(node, port)
+            kind, latency = attrs[(node, port)]
             sink.write(
                 {
                     "type": "link",
                     "node": node,
                     "port": port,
                     "dst": dst,
-                    "kind": attrs.kind,
-                    "latency": attrs.latency,
-                    "flits": timeline.link_totals()[(node, port)],
+                    "kind": kind,
+                    "latency": latency,
+                    "flits": totals[(node, port)],
                     "utilization": round(utilization, 6),
                 }
             )
-        sink.write({"type": "timeline", **timeline.to_dict()})
-        sink.write(
-            {
-                "type": "summary",
-                "kernel": profiler.summary(),
-                "result": {
-                    "throughput": result.throughput,
-                    "avg_latency": result.avg_latency,
-                    "packets_delivered": result.packets_delivered,
-                    "packets_generated": result.packets_generated,
-                    "events_processed": result.events_processed,
-                },
-                "peak_buffer_occupancy": {
-                    str(router.node): router.peak_buffer_occupancy()
-                    for router in network.routers
-                },
-                "peak_ip_backlog": {
-                    str(ni.node): ni.peak_backlog
-                    for ni in network.interfaces
-                },
-                "flit_records_dropped": flit_records_dropped,
-            }
-        )
-    if args.out is not None:
-        busiest = timeline.busiest_links(3)
-        print(
-            f"{sink.records_written} records -> {args.out}; "
-            "busiest links: "
-            + ", ".join(
-                f"{node}->{dst} ({port}) {utilization:.3f}"
-                for node, port, dst, utilization in busiest
-            ),
-            file=_sys.stderr,
-        )
-    return 0
+        sink.write({"type": "timeline", **exported})
+    sink.write(
+        {
+            "type": "summary",
+            "kernel": result.extra["kernel"],
+            "result": {
+                "throughput": result.throughput,
+                "avg_latency": result.avg_latency,
+                "packets_delivered": result.packets_delivered,
+                "packets_generated": result.packets_generated,
+                "events_processed": result.events_processed,
+            },
+            "peak_buffer_occupancy": {
+                str(router.node): router.peak_buffer_occupancy()
+                for router in network.routers
+            },
+            "peak_ip_backlog": {
+                str(ni.node): ni.peak_backlog for ni in network.interfaces
+            },
+            "flit_records_dropped": flit_records_dropped,
+        }
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -803,28 +559,20 @@ def main(argv: list[str] | None = None) -> int:
     if not argv or argv[0] in ("info", "-h", "--help"):
         return _info()
     command, rest = argv[0], argv[1:]
-    if command == "figures":
-        from repro.experiments.figures import main as figures_main
-
-        return figures_main(rest)
-    if command == "campaign":
-        return _campaign(rest)
-    if command == "topologies":
-        return _topologies()
-    if command == "engines":
-        return _engines()
-    if command == "routings":
-        return _routings()
-    if command == "trace":
-        return _trace(rest)
-    if command == "chaos":
-        return _chaos(rest)
-    if command == "serve":
-        return _serve(rest)
-    if command == "submit":
-        return _submit(rest)
-    print(f"unknown command {command!r}; try: python -m repro info")
-    return 2
+    commands = {
+        "figures": _figures,
+        "campaign": _campaign,
+        "topologies": _topologies,
+        "engines": _engines,
+        "routings": _routings,
+        "run": _run,
+        "serve": _serve,
+        "submit": _submit,
+    }
+    if command not in commands:
+        print(f"unknown command {command!r}; try: python -m repro info")
+        return 2
+    return commands[command](rest)
 
 
 if __name__ == "__main__":

@@ -50,10 +50,13 @@ the topology name, count, time and seed).  The two are mutually
 exclusive.  Like the seed, plans live inside the settings, so cache
 keys and serial/parallel/resumed equivalence cover them.
 
-Topology strings: ``ring<N>``, ``spidergon<N>``, ``mesh<R>x<C>``,
-``mesh<N>`` (factorized), ``mesh-irregular<N>``, ``torus<R>x<C>``,
-``hypercube<N>``, ``circulant<N>s<s>``, ``faulty:<base>:<k>@<seed>``
-(the full :mod:`repro.experiments.specs` grammar).
+Any other key is an error naming it
+(:func:`~repro.experiments.specs.run_settings` reads the run keys
+for campaigns and ``repro run`` point lines alike), so a misspelt
+setting cannot silently fall back to its default.
+
+Topology and pattern strings follow the :mod:`repro.experiments.specs`
+grammar.
 """
 
 from __future__ import annotations
@@ -72,13 +75,16 @@ from repro.experiments.parallel import (
     execute_points,
     point_key,
 )
-from repro.experiments.runner import SimulationSettings, SweepPoint
+from repro.experiments.runner import SweepPoint
 from repro.experiments.specs import (
+    check_engine,
+    check_pattern,
     parse_pattern,
     parse_topology,
     parse_topology_routing,
+    random_fault_plan,
+    run_settings,
 )
-from repro.noc.config import NocConfig
 from repro.resilience.plan import FaultPlan
 from repro.stats.summary import RunResult
 
@@ -107,6 +113,10 @@ def campaign_points(spec: dict) -> list[SweepPoint]:
     campaign.validate()
     return campaign.sweep_points()
 
+#: The keys of a campaign spec besides the run keys
+#: (:data:`~repro.experiments.specs.RUN_KEYS`).
+_FRAME_KEYS = ("name", "topologies", "patterns", "rates", "fault_plan")
+
 CSV_COLUMNS = [
     "topology",
     "pattern",
@@ -131,40 +141,14 @@ class Campaign:
                 raise ValueError(f"campaign spec missing {key!r}")
         self.spec = spec
         self.name = spec["name"]
-        timeline_window = spec.get("timeline_window")
-        stall_cycles = spec.get("stall_cycles")
+        self.settings = run_settings(spec, _FRAME_KEYS)
         fault_plan = spec.get("fault_plan")
-        engine = spec.get("engine")
-        self.settings = SimulationSettings(
-            cycles=int(spec.get("cycles", 20_000)),
-            warmup=int(spec.get("warmup", 4_000)),
-            config=NocConfig(
-                source_queue_packets=spec.get(
-                    "source_queue_packets", 64
-                )
-            ),
-            seed=int(spec.get("seed", 1)),
-            timeline_window=(
-                int(timeline_window)
-                if timeline_window is not None
-                else None
-            ),
-            fault_plan=(
-                FaultPlan.from_dict(fault_plan)
-                if fault_plan is not None
-                else None
-            ),
-            stall_cycles=(
-                int(stall_cycles) if stall_cycles is not None else None
-            ),
-            invariant_check_interval=int(
-                spec.get("invariant_check_interval", 0)
-            ),
-            engine=str(engine) if engine is not None else None,
-        )
+        if fault_plan is not None:
+            self.settings = replace(
+                self.settings, fault_plan=FaultPlan.from_dict(fault_plan)
+            )
         # Per-topology random fault plans are resolved lazily in
-        # sweep_points (the picks depend on each topology's links):
-        # {"count": N, "at": T, "repair_after": T?, "seed": S?}.
+        # sweep_points (the picks depend on each topology's links).
         self._random_faults: dict | None = spec.get("random_faults")
         if self._random_faults is not None and fault_plan is not None:
             raise ValueError(
@@ -188,25 +172,11 @@ class Campaign:
                 the campaign before any simulation runs (and before
                 any CSV row is written), not mid-sweep.
         """
-        from repro.sim.engines import (
-            NETWORK_DEFAULT,
-            resolve_engine,
-            select_engine,
-        )
-
-        resolve_engine(
-            select_engine(self.settings.engine, NETWORK_DEFAULT)
-        )
+        check_engine(self.settings.engine)
         for topo_spec in self.spec["topologies"]:
             topology, _ = parse_topology_routing(topo_spec)
             for pattern_spec in self.spec["patterns"]:
-                try:
-                    parse_pattern(pattern_spec, topology)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"pattern {pattern_spec!r} is invalid for "
-                        f"topology {topo_spec!r}: {exc}"
-                    ) from exc
+                check_pattern(pattern_spec, topo_spec, topology)
 
     def runs(self) -> list[tuple[str, str, float]]:
         """Every (topology, pattern, rate) cell of the sweep."""
@@ -227,17 +197,10 @@ class Campaign:
         """
         if self._random_faults is None:
             return self.settings.fault_plan
-        config = self._random_faults
-        return FaultPlan.random_faults(
+        return random_fault_plan(
+            self._random_faults,
             parse_topology_routing(topo_spec)[0],
-            count=int(config["count"]),
-            at=int(config["at"]),
-            repair_after=(
-                int(config["repair_after"])
-                if config.get("repair_after") is not None
-                else None
-            ),
-            seed=int(config.get("seed", self.settings.seed)),
+            self.settings.seed,
         )
 
     def sweep_points(self) -> list[SweepPoint]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 from repro.analysis.capacity import uniform_capacity
 from repro.cost.wires import total_wire_length
@@ -41,6 +42,11 @@ def _close(value, expected, rel=0.0, abs_tol=0.0) -> bool:
     """``value`` lies within ``max(rel * |expected|, abs_tol)`` of
     ``expected``."""
     return abs(value - expected) <= max(rel * abs(expected), abs_tol)
+
+
+def _rising(values) -> bool:
+    """*values* increase strictly."""
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
 def _knee(f: FigureData, label: str) -> float:
@@ -73,9 +79,15 @@ def _wire(spec: str) -> float:
     return total_wire_length(parse_topology(spec))
 
 
-@functools.lru_cache(maxsize=None)
 def _capacity(spec: str) -> float:
-    """Uniform-traffic channel-load bound of *spec*'s routing."""
+    """Uniform-traffic channel-load bound of *spec*'s routing.  The 3D
+    grids route by dimension order whatever the link latency, so a
+    grid's ``@tsvN`` variants share one cached bound."""
+    return _routing_capacity(re.sub(r"@tsv\d+", "", spec))
+
+
+@functools.lru_cache(maxsize=None)
+def _routing_capacity(spec: str) -> float:
     topology, routing = parse_topology_routing(spec)
     return uniform_capacity(routing or routing_for(topology))
 
@@ -344,6 +356,16 @@ CLAIMS = {
         "bit-complement-ring-worst": lambda f: (
             f.at("ring16", 2) <= f.at("spidergon16", 2) + 0.2
         ),
+    },
+    # torus4x4 under uniform traffic at lambda 0.1 (below the knee),
+    # with 0, 2, 4 and 8 random dead links.
+    "extension_faults": {
+        "keeps-delivering": lambda f: all(
+            _close(value, f.at("throughput", 0), rel=0.01)
+            for value in f.column("throughput")
+        ),
+        "hops-grow-with-faults": lambda f: _rising(f.column("hops")),
+        "latency-grows-with-faults": lambda f: _rising(f.column("latency")),
     },
     # N=16, uniform; the throughput at lambda 0.8 is the highest swept
     # rate's, from one seed.

@@ -9,8 +9,8 @@ protocols and additional NoC topologies".  This module covers:
   traffic;
 * :func:`extension_traffic_patterns` — all implemented synthetic
   patterns on the three paper topologies;
-* :func:`extension_large_networks` — the figure 10 comparison pushed
-  to larger node counts than the paper simulates;
+* :func:`extension_fault_tolerance` — a torus under random dead
+  links, detoured by table routing;
 * :func:`replicate` — multi-seed replication with confidence
   intervals, quantifying the stochastic variability the paper
   mentions when validating figure 5.
@@ -209,35 +209,5 @@ def extension_fault_tolerance(
     figure.notes.append(
         "faults picked at random, retried to keep the network "
         "connected; table routing detours around them"
-    )
-    return figure
-
-
-def extension_large_networks(
-    settings: SimulationSettings | None = None,
-    node_counts=(32, 48, 64),
-    injection_rate: float = 0.3,
-    workers: int = 1,
-) -> FigureData:
-    """Figure 10's comparison at node counts beyond the paper's 32."""
-    settings = settings or SimulationSettings()
-    figure = FigureData(
-        "ext-large",
-        f"Uniform-traffic throughput at larger N (lambda="
-        f"{injection_rate})",
-        "N",
-        list(node_counts),
-    )
-    labels = ("ring", "spidergon", "real-mesh")
-    series = {label: [] for label in labels}
-    for n in node_counts:
-        for label, spec in zip(labels, paper_topology_specs(n)):
-            series[label].append(
-                SweepPoint(spec, "uniform", injection_rate, settings)
-            )
-    figure.add_result_series(sweep_series(series, workers=workers))
-    figure.notes.append(
-        "paper future work: 'extension of the analysis and "
-        "simulation with more NoC nodes'"
     )
     return figure

@@ -8,7 +8,7 @@ saturation knees) are the reproduction targets — see EXPERIMENTS.md
 for the paper-vs-measured comparison.
 
 The :data:`ARTEFACTS` table names every committed CSV under
-``results/``: the figures, the ablations, two extensions and the
+``results/``: the figures, the ablations, three extensions and the
 studies.  One command regenerates, writes and checks them all::
 
     python -m repro figures fig10                  # print one table
@@ -413,6 +413,7 @@ ARTEFACTS = {
         "extensions.extension_traffic_patterns",
         {"injection_rate": 0.3},
     ),
+    "extension_faults": ("extensions.extension_fault_tolerance", {}),
     "study_circulant": ("circulant.equal_cost_study", {}),
     "study_mesh3d_uniform": ("mesh3d.stacking_study", {"pattern": "uniform"}),
     "study_mesh3d_hotspot": (

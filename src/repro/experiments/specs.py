@@ -28,14 +28,23 @@ resolved by :func:`parse_topology_routing`.  Registered schemes:
 ``paper`` (the default :func:`~repro.routing.routing_for` choice),
 ``table``, ``o1turn``, ``adaptive``, ``adaptive-misroute`` (see
 :func:`available_routings`).
+
+A whole point is one line, ``TOPOLOGY[:ROUTING] PATTERN RATE
+[KEY=VALUE ...]``, parsed by :func:`parse_point` (``python -m repro
+run`` takes it).  Its keys are a campaign spec's run keys
+(:data:`RUN_KEYS`), and :func:`run_settings` reads them for both.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Mapping, Sequence
 
+from repro.experiments.runner import SimulationSettings, SweepPoint
+from repro.noc.config import NocConfig
+from repro.resilience.plan import FaultEvent, FaultPlan
+from repro.sim.engines import NETWORK_DEFAULT, resolve_engine, select_engine
 from repro.topology import (
     MeshTopology,
     RingTopology,
@@ -439,3 +448,198 @@ def parse_pattern(spec: str, topology: Topology) -> TrafficPattern:
             raise ValueError("transpose needs a mesh topology")
         return TransposeTraffic(topology)
     raise ValueError(f"unknown pattern spec {spec!r}")
+
+
+# -- run settings and point lines -----------------------------------------
+
+#: The run settings a campaign spec or a point line may set.
+RUN_KEYS = (
+    "cycles", "warmup", "seed", "source_queue_packets", "timeline_window",
+    "stall_cycles", "invariant_check_interval", "engine", "random_faults",
+)
+
+
+def check_pattern(
+    pattern_spec: str, topo_spec: str, topology: Topology
+) -> None:
+    """Raise :class:`ValueError` naming both specs when *pattern_spec*
+    does not fit *topology*, the topology of *topo_spec*."""
+    try:
+        parse_pattern(pattern_spec, topology)
+    except ValueError as exc:
+        raise ValueError(
+            f"pattern {pattern_spec!r} is invalid for topology "
+            f"{topo_spec!r}: {exc}"
+        ) from exc
+
+
+def check_engine(engine: str | None) -> None:
+    """Raise :class:`ValueError` for an unknown engine, whether given
+    or taken from ``REPRO_ENGINE``."""
+    resolve_engine(select_engine(engine, NETWORK_DEFAULT))
+
+
+def run_settings(
+    spec: Mapping[str, object], frame: Sequence[str] = ()
+) -> SimulationSettings:
+    """The :data:`RUN_KEYS` of *spec* as :class:`SimulationSettings`.
+
+    The one reading of run keys, shared by campaign specs (whose
+    *frame* keys, such as ``topologies``, describe the sweep around
+    the settings) and point lines (:func:`parse_point`).  Values may
+    be numbers or their strings; a key left out, or ``None``, keeps
+    the :class:`SimulationSettings` default.  ``random_faults`` is
+    left to :func:`random_fault_plan`, since its picks depend on the
+    topology.
+
+    Raises:
+        ValueError: naming the key, for a key outside
+            :data:`RUN_KEYS` and *frame*, a value that is not an
+            integer, ``cycles < 1``, or a warmup outside
+            ``[0, cycles)``.
+    """
+    valid = (*RUN_KEYS, *frame)
+    for key in spec:
+        if key not in valid:
+            raise ValueError(
+                f"unknown key {key!r}; valid keys: {', '.join(valid)}"
+            )
+
+    def integer(key: str) -> int:
+        try:
+            return int(spec[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{key}={spec[key]} is not an integer") from None
+
+    given = {key for key, value in spec.items() if value is not None}
+    fields = {
+        key: integer(key)
+        for key in (
+            "cycles", "warmup", "seed", "timeline_window", "stall_cycles",
+            "invariant_check_interval",
+        )
+        if key in given
+    }
+    if "source_queue_packets" in given:
+        fields["config"] = NocConfig(
+            source_queue_packets=integer("source_queue_packets")
+        )
+    if "engine" in given:
+        fields["engine"] = str(spec["engine"])
+    settings = SimulationSettings(**fields)
+    if settings.cycles < 1:
+        raise ValueError(f"cycles={settings.cycles} must be >= 1")
+    if not 0 <= settings.warmup < settings.cycles:
+        raise ValueError(
+            f"warmup={settings.warmup} must be in "
+            f"[0, cycles={settings.cycles})"
+        )
+    return settings
+
+
+def random_fault_plan(
+    config: Mapping[str, object], topology: Topology, seed: int
+) -> FaultPlan:
+    """The plan of a ``random_faults`` setting on *topology*.
+
+    *config* is ``{"count": N, "at": T, "repair_after": D?,
+    "seed": S?}``; the picks depend only on the topology name, N, T
+    and the seed (*seed* unless the setting names its own), never on
+    execution order.
+    """
+    repair_after = config.get("repair_after")
+    return FaultPlan.random_faults(
+        topology,
+        count=int(config["count"]),
+        at=int(config["at"]),
+        repair_after=None if repair_after is None else int(repair_after),
+        seed=int(config.get("seed", seed)),
+    )
+
+
+_FAIL = re.compile(r"(\d+):(\d+)@(\d+)(?::(\d+))?")
+_RANDOM_FAULTS = re.compile(r"(\d+)@(\d+)(?::(\d+))?")
+
+
+def parse_point(tokens: Sequence[str]) -> SweepPoint:
+    """Parse a point line into a :class:`SweepPoint`.
+
+    A point line is ``TOPOLOGY[:ROUTING] PATTERN RATE [KEY=VALUE ...]``,
+    e.g. ``mesh4x4 uniform 0.1 cycles=3000 fail=5:6@1000``.  The KEYs
+    are the :data:`RUN_KEYS`, read by :func:`run_settings` as in a
+    campaign spec, except that ``random_faults`` is spelt
+    ``COUNT@AT[:REPAIR_AFTER]`` and seeded by the point's seed.  One
+    more key, ``fail=SRC:DST@T[:REPAIR_T]``, fails link SRC-DST at
+    cycle T (and repairs it at REPAIR_T); it may be repeated, and
+    excludes ``random_faults``.  The seed is used as given.
+
+    Raises:
+        ValueError: naming the offending token.
+    """
+    if len(tokens) < 3:
+        raise ValueError(
+            "a point needs TOPOLOGY PATTERN RATE, got "
+            f"{' '.join(tokens)!r}"
+        )
+    topo_spec, pattern_spec, rate_text, *setting_tokens = tokens
+    topology, _ = parse_topology_routing(topo_spec)
+    check_pattern(pattern_spec, topo_spec, topology)
+    try:
+        rate = float(rate_text)
+        if not rate >= 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"rate {rate_text!r} is not a number >= 0") from None
+    spec: dict[str, object] = {}
+    events: list[FaultEvent] = []
+    for token in setting_tokens:
+        key, _, value = token.partition("=")
+        if key == "fail":
+            match = _FAIL.fullmatch(value)
+            if match is None:
+                raise ValueError(
+                    f"{token!r} must look like fail=SRC:DST@T[:REPAIR_T]"
+                )
+            src, dst, at, repair = (
+                None if group is None else int(group)
+                for group in match.groups()
+            )
+            try:
+                plan = FaultPlan(
+                    tuple(
+                        FaultEvent(time, src, dst, action)
+                        for time, action in ((at, "fail"), (repair, "repair"))
+                        if time is not None
+                    )
+                )
+                plan.validate_for(topology)
+            except ValueError as exc:
+                raise ValueError(f"{token!r}: {exc}") from None
+            events.extend(plan.events)
+            continue
+        if key in spec:
+            raise ValueError(f"{token!r}: {key} is set twice")
+        if key == "random_faults":
+            match = _RANDOM_FAULTS.fullmatch(value)
+            if match is None:
+                raise ValueError(
+                    f"{token!r} must look like "
+                    "random_faults=COUNT@AT[:REPAIR_AFTER]"
+                )
+            count, at, repair_after = match.groups()
+            value = {"count": count, "at": at, "repair_after": repair_after}
+        spec[key] = value
+    settings = run_settings(spec)
+    check_engine(settings.engine)
+    if events and "random_faults" in spec:
+        raise ValueError("fail= and random_faults= are exclusive")
+    if events:
+        settings = replace(settings, fault_plan=FaultPlan(tuple(events)))
+    elif "random_faults" in spec:
+        settings = replace(
+            settings,
+            fault_plan=random_fault_plan(
+                spec["random_faults"], topology, settings.seed
+            ),
+        )
+    return SweepPoint(topo_spec, pattern_spec, rate, settings)

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.extensions import (
     Replication,
     extension_fault_tolerance,
-    extension_large_networks,
     extension_torus_comparison,
     extension_traffic_patterns,
     replicate,
@@ -131,12 +130,6 @@ class TestExtensionFigures:
         # on the ring.
         ring = figure.column("ring8")
         assert ring[3] == max(ring)
-
-    def test_large_networks_figure(self):
-        figure = extension_large_networks(
-            settings=TINY, node_counts=(32,), injection_rate=0.2
-        )
-        assert figure.column("ring")[0] < figure.column("spidergon")[0]
 
     def test_fault_tolerance_figure(self):
         figure = extension_fault_tolerance(

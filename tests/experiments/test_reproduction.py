@@ -10,9 +10,12 @@ import pathlib
 
 import pytest
 
-from repro.experiments import figures
+from repro.analysis.capacity import uniform_capacity
+from repro.experiments import claims, figures
 from repro.experiments.claims import CLAIMS, failed_claims
 from repro.experiments.report import FigureData, to_csv
+from repro.experiments.specs import parse_topology_routing
+from repro.routing import routing_for
 
 RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
 
@@ -38,6 +41,19 @@ def test_committed_csv_round_trips(name):
 )
 def test_claim_holds_on_committed_data(name, claim):
     assert CLAIMS[name][claim](committed(name))
+
+
+@pytest.mark.parametrize(
+    "grid, bound", [("mesh3d4x4x4", 63.0), ("torus3d4x4x4", 64.0)]
+)
+def test_tsv_latency_leaves_the_capacity_bound(grid, bound):
+    # The claims compute one bound per grid for its @tsvN variants.
+    assert claims._capacity(f"{grid}@tsv1") == pytest.approx(bound)
+    for spec in (f"{grid}@tsv2", f"{grid}@tsv4"):
+        topology, routing = parse_topology_routing(spec)
+        assert uniform_capacity(
+            routing or routing_for(topology)
+        ) == pytest.approx(bound)
 
 
 class TestMutations:

@@ -47,9 +47,6 @@ STUDIES = {
         extensions.extension_fault_tolerance,
         SMOKE, rows=3, cols=3, fault_counts=(0, 2),
     ),
-    "ext-large": functools.partial(
-        extensions.extension_large_networks, SMOKE, node_counts=(8, 12)
-    ),
     "replicate": functools.partial(
         extensions.replicate,
         "spidergon8", "uniform", 0.2, SMOKE, seeds=(1, 2, 3),

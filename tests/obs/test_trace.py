@@ -149,13 +149,14 @@ class TestTraceCli:
         out = tmp_path / "trace.jsonl"
         code = main(
             [
-                "trace",
+                "run",
                 "ring16",
                 "hotspot:0",
                 "0.1",
-                "--cycles",
-                "2000",
-                "--out",
+                "cycles=2000",
+                "warmup=0",
+                "timeline_window=100",
+                "--trace",
                 str(out),
                 *extra,
             ]
@@ -184,7 +185,7 @@ class TestTraceCli:
         assert {link["dst"] for link in links[:2]} == {0}
 
     def test_summary_reports_kernel_profile(self, tmp_path):
-        records = self.run_cli(tmp_path, "--no-flits")
+        records = self.run_cli(tmp_path, "--limit", "0")
         assert not any(r["type"] == "flit" for r in records)
         summary = records[-1]
         assert summary["kernel"]["events"] > 0
@@ -201,7 +202,8 @@ class TestTraceCli:
     def test_rejects_bad_arguments(self, capsys):
         from repro.__main__ import main
 
-        assert main(["trace", "ring16", "uniform", "0.1",
-                     "--cycles", "0"]) != 0
-        assert main(["trace", "nosuch16", "uniform", "0.1"]) != 0
+        assert main(["run", "ring16", "uniform", "0.1", "cycles=0"]) == 2
+        assert main(["run", "nosuch16", "uniform", "0.1"]) == 2
+        assert main(["run", "ring16", "uniform", "0.1",
+                     "--trace", "x.jsonl", "--limit", "-1"]) == 2
         capsys.readouterr()

@@ -77,6 +77,14 @@ class TestEndpoints:
         assert "butterfly9" in excinfo.value.detail
         assert jobs.stats.simulated == 0
 
+    def test_misspelt_key_rejected_before_simulation(self, served):
+        client, jobs = served
+        with pytest.raises(ServerError) as excinfo:
+            list(client.submit(small_spec(stall_cycle=3000)))
+        assert excinfo.value.status == 400
+        assert "unknown key 'stall_cycle'" in excinfo.value.detail
+        assert jobs.stats.simulated == 0
+
     def test_invalid_json_body_rejected(self, served):
         client, _ = served
         import http.client

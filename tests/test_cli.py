@@ -34,9 +34,10 @@ class TestMain:
 
     def test_unknown_command(self, capsys):
         assert main(["bogus"]) == 2
-        # The studies run as artefacts of ``figures``; their old
-        # commands are gone, with no alias.
-        for command in ("circulant", "mesh3d", "drain"):
+        # The studies run as artefacts of ``figures`` and single
+        # points through ``run``; their old commands are gone, with
+        # no alias.
+        for command in ("circulant", "mesh3d", "drain", "chaos", "trace"):
             assert main([command]) == 2
             assert f"unknown command {command!r}" in capsys.readouterr().out
 
@@ -150,39 +151,61 @@ class TestMain:
             main(["figures", "study_drain", "--rates", "0.1"])
         assert exc.value.code == 2
 
-    def test_trace_accepts_routing_suffix(self, tmp_path, capsys):
+    def test_run_trace_accepts_routing_suffix(self, tmp_path, capsys):
         out_path = tmp_path / "trace.jsonl"
         assert main(
             [
-                "trace",
+                "run",
                 "ring8:adaptive",
                 "uniform",
                 "0.05",
-                "--cycles",
-                "400",
-                "--out",
+                "cycles=400",
+                "warmup=0",
+                "--trace",
                 str(out_path),
             ]
         ) == 0
         assert out_path.exists()
 
-    def test_chaos_accepts_routing_suffix(self, capsys):
+    def test_run_accepts_routing_suffix(self, capsys):
         assert main(
             [
-                "chaos",
+                "run",
                 "mesh4x4:adaptive",
                 "uniform",
                 "0.05",
-                "--cycles",
-                "1200",
-                "--warmup",
-                "200",
-                "--fail",
-                "5:6@400",
+                "cycles=1200",
+                "warmup=200",
+                "fail=5:6@400",
+                "stall_cycles=2000",
             ]
         ) == 0
         out = capsys.readouterr().out
+        assert "plan: fail 5-6 at cycle 400" in out
         assert "degraded=False" in out
+
+    def test_run_json_equals_run_sweep_point(self, tmp_path, capsys):
+        import json
+
+        from repro.experiments.parallel import run_sweep_point
+        from repro.experiments.specs import parse_point
+
+        line = [
+            "ring8", "hotspot:0", "0.15", "cycles=3000", "warmup=500",
+            "fail=0:1@1500:2000", "invariant_check_interval=500",
+        ]
+        out_path = tmp_path / "result.json"
+        assert main(["run", *line, "--json", str(out_path)]) == 0
+        expected = run_sweep_point(parse_point(line)).to_dict()
+        assert json.loads(out_path.read_text()) == json.loads(
+            json.dumps(expected)
+        )
+
+    def test_run_usage_errors(self, capsys):
+        assert main(["run", "ring8", "uniform"]) == 2
+        assert main(["run", "ring8", "uniform", "0.1", "stall=100"]) == 2
+        assert "unknown key 'stall'" in capsys.readouterr().err
+        assert main(["run", "ring8", "uniform", "0.1", "--limit", "5"]) == 2
 
     def test_module_invocation(self):
         completed = subprocess.run(

@@ -3,12 +3,14 @@
 regresses.
 
 The guarded quantity is a *ratio*, not an absolute rate: kernel
-events/second of the standard two-module ping-pong divided by the
+events/second of the standard two-module ping-pong on a bare
+`Simulator` (its default engine, the binary heap) divided by the
 events/second of a hand-inlined heapq loop doing the same amount of
 raw queue work, measured back-to-back in the same process.  The
 reference loop soaks up machine speed, interpreter version and CI
 noise, so the ratio tracks only what this repository controls — the
-overhead the `Simulator` event loop adds on top of the heap.  The
+overhead the `Simulator` event loop and its queue add on top of the
+bare heap.  The
 observer protocol's zero-cost-when-disabled claim lives or dies here:
 adding per-event work to the unobserved fast path drops the ratio.
 
@@ -39,7 +41,8 @@ REPEATS = 5
 
 
 def kernel_rate() -> float:
-    """Events/second of the ping-pong workload on the real kernel."""
+    """Events/second of the ping-pong workload on the real kernel
+    (a bare ``Simulator``, so the default engine: heap)."""
     from repro.sim.kernel import Simulator
     from repro.sim.messages import Message
     from repro.sim.module import SimModule

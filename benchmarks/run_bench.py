@@ -11,13 +11,16 @@ the needle).
 What it measures:
 
 * ``kernel_ping_pong`` — events/second of the bare two-module
-  ping-pong (the number ``kernel_baseline.json`` anchors);
-* ``queue_churn`` — raw push/pop throughput of the default event
-  queue at a realistic depth;
+  ping-pong on a bare ``Simulator``'s default engine, heap (the
+  number ``kernel_baseline.json`` anchors);
+* ``queue_churn`` — raw push/pop throughput of the timing wheel
+  (``CycleCalendar``, the queue of the ``wheel`` and ``batched``
+  engines) at a realistic depth;
 * ``figure_points`` — for one representative figure point per paper
   topology (ring16, spidergon16, mesh4x4 under uniform traffic),
   simulated cycles/second and kernel events/second **per engine**
-  (the ``wheel`` event kernel and the ``batched`` cycle-synchronous
+  (``wheel``, the per-event loop over the calendar, which is the
+  batched engine's slow path, and the ``batched`` cycle-synchronous
   engine), plus the batched-over-wheel speedup per point.  A
   ``mesh4x4_watched`` row repeats mesh4x4 with a ``StallWatchdog``
   and a ``TimelineObserver`` attached on both engines.
@@ -67,12 +70,15 @@ def bench_ping_pong() -> float:
 
 
 def bench_queue_churn() -> float:
-    """Best-of-N push+pop pairs/second at a depth of 2000 events."""
-    from repro.sim.events import Event, EventQueue
+    """Best-of-N push+pop pairs/second at a depth of 2000 events.
+
+    Every push precedes every pop, so each push is at or after the
+    last pop, as the calendar requires."""
+    from repro.sim.events import CycleCalendar, Event
 
     best = 0.0
     for _ in range(REPEATS):
-        queue = EventQueue()
+        queue = CycleCalendar()
         start = time.perf_counter()
         for t in range(2_000):
             queue.push(

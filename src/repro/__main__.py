@@ -485,6 +485,15 @@ def _run(rest: list[str]) -> int:
             for k, v in stall.items()
             if k not in ("reason", "blocked_routers")
         }
+        # The per-lane map is too long for one line; its total closes
+        # the flit count (injected = consumed + buffered + in flight
+        # + dropped).
+        snapshot["flits_buffered"] = sum(
+            sum(flits)
+            for router in stall.get("blocked_routers", {}).values()
+            for ports in router.values()
+            for flits in ports.values()
+        )
         print(f"stall snapshot: {json.dumps(snapshot, sort_keys=True)}")
     if args.trace is not None:
         print(f"trace: {sink.records_written} records -> {args.trace}")

@@ -30,7 +30,7 @@ from repro.sim.engines import (
     register_engine,
     resolve_engine,
 )
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import Gate, SimModule
@@ -41,7 +41,6 @@ __all__ = [
     "Engine",
     "EngineFamily",
     "Event",
-    "EventQueue",
     "Gate",
     "GateConnectionError",
     "Message",

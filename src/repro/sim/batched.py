@@ -38,7 +38,7 @@ Equivalence contract: the engine reproduces the event kernel's
 delivery order and ``events_processed`` count *exactly* — byte-
 identical ``RunResult``s on every registered topology family, which
 ``tests/integration/test_kernel_equivalence.py`` asserts against the
-heap and wheel oracles.
+heap oracle and the wheel.
 
 Fast path vs slow path
 ----------------------
@@ -60,9 +60,9 @@ The fast path has no per-event ``Event`` to hand
   ``KernelProfiler``, ``InvariantAuditor``, ``DrainController``,
   plain ``Observer`` subclasses) → **slow path**: the classic
   per-event loop (:meth:`~repro.sim.kernel.Simulator._event_loop`)
-  runs over the :class:`CycleCalendar`, every send goes through gates
-  as a real ``Event``, and delivery traces are byte-identical to the
-  wheel's.
+  runs over the :class:`~repro.sim.events.CycleCalendar` and every
+  send goes through gates as a real ``Event``: exactly the ``wheel``
+  engine, so delivery traces are byte-identical to the heap's.
 
 Fault plans work on both paths (the injector uses timers, not
 observers).
@@ -78,403 +78,12 @@ docs/engines.md.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from typing import Iterator
+from heapq import heappop
 
 from repro.noc.router import deliver_records
 from repro.sim.engines import Engine, register_engine
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event
-
-#: Sentinel upper bound, as in :mod:`repro.sim.events`.
-_NO_LIMIT = float("inf")
-
-
-def _opaque_view(time: int, record: tuple) -> Event:
-    """A fast-path record as a read-only :class:`Event` carrying its
-    time but no target or message (the payload is not
-    materialised)."""
-    return Event(time=time, priority=0, sequence=0, target=None, message=None)
-
-
-class CycleCalendar:
-    """Per-cycle future-event store of the batched engine.
-
-    Implements the same queue protocol as the wheel and heap queues
-    (``push``/``pop_next``/``peek_time``/…), so the classic event loop
-    can drain it on the slow path — plus a fast drain interface the
-    batched engine uses directly.
-
-    Storage per slot (one slot per cycle, ring of :attr:`WINDOW`):
-
-    * ``lane0`` — priority-0 items in FIFO order.  Because pushes are
-      chronological and sequence numbers are assigned in push order,
-      append order *is* ``(priority=0, sequence)`` order; draining the
-      list front-to-back reproduces the kernel's heap order without a
-      heap.  The lane holds :class:`Event` objects and, on the fast
-      path, plain tuple *records* (see
-      :func:`repro.noc.router.deliver_records`).
-    * ``rest`` — a small binary heap of events with priority ≠ 0
-      (normally just the scheduler's advance/send phase events).
-
-    The ring starts at the timing wheel's 256 slots and
-    :meth:`grow` widens it when the fast path's link table holds a
-    longer latency.  Events beyond the window (far-future timers of
-    low-rate sources) live in an overflow heap and migrate when the
-    window reaches them.
-    A migrated slot's events are *prepended*: an event could only
-    overflow while the slot was beyond the horizon, i.e. before any
-    in-window push for that slot existed, so it sorts strictly first.
-
-    The cursor ``_base`` is monotone and never passes a pending item;
-    pushes must be at or after it (the kernel's scheduling guard
-    already enforces times ≥ now ≥ base).
-    """
-
-    #: Initial ring size in slots: a power of two, as the timing
-    #: wheel's.  The fast path files link arrivals straight into the
-    #: ring, so :meth:`grow` widens it past the longest link latency.
-    WINDOW = 256
-
-    __slots__ = (
-        "_lane0",
-        "_rest",
-        "_mask",
-        "_size",
-        "_base",
-        "_cursor0",
-        "_ring_items",
-        "_overflow",
-        "_sequence",
-        "_live",
-        "record_view",
-    )
-
-    def __init__(self) -> None:
-        self._size = self.WINDOW
-        self._mask = self._size - 1
-        self._lane0: list[list] = [[] for _ in range(self._size)]
-        self._rest: list[list[Event]] = [[] for _ in range(self._size)]
-        self._base = 0
-        #: Drain index into the base slot's lane0 (partial drains
-        #: happen when ``run(max_events=...)`` stops mid-cycle).
-        self._cursor0 = 0
-        #: Undrained items currently in ring slots (records and
-        #: events, lazily-cancelled ones included).
-        self._ring_items = 0
-        self._overflow: list[Event] = []
-        self._sequence = 0
-        self._live = 0
-        #: ``view(time, record) -> Event`` rendering fast-path records
-        #: for :meth:`live_events`; the engine installs one that
-        #: rebuilds flit messages.
-        self.record_view = _opaque_view
-
-    def __len__(self) -> int:
-        return self._live
-
-    def grow(self, span: int) -> None:
-        """Widen the ring to the smallest power of two above *span*
-        cycles, refiling every pending item into its slot of the
-        wider ring (a no-op when the ring already covers *span*)."""
-        old_size, old_mask = self._size, self._mask
-        size = old_size
-        while size <= span:
-            size *= 2
-        if size == old_size:
-            return
-        mask = size - 1
-        lane0: list[list] = [[] for _ in range(size)]
-        rest: list[list[Event]] = [[] for _ in range(size)]
-        for offset in range(old_size):
-            t = self._base + offset
-            start = self._cursor0 if offset == 0 else 0
-            lane0[t & mask] = self._lane0[t & old_mask][start:]
-            rest[t & mask] = self._rest[t & old_mask]
-        self._lane0, self._rest = lane0, rest
-        self._size, self._mask = size, mask
-        self._cursor0 = 0
-
-    def materialize_records(self) -> None:
-        """Replace every pending fast-path record with its
-        :attr:`record_view` event, in place, then restore the opaque
-        view: afterwards the calendar references none of the fast
-        path's entries, and :meth:`live_events` yields the same views
-        as before."""
-        view = self.record_view
-        # The base slot's drained prefix (a stop mid-cycle) goes too.
-        del self._lane0[self._base & self._mask][: self._cursor0]
-        self._cursor0 = 0
-        for offset in range(self._size):
-            t = self._base + offset
-            l0 = self._lane0[t & self._mask]
-            for index, item in enumerate(l0):
-                if item.__class__ is tuple:
-                    l0[index] = view(t, item)
-        self.record_view = _opaque_view
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    # -- queue protocol -----------------------------------------------
-
-    def push(self, event: Event) -> Event:
-        """Insert *event*, stamping its sequence number."""
-        event.sequence = self._sequence
-        self._sequence += 1
-        offset = event.time - self._base
-        if 0 <= offset < self._size:
-            if event.priority == 0:
-                self._lane0[event.time & self._mask].append(event)
-            else:
-                heappush(self._rest[event.time & self._mask], event)
-            self._ring_items += 1
-        elif offset >= self._size:
-            heappush(self._overflow, event)
-        else:
-            raise SimulationError(
-                f"CycleCalendar requires monotone pushes: t="
-                f"{event.time} is before the cursor ({self._base})"
-            )
-        self._live += 1
-        return event
-
-    def pop_next(self, limit: int | float | None = None) -> Event | None:
-        """Remove and return the earliest live event, or ``None`` when
-        empty or when its time exceeds *limit* (slow-path interface)."""
-        if limit is None:
-            limit = _NO_LIMIT
-        t = self._peek(limit)
-        if t is None:
-            return None
-        i = t & self._mask
-        l0 = self._lane0[i]
-        rest = self._rest[i]
-        i0 = self._cursor0
-        head0 = l0[i0] if i0 < len(l0) else None
-        if head0 is not None and head0.__class__ is tuple:
-            raise SimulationError(
-                "CycleCalendar holds batched fast-path records; only "
-                "the batched engine's fast loop can drain them"
-            )
-        if rest and (head0 is None or rest[0] < head0):
-            event = heappop(rest)
-        else:
-            self._cursor0 = i0 + 1
-            event = head0
-        self._ring_items -= 1
-        self._live -= 1
-        return event
-
-    def pop(self) -> Event:
-        """Remove and return the earliest live event.
-
-        Raises:
-            IndexError: if the queue holds no live events.
-        """
-        event = self.pop_next()
-        if event is None:
-            raise IndexError("pop from empty event queue")
-        return event
-
-    def peek_time(self) -> int | None:
-        """Return the timestamp of the next live item, or None."""
-        return self._peek(_NO_LIMIT)
-
-    def discard_cancelled(self, event: Event) -> None:
-        """Account for a cancellation (keeps ``len`` accurate)."""
-        if not event.cancelled:
-            raise ValueError("event is not cancelled")
-        self._live -= 1
-
-    @property
-    def wheel_occupancy(self) -> int:
-        """Items sitting in ring slots (lazily-cancelled included)."""
-        return self._ring_items
-
-    @property
-    def overflow_occupancy(self) -> int:
-        """Events in the far-future overflow heap (same caveat)."""
-        return len(self._overflow)
-
-    def occupancy(self) -> dict[str, int]:
-        """JSON-ready occupancy: live items plus per-tier depths."""
-        return {
-            "pending": self._live,
-            "wheel": self._ring_items,
-            "overflow": len(self._overflow),
-        }
-
-    def live_events(self) -> Iterator[Event]:
-        """Iterate over live items, in storage order.
-
-        Fast-path records surface as synthesized read-only
-        :class:`Event` views built by :attr:`record_view`: flits on
-        the wire as the ``FlitMessage`` the event engines would hold,
-        credits without a message.
-        """
-        base = self._base
-        mask = self._mask
-        view = self.record_view
-        for offset in range(self._size):
-            t = base + offset
-            l0 = self._lane0[t & mask]
-            start = self._cursor0 if offset == 0 else 0
-            for index in range(start, len(l0)):
-                item = l0[index]
-                if item.__class__ is tuple:
-                    yield view(t, item)
-                elif not item.cancelled:
-                    yield item
-            for event in self._rest[t & mask]:
-                if not event.cancelled:
-                    yield event
-        for event in self._overflow:
-            if not event.cancelled:
-                yield event
-
-    def __iter__(self) -> Iterator[Event]:
-        return self.live_events()
-
-    def clear(self) -> None:
-        """Drop every pending item, marking events cancelled (see
-        :meth:`EventQueue.clear <repro.sim.events.EventQueue.clear>`
-        for why the mark matters).  Records are simply dropped."""
-        for l0 in self._lane0:
-            for item in l0:
-                if item.__class__ is not tuple:
-                    item.cancelled = True
-            l0.clear()
-        for rest in self._rest:
-            for event in rest:
-                event.cancelled = True
-            rest.clear()
-        for event in self._overflow:
-            event.cancelled = True
-        self._overflow.clear()
-        self._cursor0 = 0
-        self._ring_items = 0
-        self._live = 0
-
-    # -- fast drain interface -------------------------------------------
-
-    def begin_cycle(self, limit: int | float = _NO_LIMIT) -> int | None:
-        """Advance the cursor to the earliest slot still holding
-        items and return its time, or ``None`` when nothing is due at
-        or before *limit*.  Far-future events entering the window are
-        migrated first.  The returned slot may hold only cancelled
-        events; the drain handles (and the scan clears) those.
-        """
-        over = self._overflow
-        if over:
-            while over and over[0].cancelled:
-                heappop(over)
-            if over:
-                if not self._ring_items and over[0].time > self._base:
-                    # Idle gap: jump the window to the overflow front.
-                    self._base = over[0].time
-                    self._cursor0 = 0
-                if over[0].time < self._base + self._size:
-                    self._migrate()
-        if not self._ring_items:
-            return None
-        lane0 = self._lane0
-        rest = self._rest
-        mask = self._mask
-        t = self._base
-        cursor = self._cursor0
-        while True:
-            i = t & mask
-            l0 = lane0[i]
-            if len(l0) > cursor or rest[i]:
-                break
-            if l0:
-                # Fully consumed on a previous partial drain; release
-                # the references before the ring reuses the slot.
-                l0.clear()
-            cursor = 0
-            t += 1
-        if t > limit:
-            # Park no further than the horizon: the caller's clock
-            # stops at `limit` and later pushes must stay >= _base.
-            parked = int(limit)
-            if parked > self._base:
-                self._base = parked
-                self._cursor0 = 0
-            return None
-        self._base = t
-        self._cursor0 = cursor
-        return t
-
-    def finish_cycle(self, t: int) -> None:
-        """Mark slot *t* fully drained (its lane was emptied)."""
-        self._lane0[t & self._mask].clear()
-        self._cursor0 = 0
-        # _base stays at t: time only moves when the next begin_cycle
-        # finds work, and pushes at the current cycle remain legal.
-
-    def _migrate(self) -> None:
-        """Move overflow events now inside the window into their
-        slots, preserving exact ``(priority, sequence)`` order."""
-        over = self._overflow
-        horizon = self._base + self._size
-        mask = self._mask
-        base_index = self._base & mask
-        prefixes: dict[int, list[Event]] = {}
-        while over:
-            head = over[0]
-            if head.cancelled:
-                heappop(over)
-                continue
-            if head.time >= horizon:
-                break
-            heappop(over)
-            i = head.time & mask
-            if head.priority == 0:
-                prefixes.setdefault(i, []).append(head)
-            else:
-                heappush(self._rest[i], head)
-            self._ring_items += 1
-        for i, items in prefixes.items():
-            if i == base_index and self._cursor0:
-                # Cannot happen through the kernel API (the slot's
-                # overflow drains before its first delivery); guard
-                # against silent misordering all the same.
-                raise SimulationError(
-                    "overflow migration into a partially drained slot"
-                )
-            # Prepend: anything already in the slot was pushed while
-            # the slot was inside the window, i.e. strictly after
-            # every event that overflowed for it.
-            self._lane0[i][:0] = items
-
-    def _peek(self, limit: int | float) -> int | None:
-        """Time of the earliest *live* item at or before *limit*
-        (cancelled fronts are pruned), or ``None``."""
-        while True:
-            t = self.begin_cycle(limit)
-            if t is None:
-                return None
-            i = t & self._mask
-            l0 = self._lane0[i]
-            rest = self._rest[i]
-            i0 = self._cursor0
-            while i0 < len(l0):
-                item = l0[i0]
-                if item.__class__ is tuple or not item.cancelled:
-                    self._cursor0 = i0
-                    return t
-                i0 += 1
-                self._ring_items -= 1
-            self._cursor0 = i0
-            while rest and rest[0].cancelled:
-                heappop(rest)
-                self._ring_items -= 1
-            if rest:
-                return t
-            # The slot held only cancelled items; complete it.
-            self.finish_cycle(t)
-            self._base = t + 1 if self._ring_items else t
+from repro.sim.events import _NO_LIMIT, CycleCalendar, Event, _opaque_view
 
 
 @register_engine(
@@ -538,7 +147,7 @@ class BatchedEngine(Engine):
             raise SimulationError(
                 "the batched engine committed to its fast path on the "
                 "first run(); attach observers before running, or "
-                "select engine='wheel'/'heap' (docs/engines.md)"
+                "select engine='heap' (docs/engines.md)"
             )
 
     def release_network(self, network) -> None:
@@ -560,7 +169,6 @@ class BatchedEngine(Engine):
             return
         self._released = True
         self._calendar.materialize_records()
-        self._calendar.record_view = _opaque_view
         self._gates.clear()
         self._pending.clear()
         self._emitted.clear()
@@ -722,17 +330,8 @@ class BatchedEngine(Engine):
                     cal.finish_cycle(t)
         finally:
             sim._events_processed = events_base + processed
-        if (
-            until is not None
-            and sim._now < until
-            and not sim._stop_requested
-        ):
-            next_time = cal.peek_time() if processed == cap else None
-            if next_time is None or next_time > until:
-                previous = sim._now
-                sim._now = until
-                for observer in sim._observer_snapshot:
-                    observer.on_time_advanced(sim, previous, until)
+        cal.rewind(sim._now)
+        sim._end_run(until, processed == cap)
         return processed
 
     # -- model wiring ----------------------------------------------------

@@ -3,8 +3,8 @@ stores and drains its future-event set.
 
 An :class:`Engine` bundles two choices:
 
-* the **future-event store** (:meth:`Engine.make_queue`) — timing
-  wheel, reference heap, or the batched engine's per-cycle calendar;
+* the **future-event store** (:meth:`Engine.make_queue`) — the
+  reference heap or the per-cycle calendar (timing wheel);
 * the **drive loop** (:meth:`Engine.run`) — the classic per-event
   loop, or the batched engine's cycle-synchronous fast path.
 
@@ -22,7 +22,7 @@ spec key) beats ``REPRO_ENGINE``, which beats the built-in default.
 There are two built-in defaults, both defined here:
 :data:`NETWORK_DEFAULT` (``"batched"``) for a
 :class:`~repro.noc.network.Network` — and with it every sweep, figure
-and campaign — and :data:`KERNEL_DEFAULT` (``"wheel"``) for a bare
+and campaign — and :data:`KERNEL_DEFAULT` (``"heap"``) for a bare
 :class:`~repro.sim.kernel.Simulator`, which has no network for the
 batched engine to install its fast path on.
 
@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.sim.events import EventQueue, HeapEventQueue
+from repro.sim.events import CycleCalendar, HeapEventQueue
 
 if TYPE_CHECKING:
     from repro.sim.kernel import Simulator
@@ -50,9 +50,9 @@ if TYPE_CHECKING:
 NETWORK_DEFAULT = "batched"
 
 #: Engine a bare :class:`~repro.sim.kernel.Simulator` runs on when
-#: none is named: without a network the batched engine is a plain
-#: event loop over its calendar, slower than the timing wheel.
-KERNEL_DEFAULT = "wheel"
+#: none is named: without a network to batch, the classic event loop
+#: runs fastest on the binary heap (docs/engines.md).
+KERNEL_DEFAULT = "heap"
 
 
 def select_engine(
@@ -187,27 +187,32 @@ def resolve_engine(spec: "str | Engine") -> Engine:
 @register_engine(
     "wheel",
     description=(
-        "event kernel on the timing-wheel queue; the default for a "
-        "bare Simulator"
+        "event kernel on the per-cycle calendar (the batched "
+        "engine's slow path)"
     ),
 )
 class WheelEngine(Engine):
-    """Classic event loop over the calendar-queue wheel; the default
-    for a bare :class:`~repro.sim.kernel.Simulator`."""
+    """Classic event loop over the :class:`~repro.sim.events.
+    CycleCalendar` timing wheel: the batched engine's slow path as an
+    engine of its own."""
 
     name = "wheel"
 
-    def make_queue(self) -> EventQueue:
-        return EventQueue()
+    def make_queue(self) -> CycleCalendar:
+        return CycleCalendar()
 
 
 @register_engine(
     "heap",
-    description="event kernel on the reference binary-heap queue",
+    description=(
+        "event kernel on the reference binary-heap queue; the default "
+        "for a bare Simulator"
+    ),
 )
 class HeapEngine(Engine):
     """Reference engine: classic event loop over a single binary heap,
-    kept as the oracle the other engines are verified against."""
+    the oracle the other engines are verified against and the default
+    for a bare :class:`~repro.sim.kernel.Simulator`."""
 
     name = "heap"
 

@@ -45,10 +45,11 @@ class Simulator:
     identical ``(time, priority, sequence)`` order, which the
     equivalence tests assert end to end.  With no engine named, the
     environment variable ``REPRO_ENGINE`` decides, and without it a
-    bare simulator runs on the wheel
-    (:data:`~repro.sim.engines.KERNEL_DEFAULT`): the batched engine
-    pays off only once a :class:`~repro.noc.network.Network` installs
-    its fast path, which is why networks default to it instead.
+    bare simulator runs on the heap
+    (:data:`~repro.sim.engines.KERNEL_DEFAULT`), the fastest queue for
+    the classic event loop: the batched engine pays off only once a
+    :class:`~repro.noc.network.Network` installs its fast path, which
+    is why networks default to it instead.
     """
 
     def __init__(self, engine: "str | Engine | None" = None) -> None:
@@ -259,14 +260,14 @@ class Simulator:
     ) -> int:
         """The classic per-event loop (see :meth:`run` for the
         contract).  With no observers attached it runs a fused fast
-        path: one :meth:`~repro.sim.events.EventQueue.pop_next` call
-        per event (the wheel cursor stays parked on the current
-        cycle's bucket, so a same-cycle batch drains without
-        re-scanning), and the delivered-event total is committed to
-        :attr:`events_processed` when the batch ends rather than once
-        per event.  With observers the loop takes the bookkeeping path
-        that advances time *before* popping, so observer callbacks see
-        the new cycle's events still pending.
+        path: one ``pop_next`` call per event (on the
+        :class:`~repro.sim.events.CycleCalendar` the cursor stays
+        parked on the current cycle's slot, so a same-cycle batch
+        drains without re-scanning), and the delivered-event total is
+        committed to :attr:`events_processed` when the batch ends
+        rather than once per event.  With observers the loop takes
+        the bookkeeping path that advances time *before* popping, so
+        observer callbacks see the new cycle's events still pending.
         """
         self._ensure_initialized()
         processed = 0
@@ -347,20 +348,26 @@ class Simulator:
                         observer.on_event_delivered(self, event)
         finally:
             self._events_processed = events_base + processed
-        if until is not None and self._now < until and not self._stop_requested:
-            # A stop on the max-events cap that left deliverable
-            # events pending is not a time-limited stop: the clock
-            # stays at the last delivery so a later run() resumes
-            # exactly where this one left off.
-            next_time = (
-                queue.peek_time() if processed == cap else None
-            )
-            if next_time is None or next_time > until:
-                previous = self._now
-                self._now = until
-                for observer in self._observer_snapshot:
-                    observer.on_time_advanced(self, previous, until)
+        self._end_run(until, processed == cap)
         return processed
+
+    def _end_run(self, until: int | None, capped: bool) -> None:
+        """Jump the clock to *until* after a time-limited stop (every
+        engine's drive loop ends with this).
+
+        A stop on the max-events cap (*capped*) that left deliverable
+        events pending is not a time-limited stop: the clock stays at
+        the last delivery so a later run() resumes exactly where this
+        one left off.
+        """
+        if until is None or self._now >= until or self._stop_requested:
+            return
+        next_time = self._queue.peek_time() if capped else None
+        if next_time is None or next_time > until:
+            previous = self._now
+            self._now = until
+            for observer in self._observer_snapshot:
+                observer.on_time_advanced(self, previous, until)
 
     def request_stop(
         self, reason: str, details: dict | None = None
@@ -454,10 +461,10 @@ class Simulator:
 
         Returns:
             ``{"pending": live events, "wheel": events in the
-            short-horizon buckets, "overflow": events in the
-            far-future heap}`` — lazily-cancelled events still count
-            toward their tier until they surface.  On the reference
-            heap queue everything reports as overflow.
+            calendar's short-horizon slots, "overflow": events in
+            the far-future heap}`` — lazily-cancelled events still
+            count toward their tier until they surface.  On the heap
+            queue everything reports as overflow.
         """
         return self._queue.occupancy()
 

@@ -29,7 +29,7 @@ class TestKernelProfiler:
         assert profiler.per_module == {"echo": 5}
 
     def test_pending_depth_tracks_backlog(self):
-        sim = Simulator()
+        sim = Simulator(engine="wheel")
         module = Echo(sim, "echo")
         profiler = KernelProfiler(sim)
         for t in range(1, 11):
@@ -42,12 +42,12 @@ class TestKernelProfiler:
         assert profiler.max_overflow_occupancy == 0
 
     def test_overflow_occupancy_tracks_far_future_timers(self):
-        from repro.sim.events import EventQueue
+        from repro.sim.events import CycleCalendar
 
-        sim = Simulator()
+        sim = Simulator(engine="wheel")
         module = Echo(sim, "echo")
         profiler = KernelProfiler(sim)
-        horizon = EventQueue.WHEEL_SLOTS
+        horizon = CycleCalendar.WINDOW
         sim.schedule(1, module, Message("near"))
         sim.schedule(horizon + 10, module, Message("far"))
         sim.run()

@@ -1,4 +1,4 @@
-"""The batched engine's CycleCalendar and fast/slow mode machinery.
+"""The CycleCalendar and the batched engine's fast/slow mode machinery.
 
 Cross-engine result equivalence lives in
 ``tests/integration/test_kernel_equivalence.py``; this file covers
@@ -20,9 +20,9 @@ from repro.noc.config import NocConfig
 from repro.noc.network import Network
 from repro.obs import FlitTracer, KernelProfiler, TimelineObserver, TraceSink
 from repro.resilience import DrainController, InvariantAuditor, StallWatchdog
-from repro.sim.batched import BatchedEngine, CycleCalendar
+from repro.sim.batched import BatchedEngine
 from repro.sim.errors import SimulationError
-from repro.sim.events import Event, HeapEventQueue
+from repro.sim.events import CycleCalendar, Event, HeapEventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import SimModule
@@ -76,7 +76,7 @@ class TestCycleCalendarProtocol:
         pushed = [calendar.push(_event(far)) for _ in range(20)]
         pushed.append(calendar.push(_event(far, priority=2)))
         pushed.insert(0, calendar.push(_event(3)))
-        assert calendar.overflow_occupancy == 21
+        assert calendar.occupancy()["overflow"] == 21
         popped = []
         while True:
             event = calendar.pop_next()
@@ -93,6 +93,31 @@ class TestCycleCalendarProtocol:
         assert calendar.pop_next().time == 100
         with pytest.raises(SimulationError, match="monotone"):
             calendar.push(_event(50))
+
+    def test_cancelled_phase_event_is_not_popped(self):
+        """A cancelled event of priority < 0 sorts before the slot's
+        priority-0 lane; the pop must skip it, not return it."""
+        calendar = CycleCalendar()
+        live = calendar.push(_event(5))
+        doomed = calendar.push(_event(5, priority=-1))
+        doomed.cancel()
+        calendar.discard_cancelled(doomed)
+        assert calendar.pop() is live
+        assert calendar.pop_next() is None
+
+    def test_idle_gap_jump_does_not_redeliver_drained_items(self):
+        """Popping the last ring item leaves it in its slot until the
+        cursor moves on; a jump to the overflow front must not leave
+        it there for a later lap of the ring to deliver again."""
+        calendar = CycleCalendar()
+        far = CycleCalendar.WINDOW + 44
+        for time in (0, far):
+            calendar.push(_event(time))
+        assert [calendar.pop().time for _ in range(2)] == [0, far]
+        calendar.push(_event(500))
+        calendar.push(_event(520))
+        assert [calendar.pop().time for _ in range(2)] == [500, 520]
+        assert calendar.pop_next() is None
 
     def test_pop_limit_parks_without_losing_events(self):
         calendar = CycleCalendar()
@@ -141,11 +166,8 @@ class TestCycleCalendarProtocol:
 
 class TestCycleCalendarGrow:
     def test_ring_starts_at_wheel_size(self):
-        from repro.sim.events import EventQueue
-
         calendar = CycleCalendar()
-        assert calendar._size == CycleCalendar.WINDOW
-        assert CycleCalendar.WINDOW == EventQueue.WHEEL_SLOTS
+        assert calendar._size == CycleCalendar.WINDOW == 256
 
     @pytest.mark.parametrize(
         "span,size", [(0, 256), (255, 256), (256, 512), (300, 512),

@@ -8,7 +8,7 @@ from repro.sim.engines import (
     register_engine,
     resolve_engine,
 )
-from repro.sim.events import EventQueue, HeapEventQueue
+from repro.sim.events import CycleCalendar, HeapEventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -52,7 +52,7 @@ class TestRegistry:
 class TestSimulatorSelection:
     @pytest.mark.parametrize(
         "engine,queue_class",
-        [("wheel", EventQueue), ("heap", HeapEventQueue)],
+        [("wheel", CycleCalendar), ("heap", HeapEventQueue)],
     )
     def test_engine_selects_queue(self, engine, queue_class):
         sim = Simulator(engine=engine)
@@ -247,10 +247,10 @@ class TestDefaults:
         network = Network(RingTopology(4))
         assert isinstance(network.simulator.engine, BatchedEngine)
 
-    def test_bare_simulator_default_is_wheel(self):
+    def test_bare_simulator_default_is_heap(self):
         sim = Simulator()
-        assert sim.engine.name == "wheel"
-        assert isinstance(sim._queue, EventQueue)
+        assert sim.engine.name == "heap"
+        assert isinstance(sim._queue, HeapEventQueue)
 
     def test_settings_default_runs_batched(self, monkeypatch):
         from repro.experiments.parallel import run_sweep_point
@@ -312,9 +312,10 @@ class TestEnginePrecedence:
         from repro.noc.network import Network
         from repro.topology import RingTopology
 
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        assert Network(RingTopology(4)).simulator.engine.name == "heap"
-        assert Simulator().engine.name == "heap"
+        # Neither default is the wheel, so only the variable can pick it.
+        monkeypatch.setenv("REPRO_ENGINE", "wheel")
+        assert Network(RingTopology(4)).simulator.engine.name == "wheel"
+        assert Simulator().engine.name == "wheel"
 
     def test_campaign_validate_checks_env(self, monkeypatch):
         from repro.experiments.campaign import Campaign

@@ -1,8 +1,14 @@
-"""Unit tests for the event queue: ordering, cancellation, laziness."""
+"""Unit tests for the event queues: ordering, cancellation, laziness.
+
+Every test runs on both queues, :class:`HeapEventQueue` and the
+:class:`CycleCalendar` timing wheel.
+"""
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import CycleCalendar, Event, HeapEventQueue
+
+QUEUES = (HeapEventQueue, CycleCalendar)
 
 
 def make_event(time, priority=0):
@@ -11,96 +17,119 @@ def make_event(time, priority=0):
 
 class TestEventQueueOrdering:
     def test_pops_in_time_order(self):
-        queue = EventQueue()
-        for t in (5, 1, 3):
-            queue.push(make_event(t))
-        assert [queue.pop().time for _ in range(3)] == [1, 3, 5]
+        for make_queue in QUEUES:
+            queue = make_queue()
+            for t in (5, 1, 3):
+                queue.push(make_event(t))
+            assert [queue.pop().time for _ in range(3)] == [1, 3, 5]
 
     def test_priority_breaks_time_ties(self):
-        queue = EventQueue()
-        queue.push(make_event(2, priority=2))
-        queue.push(make_event(2, priority=0))
-        queue.push(make_event(2, priority=1))
-        assert [queue.pop().priority for _ in range(3)] == [0, 1, 2]
+        for make_queue in QUEUES:
+            queue = make_queue()
+            queue.push(make_event(2, priority=2))
+            queue.push(make_event(2, priority=0))
+            queue.push(make_event(2, priority=1))
+            assert [queue.pop().priority for _ in range(3)] == [0, 1, 2]
 
     def test_fifo_within_time_and_priority(self):
-        queue = EventQueue()
-        events = [make_event(4) for _ in range(5)]
-        for event in events:
-            queue.push(event)
-        popped = [queue.pop() for _ in range(5)]
-        assert popped == events
+        for make_queue in QUEUES:
+            queue = make_queue()
+            events = [make_event(4) for _ in range(5)]
+            for event in events:
+                queue.push(event)
+            popped = [queue.pop() for _ in range(5)]
+            assert popped == events
 
     def test_sequence_assigned_monotonically(self):
-        queue = EventQueue()
-        first = queue.push(make_event(1))
-        second = queue.push(make_event(1))
-        assert second.sequence > first.sequence
+        for make_queue in QUEUES:
+            queue = make_queue()
+            first = queue.push(make_event(1))
+            second = queue.push(make_event(1))
+            assert second.sequence > first.sequence
 
     def test_interleaved_push_pop(self):
-        queue = EventQueue()
-        queue.push(make_event(10))
-        queue.push(make_event(2))
-        assert queue.pop().time == 2
-        queue.push(make_event(5))
-        assert queue.pop().time == 5
-        assert queue.pop().time == 10
+        for make_queue in QUEUES:
+            queue = make_queue()
+            queue.push(make_event(10))
+            queue.push(make_event(2))
+            assert queue.pop().time == 2
+            queue.push(make_event(5))
+            assert queue.pop().time == 5
+            assert queue.pop().time == 10
+
+    def test_peek_time_leaves_earlier_pushes_legal(self):
+        """A run stopped by ``until`` peeks past the clock; the kernel
+        may still schedule between the clock and the peeked time."""
+        for make_queue in QUEUES:
+            queue = make_queue()
+            queue.push(make_event(50))
+            assert queue.peek_time() == 50
+            queue.push(make_event(20))
+            assert [queue.pop().time for _ in range(2)] == [20, 50]
 
 
 class TestEventQueueCancellation:
     def test_cancelled_event_is_skipped(self):
-        queue = EventQueue()
-        doomed = queue.push(make_event(1))
-        queue.push(make_event(2))
-        doomed.cancel()
-        queue.discard_cancelled(doomed)
-        assert queue.pop().time == 2
+        for make_queue in QUEUES:
+            queue = make_queue()
+            doomed = queue.push(make_event(1))
+            queue.push(make_event(2))
+            doomed.cancel()
+            queue.discard_cancelled(doomed)
+            assert queue.pop().time == 2
 
     def test_len_tracks_cancellation(self):
-        queue = EventQueue()
-        doomed = queue.push(make_event(1))
-        queue.push(make_event(2))
-        assert len(queue) == 2
-        doomed.cancel()
-        queue.discard_cancelled(doomed)
-        assert len(queue) == 1
+        for make_queue in QUEUES:
+            queue = make_queue()
+            doomed = queue.push(make_event(1))
+            queue.push(make_event(2))
+            assert len(queue) == 2
+            doomed.cancel()
+            queue.discard_cancelled(doomed)
+            assert len(queue) == 1
 
     def test_discard_requires_cancelled_event(self):
-        queue = EventQueue()
-        event = queue.push(make_event(1))
-        with pytest.raises(ValueError):
-            queue.discard_cancelled(event)
+        for make_queue in QUEUES:
+            queue = make_queue()
+            event = queue.push(make_event(1))
+            with pytest.raises(ValueError):
+                queue.discard_cancelled(event)
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        doomed = queue.push(make_event(1))
-        queue.push(make_event(7))
-        doomed.cancel()
-        queue.discard_cancelled(doomed)
-        assert queue.peek_time() == 7
+        for make_queue in QUEUES:
+            queue = make_queue()
+            doomed = queue.push(make_event(1))
+            queue.push(make_event(7))
+            doomed.cancel()
+            queue.discard_cancelled(doomed)
+            assert queue.peek_time() == 7
 
 
 class TestEventQueueEmpty:
     def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+        for make_queue in QUEUES:
+            with pytest.raises(IndexError):
+                make_queue().pop()
 
     def test_peek_time_empty_is_none(self):
-        assert EventQueue().peek_time() is None
+        for make_queue in QUEUES:
+            assert make_queue().peek_time() is None
 
     def test_bool_reflects_liveness(self):
-        queue = EventQueue()
-        assert not queue
-        event = queue.push(make_event(1))
-        assert queue
-        event.cancel()
-        queue.discard_cancelled(event)
-        assert not queue
+        for make_queue in QUEUES:
+            queue = make_queue()
+            assert not queue
+            event = queue.push(make_event(1))
+            assert queue
+            event.cancel()
+            queue.discard_cancelled(event)
+            assert not queue
 
     def test_clear_drops_everything(self):
-        queue = EventQueue()
-        for t in range(5):
-            queue.push(make_event(t))
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.peek_time() is None
+        for make_queue in QUEUES:
+            queue = make_queue()
+            for t in range(5):
+                queue.push(make_event(t))
+            queue.clear()
+            assert len(queue) == 0
+            assert queue.peek_time() is None

@@ -5,14 +5,21 @@ Each class pins one historical bug:
 * a ``run(until=..., max_events=...)`` call that stopped on the event
   cap used to jump ``now`` to ``until`` anyway, teleporting the clock
   past events that were still due;
-* ``EventQueue.clear()`` used to drop events without cancel-marking
-  them, so a stale handle later passed to ``Simulator.cancel`` drove
-  the live-event count negative.
+* the timing wheel's ``clear()`` used to drop events without
+  cancel-marking them, so a stale handle later passed to
+  ``Simulator.cancel`` drove the live-event count negative;
+* the ``CycleCalendar`` let its cursor run ahead of the kernel's
+  clock: ``peek_time()`` moved it to the peeked time (a run stopped
+  by ``until`` with observers, or by ``max_events``), a run stopped
+  by ``until`` before a far-future timer jumped it to that timer, and
+  a run that drained past cancelled events left it at them — and
+  scheduling between the clock and the cursor raised
+  ``SimulationError``.
 """
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, HeapEventQueue
+from repro.sim.events import CycleCalendar, Event, HeapEventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
 from repro.sim.module import SimModule
@@ -103,7 +110,7 @@ class TestClearCancelMarksDroppedEvents:
 
 
 @pytest.mark.parametrize(
-    "queue_class", [EventQueue, HeapEventQueue]
+    "queue_class", [CycleCalendar, HeapEventQueue]
 )
 class TestClearMarksEveryTier:
     def test_clear_marks_every_tier(self, queue_class):
@@ -111,7 +118,7 @@ class TestClearMarksEveryTier:
         near = queue.push(Event(time=1, priority=0, sequence=0))
         far = queue.push(
             Event(
-                time=EventQueue.WHEEL_SLOTS + 100,
+                time=CycleCalendar.WINDOW + 100,
                 priority=0,
                 sequence=0,
             )
@@ -120,3 +127,62 @@ class TestClearMarksEveryTier:
         assert near.cancelled and far.cancelled
         assert len(queue) == 0
         assert queue.pop_next() is None
+
+
+@pytest.mark.parametrize("engine", ["wheel", "heap", "batched"])
+class TestCursorNeverPassesClock:
+    def test_schedule_after_cap_stop_with_later_event(self, engine):
+        sim = Simulator(engine=engine)
+        module = Recorder(sim, "r")
+        sim.schedule(10, module, Message("first"))
+        sim.schedule(50, module, Message("later"))
+        sim.run(until=100, max_events=1)
+        assert sim.now == 10
+        sim.schedule(20, module, Message("between"))
+        sim.run()
+        assert module.delivered == [
+            (10, "first"), (20, "between"), (50, "later")
+        ]
+
+    def test_schedule_after_observed_until_stop(self, engine):
+        from repro.sim.observers import Observer
+
+        sim = Simulator(engine=engine)
+        sim.add_observer(Observer())
+        module = Recorder(sim, "r")
+        sim.schedule(150, module, Message("late"))
+        sim.run(until=100)
+        assert sim.now == 100
+        sim.schedule(120, module, Message("early"))
+        sim.run()
+        assert module.delivered == [(120, "early"), (150, "late")]
+
+    def test_schedule_after_run_drained_past_cancelled_event(self, engine):
+        sim = Simulator(engine=engine)
+        module = Recorder(sim, "r")
+        sim.schedule(5, module, Message("live"))
+        sim.cancel(sim.schedule(50, module, Message("cancelled")))
+        sim.run()
+        assert sim.now == 5
+        sim.schedule(20, module, Message("later"))
+        sim.run()
+        assert module.delivered == [(5, "live"), (20, "later")]
+
+    def test_schedule_after_until_stop_before_far_timer(self, engine):
+        sim = Simulator(engine=engine)
+        module = Recorder(sim, "r")
+        sim.schedule(1_000, module, Message("far"))
+        sim.run(until=5)
+        sim.schedule(10, module, Message("near"))
+        sim.run()
+        assert module.delivered == [(10, "near"), (1_000, "far")]
+
+    def test_schedule_at_until_after_cancelled_event_there(self, engine):
+        sim = Simulator(engine=engine)
+        module = Recorder(sim, "r")
+        sim.cancel(sim.schedule(100, module, Message("cancelled")))
+        sim.schedule(150, module, Message("late"))
+        sim.run(until=100)
+        sim.schedule(100, module, Message("at-until"))
+        sim.run()
+        assert module.delivered == [(100, "at-until"), (150, "late")]

@@ -3,33 +3,34 @@
 The kernel's correctness rests on one contract: the future-event set
 delivers events in exact ``(time, priority, sequence)`` order, no
 matter how pushes, cancellations, and (possibly limited) pops
-interleave.  These tests drive :class:`~repro.sim.events.EventQueue`
+interleave.  These tests drive :class:`~repro.sim.events.CycleCalendar`
 (the timing wheel) and :class:`~repro.sim.events.HeapEventQueue` (the
 reference heap) with identical operation schedules — hypothesis
 generates the schedules — and require identical observable behaviour,
-including same-cycle priority/sequence ties, far-future events that
-live in the wheel's overflow tier, and pushes behind the wheel's
-cursor (legal for the standalone queue even though the kernel never
-does it).
+including same-cycle priority/sequence ties and far-future events
+that live in the calendar's overflow tier.  Pushes are monotone, as
+the kernel's scheduling guard makes them: never before the current
+time (the calendar rejects a push behind its cursor, which
+``tests/sim/test_batched.py`` checks).
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.events import Event, EventQueue, HeapEventQueue
+from repro.sim.events import CycleCalendar, Event, HeapEventQueue
 
 # Times cluster at the wheel's short horizon (NoC link delays) but
-# also reach far past WHEEL_SLOTS so schedules exercise the overflow
+# also reach far past its window so schedules exercise the overflow
 # tier and the overflow->wheel migration.
 _TIME = st.one_of(
     st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=EventQueue.WHEEL_SLOTS * 3),
+    st.integers(min_value=0, max_value=CycleCalendar.WINDOW * 3),
 )
 
 # An operation schedule: push(time_delta, priority), cancel(k-th
 # oldest live handle), pop, or pop_next(limit_delta).
 _OP = st.one_of(
-    st.tuples(st.just("push"), _TIME, st.integers(0, 2)),
+    st.tuples(st.just("push"), _TIME, st.integers(-1, 2)),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("pop"), st.just(0)),
     st.tuples(st.just("pop_limit"), _TIME),
@@ -39,10 +40,11 @@ _OP = st.one_of(
 def _run_schedule(queue, ops):
     """Apply *ops* to *queue*; return the observable trace.
 
-    Pop times are anchored to the queue's own clock (the time of the
-    last popped event) so pushes may land behind the wheel's cursor.
-    Cancellation picks among the still-pending handles only — the
-    cancel-a-pending-event protocol the kernel follows.
+    Push times are relative to a clock kept as the kernel keeps its
+    own: the time of the last popped event, or the limit of a limited
+    pop that found nothing due (a run stopped by ``until`` jumps the
+    clock there).  Cancellation picks among the still-pending handles
+    only — the cancel-a-pending-event protocol the kernel follows.
     """
     trace = []
     pending = {}
@@ -77,6 +79,7 @@ def _run_schedule(queue, ops):
             limit = clock + op[1]
             event = queue.pop_next(limit)
             if event is None:
+                clock = limit
                 trace.append(("blocked", queue.peek_time()))
             else:
                 clock = event.time
@@ -101,7 +104,7 @@ class TestWheelMatchesHeap:
     @given(ops=st.lists(_OP, max_size=120))
     @settings(max_examples=300, deadline=None)
     def test_identical_trace_for_any_schedule(self, ops):
-        wheel_trace = _run_schedule(EventQueue(), ops)
+        wheel_trace = _run_schedule(CycleCalendar(), ops)
         heap_trace = _run_schedule(HeapEventQueue(), ops)
         assert wheel_trace == heap_trace
 
@@ -116,7 +119,7 @@ class TestWheelMatchesHeap:
     ):
         """All events at one timestamp: delivery is (priority, push
         order) on both queues."""
-        queues = (EventQueue(), HeapEventQueue())
+        queues = (CycleCalendar(), HeapEventQueue())
         orders = []
         for queue in queues:
             for priority in priorities:
@@ -129,25 +132,15 @@ class TestWheelMatchesHeap:
         assert orders[0] == orders[1] == sorted(orders[0])
 
     def test_far_future_event_lands_in_overflow_then_delivers(self):
-        queue = EventQueue()
-        far = EventQueue.WHEEL_SLOTS + 50
+        queue = CycleCalendar()
+        far = CycleCalendar.WINDOW + 50
         queue.push(Event(time=far, priority=0, sequence=0))
         queue.push(Event(time=1, priority=0, sequence=0))
-        assert queue.overflow_occupancy == 1
-        assert queue.wheel_occupancy == 1
+        assert queue.occupancy() == {
+            "pending": 2, "wheel": 1, "overflow": 1
+        }
         assert queue.pop().time == 1
         # The wheel is now empty; serving the overflow event migrates
         # it into the (re-based) wheel window first.
         assert queue.pop().time == far
         assert not queue
-
-    def test_push_behind_cursor_still_delivers_first(self):
-        """The kernel never schedules in the past, but the standalone
-        queue must stay ordered if a caller does."""
-        queue = EventQueue()
-        for t in (10, 11, 12):
-            queue.push(Event(time=t, priority=0, sequence=0))
-        assert queue.pop().time == 10  # cursor now at 10
-        queue.push(Event(time=3, priority=0, sequence=0))
-        assert queue.peek_time() == 3
-        assert [queue.pop().time for _ in range(3)] == [3, 11, 12]

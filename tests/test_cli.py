@@ -184,6 +184,31 @@ class TestMain:
         assert "plan: fail 5-6 at cycle 400" in out
         assert "degraded=False" in out
 
+    def test_run_stall_snapshot_counts_every_flit(self, capsys):
+        """Faults on a 1-VC mesh wedge traffic in router buffers; the
+        printed snapshot accounts for every injected flit."""
+        import json
+
+        assert main(
+            [
+                "run", "mesh4x4", "uniform", "0.1",
+                "random_faults=2@5000:4000", "stall_cycles=2000",
+            ]
+        ) == 1
+        line = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("stall snapshot: ")
+        )
+        snapshot = json.loads(line.removeprefix("stall snapshot: "))
+        assert snapshot["flits_buffered"] > 0
+        assert snapshot["flits_injected"] == (
+            snapshot["flits_consumed"]
+            + snapshot["flits_buffered"]
+            + snapshot["flits_in_flight"]
+            + snapshot["flits_dropped"]
+        )
+
     def test_run_json_equals_run_sweep_point(self, tmp_path, capsys):
         import json
 

@@ -62,7 +62,9 @@ def kernel_rate() -> float:
     b.gate("out").connect(a.add_gate("in"), delay=1)
     sim.schedule(0, a, Message("serve"))
     start = time.perf_counter()
-    sim.run(max_events=EVENTS)
+    # The ball lands once per cycle from t=0: cycles 0..EVENTS-1
+    # hold exactly EVENTS deliveries.
+    sim.run(until=EVENTS - 1)
     elapsed = time.perf_counter() - start
     assert sim.events_processed == EVENTS
     return EVENTS / elapsed

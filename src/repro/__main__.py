@@ -301,12 +301,6 @@ def _campaign(rest: list[str]) -> int:
         help="result cache location (default: .repro-cache next to "
         "the CSV)",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="keep the outcome manifest from the previous run and "
-        "skip every point it already marks ok",
-    )
     try:
         args = _parse_executor_args(
             parser,
@@ -333,7 +327,6 @@ def _campaign(rest: list[str]) -> int:
         cache_dir=args.cache_dir,
         timeout=args.timeout,
         retries=args.retries,
-        resume=args.resume,
     )
     failures = [r for r in results if not r.ok]
     print(f"{len(results)} runs executed; results in {args.csv}")
@@ -347,7 +340,7 @@ def _campaign(rest: list[str]) -> int:
                 f"after {failure.attempts} attempt(s)"
             )
         print(
-            f"{len(failures)} point(s) failed; re-run with --resume "
+            f"{len(failures)} point(s) failed; re-run the same command "
             "to retry exactly those"
         )
         return 1

@@ -98,10 +98,7 @@ class EnergyReport:
         routing_energy = (
             model.routing_decision * total_flit_hops / packet_size
         )
-        delivered = (
-            network.stats.flits_consumed
-            + network.stats.warmup_flits_consumed
-        )
+        delivered = network.flits_consumed()
         return cls(
             wire_energy=wire_energy,
             router_energy=router_energy,

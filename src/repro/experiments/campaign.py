@@ -73,7 +73,6 @@ from repro.experiments.parallel import (
     ResultCache,
     derive_seed,
     execute_points,
-    point_key,
 )
 from repro.experiments.runner import SweepPoint
 from repro.experiments.specs import (
@@ -257,7 +256,6 @@ class Campaign:
         cache_dir: str | pathlib.Path | None = None,
         timeout: float | None = None,
         retries: int = 0,
-        resume: bool = False,
     ) -> list[PointResult]:
         """Run every outstanding cell, appending rows to *csv_path*.
 
@@ -277,40 +275,33 @@ class Campaign:
                 :func:`~repro.experiments.parallel.execute_points`).
             retries: Extra attempts per failed point before it is
                 recorded as a :class:`FailedResult`.
-            resume: Keep the existing outcome manifest and skip
-                points it already marks ``ok`` (in addition to the
-                CSV-based skip); without it a hardened run starts a
-                fresh manifest.
+
+        A hardened run appends every outcome to the manifest next to
+        the CSV, after earlier runs' entries.  What is outstanding is
+        decided by the CSV alone: a point runs again until it has a
+        row, whatever the manifest says.
 
         Returns:
             The results produced by *this* call, in sweep order —
             :class:`RunResult` for successes (cache hits included),
             :class:`FailedResult` for points that exhausted their
-            retries.  Failed points get **no CSV row**, so a resumed
-            campaign re-attempts exactly those.
+            retries.  Failed points get **no CSV row**, so the next
+            run re-attempts exactly those.
         """
         self.validate()
         path = pathlib.Path(csv_path)
         if not path.exists():
             path.write_text(",".join(CSV_COLUMNS) + "\n")
-        hardened = timeout is not None or retries > 0 or resume
         manifest = None
-        if hardened:
-            mpath = self.manifest_path(path)
-            if not resume and mpath.exists():
-                mpath.unlink()
-            manifest = CampaignManifest(mpath)
+        if timeout is not None or retries > 0:
+            manifest = CampaignManifest(self.manifest_path(path))
         done = self.completed_keys(path)
-        manifest_done = (
-            manifest.completed_keys() if resume and manifest else set()
-        )
         total = len(self.runs())
         outstanding = [
             point
             for point in self.sweep_points()
             if self._key(point.topology, point.pattern, point.rate)
             not in done
-            and point_key(point) not in manifest_done
         ]
         result_cache = None
         if cache:

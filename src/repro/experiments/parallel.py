@@ -21,7 +21,7 @@ overlapping campaigns skip points that are already computed.
 ``retries`` / ``manifest``), :func:`execute_points` retries failed
 points and then records them as :class:`FailedResult` placeholders
 instead of sinking the sweep, and appends every outcome to a JSONL
-:class:`CampaignManifest` that resumed campaigns read back.  Pool
+:class:`CampaignManifest`, the campaign's outcome history.  Pool
 runs go through :mod:`repro.experiments.executor`, the core the
 campaign server uses too.  Serial sweeps never import
 :mod:`asyncio`.
@@ -141,7 +141,7 @@ class FailedResult:
     the casualty; deliberately *not* a :class:`RunResult` — consumers
     that compute statistics must filter these out (``isinstance`` or
     :attr:`ok`), and the CSV persistence layer never writes a row for
-    one, so a resumed campaign re-runs the point.
+    one, so the campaign's next run re-runs the point.
 
     Attributes:
         topology / pattern / rate / seed: The point's coordinates.
@@ -204,11 +204,12 @@ def manifest_entry(
 class CampaignManifest:
     """Append-only JSONL log of per-point outcomes.
 
-    One :func:`manifest_entry` line per settled point: the resume
-    ledger of a hardened campaign.  ``ok`` lines mark points that
-    need not re-run; ``failed`` lines document casualties, which
-    re-run on resume since they have no CSV row.  Appends are
-    line-atomic on POSIX, a torn final line (a process that died
+    One :func:`manifest_entry` line per settled point: the outcome
+    history of a hardened campaign, kept across its runs.  ``ok``
+    lines record successes; ``failed`` lines document casualties,
+    which the next run re-attempts since they have no CSV row (the
+    CSV, not the manifest, decides what is outstanding).  Appends
+    are line-atomic on POSIX, a torn final line (a process that died
     mid-write) is skipped on load, and where entries share a key the
     **latest entry wins**.
     """
@@ -244,7 +245,7 @@ class CampaignManifest:
         return {entry.get("key", ""): entry for entry in self.entries()}
 
     def completed_keys(self) -> set[str]:
-        """Keys whose *latest* entry is ``ok`` (resume support)."""
+        """Keys whose *latest* entry is ``ok``."""
         return {
             key
             for key, entry in self._latest().items()

@@ -50,12 +50,11 @@ class SimulationSettings:
             are O(model state) each).
         engine: Simulation engine name (``"wheel"``, ``"heap"`` or
             ``"batched"`` — see :func:`repro.sim.available_engines`
-            and docs/engines.md), or ``None`` for ``REPRO_ENGINE``
-            and then the network default, batched.  A pure
-            performance choice: every engine yields byte-identical
-            ``RunResult``s, so the sweep cache key leaves the engine
-            out and a result stored under one engine is a hit under
-            any other.
+            and docs/engines.md), or ``None`` for the network
+            default, batched.  A pure performance choice: every
+            engine yields byte-identical ``RunResult``s, so the sweep
+            cache key leaves the engine out and a result stored under
+            one engine is a hit under any other.
     """
 
     cycles: int = 20_000

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 from repro.experiments.runner import SimulationSettings, SweepPoint
 from repro.noc.config import NocConfig
 from repro.resilience.plan import FaultEvent, FaultPlan
-from repro.sim.engines import NETWORK_DEFAULT, resolve_engine, select_engine
+from repro.sim.engines import resolve_engine
 from repro.topology import (
     MeshTopology,
     RingTopology,
@@ -474,9 +474,10 @@ def check_pattern(
 
 
 def check_engine(engine: str | None) -> None:
-    """Raise :class:`ValueError` for an unknown engine, whether given
-    or taken from ``REPRO_ENGINE``."""
-    resolve_engine(select_engine(engine, NETWORK_DEFAULT))
+    """Raise :class:`ValueError` for an unknown engine name (``None``
+    picks the network default)."""
+    if engine is not None:
+        resolve_engine(engine)
 
 
 def run_settings(

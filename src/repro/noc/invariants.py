@@ -37,9 +37,7 @@ class InvariantChecker:
 
     def check_conservation(self) -> None:
         net = self.network
-        consumed = (
-            net.stats.flits_consumed + net.stats.warmup_flits_consumed
-        )
+        consumed = net.flits_consumed()
         buffered = sum(
             router.total_buffered_flits() for router in net.routers
         )

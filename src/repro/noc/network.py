@@ -14,9 +14,8 @@ multiplied by the global ``config.link_delay`` knob; credit links are
 zero-delay (signal-based flow control).  The routing algorithm
 defaults to the paper's scheme for the given topology
 (:func:`repro.routing.routing_for`), and the engine to the batched
-cycle-synchronous one (:data:`repro.sim.engines.NETWORK_DEFAULT`;
-``REPRO_ENGINE`` overrides it, an explicit ``engine=`` overrides
-both).
+cycle-synchronous one (:data:`repro.sim.engines.NETWORK_DEFAULT`)
+unless ``engine=`` names another.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from repro.noc.scheduler import CycleScheduler
 from repro.noc.signals import FlitMessage
 from repro.routing import RoutingAlgorithm, routing_for
 from repro.routing.base import LOCAL_PORT
-from repro.sim.engines import NETWORK_DEFAULT, select_engine
+from repro.sim.engines import NETWORK_DEFAULT
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStream
 from repro.stats.collectors import NetworkStats
@@ -80,9 +79,9 @@ class Network:
         )
         # The equivalence tests run the same network on every engine
         # and require byte-identical results; with none named, the
-        # network default (batched) applies, after REPRO_ENGINE.
+        # network default (batched) applies.
         self.simulator = Simulator(
-            engine=select_engine(engine, NETWORK_DEFAULT)
+            engine=NETWORK_DEFAULT if engine is None else engine
         )
         self.scheduler = CycleScheduler(self.simulator)
         self.stats = NetworkStats()
@@ -512,6 +511,27 @@ class Network:
         for listener in self._drain_listeners:
             listener(kind, flit, src, dst, vc)
 
+    def flits_consumed(self) -> int:
+        """Flits consumed at their destinations, warmup included: the
+        monotone *progress* counter the stall watchdog and the drain
+        controller watch.
+
+        Deliberately excludes injections and fault drops — a network
+        that only generates and kills traffic (every destination
+        unreachable) is not making progress.
+        """
+        return self.stats.flits_consumed + self.stats.warmup_flits_consumed
+
+    def work_outstanding(self) -> bool:
+        """Whether any router buffers a flit or any source has a
+        backlog: a quiet network with work outstanding is stuck, one
+        without is idle."""
+        return any(
+            router.total_buffered_flits() for router in self.routers
+        ) or any(
+            interface.backlog_packets for interface in self.interfaces
+        )
+
     @property
     def packets_rerouted(self) -> int:
         """Distinct packets that took at least one fallback detour."""
@@ -556,7 +576,6 @@ class Network:
         self._ran = True
         self.stats.warmup_cycles = warmup
         self.simulator.run(until=cycles)
-        self.simulator.finalize()
         stopped_early = self.simulator.stop_requested
         self.cycles_run = (
             self.simulator.now if stopped_early else cycles

@@ -87,7 +87,7 @@ class KernelProfiler(Observer):
 
     def summary(self, top_modules: int = 10) -> dict:
         """JSON-ready profile: events, rate, queue depths, top
-        modules.  ``max_pending_events`` is the peak live-event count;
+        modules.  ``max_pending_events`` is the peak pending-event count;
         the wheel/overflow pair shows which tier of the future-event
         set carried it (on the reference heap queue everything counts
         as overflow)."""

@@ -387,25 +387,13 @@ class DrainController(Observer):
             handler=self._on_tick,
         )
 
-    def _progress_counter(self) -> int:
-        stats = self.network.stats
-        return stats.flits_consumed + stats.warmup_flits_consumed
-
-    def _work_outstanding(self) -> bool:
-        net = self.network
-        return any(
-            router.total_buffered_flits() for router in net.routers
-        ) or any(
-            interface.backlog_packets for interface in net.interfaces
-        )
-
     def _on_tick(self, message: Message) -> None:
         now = self.network.simulator.now
-        progress = self._progress_counter()
+        progress = self.network.flits_consumed()
         if not self._armed:
             stalled = (
                 progress == self._progress_mark
-                and self._work_outstanding()
+                and self.network.work_outstanding()
             )
             self._progress_mark = progress
             if not stalled:
@@ -433,7 +421,7 @@ class DrainController(Observer):
             self.interval = max(
                 self.interval // 2, self.min_interval
             )
-        if not self._work_outstanding():
+        if not self.network.work_outstanding():
             self._armed = False
             self._shield_from = None
             self._schedule(now + self.detect_cycles)
@@ -444,7 +432,7 @@ class DrainController(Observer):
         self.last_epoch_cycle = now
         if moved:
             self._shield_from = now
-        self._progress_mark = self._progress_counter()
+        self._progress_mark = self.network.flits_consumed()
         self._schedule(now + self.interval)
 
     def shields_watchdog(self, now: int) -> bool:

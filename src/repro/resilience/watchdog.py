@@ -67,23 +67,14 @@ class StallWatchdog(Observer):
         self._drops_at_progress = 0
         network.simulator.add_observer(self)
 
-    def _progress_counter(self) -> int:
-        """Monotone counter of *useful* progress: flits consumed.
-
-        Deliberately excludes injections and fault drops — a network
-        that only generates and kills traffic (every destination
-        unreachable) is not making progress, and detecting exactly
-        that churn is the watchdog's job.
-        """
-        stats = self.network.stats
-        return stats.flits_consumed + stats.warmup_flits_consumed
-
     def on_time_advanced(
         self, simulator, old_time: int, new_time: int
     ) -> None:
         if self.tripped:
             return
-        progress = self._progress_counter()
+        # Flits consumed: injections and drops are not progress, and
+        # detecting kill-churn is exactly the watchdog's job.
+        progress = self.network.flits_consumed()
         if progress != self._last_progress:
             self._last_progress = progress
             self._last_progress_cycle = new_time
@@ -104,7 +95,7 @@ class StallWatchdog(Observer):
             # moment the shield lapses (drain stopped moving flits)
             # the already-elapsed quiet window trips immediately.
             return
-        if not dropping and not self._work_outstanding():
+        if not dropping and not self.network.work_outstanding():
             # Quiet because idle (e.g. zero injection rate), not
             # because stuck.  A network that dropped flits during the
             # window does not qualify — kill-churn (every destination
@@ -119,14 +110,6 @@ class StallWatchdog(Observer):
             f"no flit consumed for {new_time - self._last_progress_cycle}"
             f" cycles (watchdog limit {self.stall_cycles})",
             details=self.snapshot,
-        )
-
-    def _work_outstanding(self) -> bool:
-        net = self.network
-        return any(
-            router.total_buffered_flits() for router in net.routers
-        ) or any(
-            interface.backlog_packets for interface in net.interfaces
         )
 
     def _build_snapshot(self, now: int) -> dict:
@@ -148,10 +131,7 @@ class StallWatchdog(Observer):
             "last_progress_cycle": self._last_progress_cycle,
             "stall_cycles": self.stall_cycles,
             "flits_injected": net.stats.flits_injected,
-            "flits_consumed": (
-                net.stats.flits_consumed
-                + net.stats.warmup_flits_consumed
-            ),
+            "flits_consumed": net.flits_consumed(),
             "flits_dropped": net.stats.flits_dropped,
             "flits_in_flight": in_flight,
             "blocked_routers": blocked,

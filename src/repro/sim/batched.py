@@ -51,7 +51,7 @@ The fast path has no per-event ``Event`` to hand
 * every observer sets it (no observers at all, or only
   ``StallWatchdog`` and ``TimelineObserver``) → **fast path**: sinks
   are installed on the model and records replace messages.  Before
-  each cycle holding a live item the loop advances the clock and
+  each cycle holding an item the loop advances the clock and
   calls ``on_time_advanced``, exactly where the event loop does.
   Attaching an observer *after* that raises
   :class:`~repro.sim.errors.SimulationError` — loudly, instead of
@@ -178,7 +178,7 @@ class BatchedEngine(Engine):
         # fast_arm shadowed the class method per instance.
         del network.scheduler._arm
 
-    def run(self, simulator, until, max_events):
+    def run(self, simulator, until):
         if self._released:
             raise SimulationError(
                 "the batched engine released its fast-path wiring "
@@ -197,20 +197,19 @@ class BatchedEngine(Engine):
             if fast and self._network is not None:
                 self._install_fast_path()
         if self._mode == "slow":
-            return simulator._event_loop(until, max_events)
-        return self._run_fast(simulator, until, max_events)
+            return simulator._event_loop(until)
+        return self._run_fast(simulator, until)
 
     # -- fast path -------------------------------------------------------
 
-    def _run_fast(self, sim, until, max_events):
+    def _run_fast(self, sim, until):
         """The cycle loop.  Mirrors ``Simulator._event_loop``'s
-        contract exactly: stop/cap checks between deliveries, the
+        contract exactly: stop checks between deliveries, the
         end-of-run jump to ``until``, and ``events_processed``
-        committed when the loop ends.  Unobserved, time advances only
-        when something is delivered; observed, it advances to the next
-        cycle holding a live item and notifies the observers before
-        delivering any of it, as the event loop's observed branch
-        does."""
+        committed when the loop ends.  Time advances to the next
+        cycle holding an item; observed, the loop notifies the
+        observers before delivering any of it, as the event loop's
+        observed branch does."""
         sim._ensure_initialized()
         cal = self._calendar
         mask = cal._mask
@@ -229,33 +228,19 @@ class BatchedEngine(Engine):
         observers = sim._observers
         processed = 0
         events_base = sim._events_processed
-        cap = -1 if max_events is None else max_events
         limit = _NO_LIMIT if until is None else until
-        interrupted = False
         try:
-            while not interrupted:
-                if sim._stop_requested or processed == cap:
+            while not sim._stop_requested:
+                t = cal.begin_cycle(limit)
+                if t is None:
                     break
-                previous_now = sim._now
-                if observers:
-                    t = cal._peek(limit)  # skips cancelled items
-                    if t is None:
-                        break
-                    if t > previous_now:
-                        sim._now = t
-                        sim._events_processed = events_base + processed
-                        for observer in sim._observer_snapshot:
-                            observer.on_time_advanced(
-                                sim, previous_now, t
-                            )
-                        # The clock moved for good, as in the event
-                        # loop, whether or not anything is delivered.
-                        previous_now = t
-                        if sim._stop_requested:
-                            break
-                else:
-                    t = cal.begin_cycle(limit)
-                    if t is None:
+                if observers and t > sim._now:
+                    previous = sim._now
+                    sim._now = t
+                    sim._events_processed = events_base + processed
+                    for observer in sim._observer_snapshot:
+                        observer.on_time_advanced(sim, previous, t)
+                    if sim._stop_requested:
                         break
                 i = t & mask
                 l0 = lane0_ring[i]
@@ -263,13 +248,8 @@ class BatchedEngine(Engine):
                 i0 = cal._cursor0
                 sim._now = t
                 before_slot = processed
-                consumed = 0
                 try:
-                    while True:
-                        if sim._stop_requested or processed == cap:
-                            cal._cursor0 = i0
-                            interrupted = True
-                            break
+                    while not sim._stop_requested:
                         if i0 < len(l0):
                             if rest and rest[0].priority < 0:
                                 item = heappop(rest)
@@ -277,18 +257,13 @@ class BatchedEngine(Engine):
                                 item = l0[i0]
                                 if item.__class__ is tuple:
                                     # Records: every one up to the
-                                    # next event in one call, or one
-                                    # under an event cap.  Credits
+                                    # next event in one call.  Credits
                                     # they file join the lane's end.
                                     size = len(l0)
-                                    stop = size if cap < 0 else i0 + 1
                                     j = deliver_records(
-                                        l0, i0, stop, t, sched, emitted
+                                        l0, i0, size, t, sched, emitted
                                     )
-                                    grown = len(l0) - size
-                                    cal._ring_items += grown
-                                    cal._live += grown
-                                    consumed += j - i0
+                                    cal._ring_items += len(l0) - size
                                     processed += j - i0
                                     i0 = j
                                     continue
@@ -297,9 +272,6 @@ class BatchedEngine(Engine):
                             item = heappop(rest)
                         else:
                             break
-                        consumed += 1
-                        if item.cancelled:
-                            continue
                         processed += 1
                         message = item.message
                         if item.handler is not None:
@@ -310,28 +282,24 @@ class BatchedEngine(Engine):
                             processed += self._settle_credits(
                                 message is advance_msg
                                 and not sim._stop_requested,
-                                -1 if cap < 0 else cap - processed,
                                 t,
                                 sched,
                             )
                 finally:
                     # Ring bookkeeping committed per slot, not per
-                    # item (the deltas compose with the increments
+                    # item (the delta composes with the increments
                     # _flush/_settle_credits and filed credits make
                     # mid-slot).
-                    cal._ring_items -= consumed
-                    cal._live -= processed - before_slot
-                if processed == before_slot:
-                    # Nothing was delivered (cancelled items, or a
-                    # stop/cap hit first): the kernel would not have
-                    # advanced the clock to this cycle.
-                    sim._now = previous_now
-                if not interrupted:
+                    cal._ring_items -= processed - before_slot
+                if sim._stop_requested:
+                    # A handler asked to stop mid-slot: the slot's
+                    # undelivered rest stays pending from the cursor.
+                    cal._cursor0 = i0
+                else:
                     cal.finish_cycle(t)
         finally:
             sim._events_processed = events_base + processed
-        cal.rewind(sim._now)
-        sim._end_run(until, processed == cap)
+        sim._end_run(until)
         return processed
 
     # -- model wiring ----------------------------------------------------
@@ -436,27 +404,25 @@ class BatchedEngine(Engine):
 
         sched._arm = fast_arm
 
-    def _settle_credits(self, in_place: bool, room: int, now, sched) -> int:
+    def _settle_credits(self, in_place: bool, now, sched) -> int:
         """Deliver or file the credits the event just dispatched
         emitted; returns how many were delivered.
 
         After an advance phase (*in_place*) the cycle's lane is
         drained, so its credits are what the lane would deliver next,
-        in emission order: they are applied right here, as many as
-        *room* (the event cap's remaining budget, ``-1`` for none)
-        allows.  The rest — and every credit emitted by any other
-        event, or while a stop is pending — is filed as ordinary
-        records.
+        in emission order: they are applied right here.  Every credit
+        emitted by any other event, or while a stop is pending, is
+        filed as an ordinary record.
         """
         emitted = self._emitted
         applied = 0
         if in_place:
-            applied = len(emitted) if room < 0 else min(room, len(emitted))
+            applied = len(emitted)
             deliver_records(emitted, 0, applied, now, sched, emitted)
             del emitted[:applied]
-            # Applied credits count as delivered in the slot's live
-            # bookkeeping, so they enter it here as filed ones do.
-            self._calendar._live += applied
+            # The slot commits its deliveries against the ring count,
+            # so applied credits enter it here as filed ones do.
+            self._calendar._ring_items += applied
         if emitted:
             self._file_credits()
         return applied
@@ -469,7 +435,6 @@ class BatchedEngine(Engine):
         cal = self._calendar
         cal._lane0[cal._base & cal._mask] += emitted
         cal._ring_items += len(emitted)
-        cal._live += len(emitted)
         emitted.clear()
 
     def _flush(self) -> None:
@@ -493,5 +458,4 @@ class BatchedEngine(Engine):
                 delay = gates[id(record[0])].delay
                 lane0[(now + delay) & mask].append(record)
         cal._ring_items += count
-        cal._live += count
         pending.clear()

@@ -16,11 +16,10 @@ Engines are registered by name, mirroring the topology spec registry
 
 ``python -m repro engines`` lists the registered families.
 
-When no engine is named, :func:`select_engine` applies one precedence
-everywhere: an explicit engine (argument, settings field or campaign
-spec key) beats ``REPRO_ENGINE``, which beats the built-in default.
-There are two built-in defaults, both defined here:
-:data:`NETWORK_DEFAULT` (``"batched"``) for a
+An engine is named in code: the ``engine`` argument, the
+``SimulationSettings.engine`` field or the campaign spec key
+``engine=``.  When none is named, one of two built-in defaults, both
+defined here, applies: :data:`NETWORK_DEFAULT` (``"batched"``) for a
 :class:`~repro.noc.network.Network` — and with it every sweep, figure
 and campaign — and :data:`KERNEL_DEFAULT` (``"heap"``) for a bare
 :class:`~repro.sim.kernel.Simulator`, which has no network for the
@@ -34,7 +33,6 @@ and never shares one between simulators.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -55,17 +53,6 @@ NETWORK_DEFAULT = "batched"
 KERNEL_DEFAULT = "heap"
 
 
-def select_engine(
-    engine: "str | Engine | None", default: str
-) -> "str | Engine":
-    """The engine to build: *engine* if given, else ``REPRO_ENGINE``,
-    else *default* (:data:`NETWORK_DEFAULT` or :data:`KERNEL_DEFAULT`).
-    """
-    if engine is not None:
-        return engine
-    return os.environ.get("REPRO_ENGINE") or default
-
-
 class Engine:
     """Strategy object owning the event store and the run loop.
 
@@ -82,20 +69,15 @@ class Engine:
 
     def make_queue(self):
         """Build this engine's future-event store (queue protocol:
-        ``push/pop_next/pop/peek_time/discard_cancelled/occupancy/
-        live_events/clear/__len__``)."""
+        ``push/pop_next/pop/peek_time/occupancy/pending_events/clear/
+        __len__``)."""
         raise NotImplementedError
 
-    def run(
-        self,
-        simulator: "Simulator",
-        until: int | None,
-        max_events: int | None,
-    ) -> int:
+    def run(self, simulator: "Simulator", until: int | None) -> int:
         """Drive *simulator* until a stop condition; return the number
         of deliveries.  The default is the kernel's classic event loop,
         whose semantics every engine must preserve exactly."""
-        return simulator._event_loop(until, max_events)
+        return simulator._event_loop(until)
 
     def prepare_network(self, network) -> None:
         """Hook called by :class:`~repro.noc.network.Network` once the

@@ -13,8 +13,8 @@ Two queue implementations share that contract:
   bare simulator and the reference implementation: property tests
   drive both queues with random schedules and require identical
   delivery order, and any simulation can be re-run on it
-  (``REPRO_ENGINE=heap``) to prove results are independent of the
-  queue structure.
+  (``engine="heap"``) to prove results are independent of the queue
+  structure.
 * :class:`CycleCalendar` — a calendar queue (timing wheel): a ring of
   per-cycle slots covering a short horizon past the queue's cursor,
   with a binary-heap *overflow tier* for events beyond it.  NoC
@@ -23,6 +23,9 @@ Two queue implementations share that contract:
   the same structure for the same reason).  The ``wheel`` engine
   drains it with the classic event loop; the batched engine adds a
   per-cycle drain for its fast path.
+
+Every pushed event is delivered (nothing is ever withdrawn), so both
+queues count their pending events by their storage alone.
 """
 
 from __future__ import annotations
@@ -66,45 +69,23 @@ class Event:
     handler: Callable[["Message"], None] | None = field(
         compare=False, default=None
     )
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it when popped."""
-        self.cancelled = True
 
 
 class _Queue:
-    """What both queues share: the live-event count ``_live`` behind
-    ``len``/``bool``, lazy cancellation and :meth:`pop`.
-
-    Cancelled events stay where they are and are discarded when they
-    reach a front, which keeps cancellation O(1).
-    """
+    """What both queues share: :meth:`pop`."""
 
     __slots__ = ()
 
-    def __len__(self) -> int:
-        return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
     def pop(self) -> Event:
-        """Remove and return the earliest live event.
+        """Remove and return the earliest event.
 
         Raises:
-            IndexError: if the queue holds no live events.
+            IndexError: if the queue is empty.
         """
         event = self.pop_next()
         if event is None:
             raise IndexError("pop from empty event queue")
         return event
-
-    def discard_cancelled(self, event: Event) -> None:
-        """Account for a cancellation (keeps ``len`` accurate)."""
-        if not event.cancelled:
-            raise ValueError("event is not cancelled")
-        self._live -= 1
 
 
 class HeapEventQueue(_Queue):
@@ -112,69 +93,53 @@ class HeapEventQueue(_Queue):
     reference implementation :class:`CycleCalendar` is verified
     against."""
 
-    __slots__ = ("_heap", "_sequence", "_live")
+    __slots__ = ("_heap", "_sequence")
 
     def __init__(self) -> None:
         self._heap: list[Event] = []
         self._sequence = 0
-        self._live = 0
+
+    def __len__(self) -> int:
+        return len(self._heap)
 
     def push(self, event: Event) -> Event:
         """Insert *event*, stamping its sequence number."""
         event.sequence = self._sequence
         self._sequence += 1
         heappush(self._heap, event)
-        self._live += 1
         return event
 
     def pop_next(self, limit: int | float | None = None) -> Event | None:
-        """Remove and return the earliest live event (``None`` when
-        empty or when its time exceeds *limit*)."""
+        """Remove and return the earliest event (``None`` when empty
+        or when its time exceeds *limit*)."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heappop(heap)
         if not heap or (limit is not None and heap[0].time > limit):
             return None
-        self._live -= 1
         return heappop(heap)
 
     def peek_time(self) -> int | None:
-        """Return the timestamp of the next live event, or None."""
+        """Return the timestamp of the next event, or None."""
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heappop(heap)
         return heap[0].time if heap else None
 
     def occupancy(self) -> dict[str, int]:
         """JSON-ready occupancy; everything counts as overflow."""
         return {
-            "pending": self._live,
+            "pending": len(self._heap),
             "wheel": 0,
             "overflow": len(self._heap),
         }
 
-    def live_events(self) -> Iterator[Event]:
-        """Iterate over the live (non-cancelled) events, in heap
-        order — *not* delivery order.  Callers that need delivery
-        order must sort by ``(time, priority, sequence)`` themselves.
+    def pending_events(self) -> Iterator[Event]:
+        """Iterate over the pending events, in heap order — *not*
+        delivery order.  Callers that need delivery order must sort
+        by ``(time, priority, sequence)`` themselves.
         """
-        for event in self._heap:
-            if not event.cancelled:
-                yield event
+        return iter(self._heap)
 
     def clear(self) -> None:
-        """Drop every pending event, marking each one cancelled.
-
-        The cancel-mark matters: a module may still hold a handle to
-        an event that was dropped here and later pass it to
-        ``Simulator.cancel``.  Marking keeps that call an idempotent
-        no-op instead of corrupting the live-event count through
-        ``discard_cancelled``.
-        """
-        for event in self._heap:
-            event.cancelled = True
+        """Drop every pending event."""
         self._heap.clear()
-        self._live = 0
 
 
 def _opaque_view(time: int, record: tuple) -> Event:
@@ -215,10 +180,10 @@ class CycleCalendar(_Queue):
     in-window push for that slot existed, so it sorts strictly first.
 
     The cursor ``_base`` never passes a pending item, and pushes must
-    be at or after it.  Pops move it forward, never past the popped
-    time or the pop's limit, and :meth:`rewind` moves an empty ring's
-    cursor back to the clock, so the kernel's scheduling guard (times
-    ≥ now) keeps every push legal.
+    be at or after it.  Pops move it forward to the popped time, or
+    to the pop's limit when nothing is due by then; the kernel's clock
+    ends a run at that limit, so its scheduling guard (times ≥ now)
+    keeps every push legal.
     """
 
     #: Initial ring size in slots: a power of two covering link
@@ -237,7 +202,6 @@ class CycleCalendar(_Queue):
         "_ring_items",
         "_overflow",
         "_sequence",
-        "_live",
         "record_view",
     )
 
@@ -248,18 +212,20 @@ class CycleCalendar(_Queue):
         self._rest: list[list[Event]] = [[] for _ in range(self._size)]
         self._base = 0
         #: Drain index into the base slot's lane0 (partial drains
-        #: happen when ``run(max_events=...)`` stops mid-cycle).
+        #: happen when a stop is requested mid-cycle).
         self._cursor0 = 0
         #: Undrained items currently in ring slots (records and
-        #: events, lazily-cancelled ones included).
+        #: events).
         self._ring_items = 0
         self._overflow: list[Event] = []
         self._sequence = 0
-        self._live = 0
         #: ``view(time, record) -> Event`` rendering fast-path records
-        #: for :meth:`live_events`; the engine installs one that
+        #: for :meth:`pending_events`; the engine installs one that
         #: rebuilds flit messages.
         self.record_view = _opaque_view
+
+    def __len__(self) -> int:
+        return self._ring_items + len(self._overflow)
 
     def grow(self, span: int) -> None:
         """Widen the ring to the smallest power of two above *span*
@@ -287,8 +253,8 @@ class CycleCalendar(_Queue):
         """Replace every pending fast-path record with its
         :attr:`record_view` event, in place, then restore the opaque
         view: afterwards the calendar references none of the fast
-        path's entries, and :meth:`live_events` yields the same views
-        as before."""
+        path's entries, and :meth:`pending_events` yields the same
+        views as before."""
         view = self.record_view
         # The base slot's drained prefix (a stop mid-cycle) goes too.
         del self._lane0[self._base & self._mask][: self._cursor0]
@@ -321,26 +287,25 @@ class CycleCalendar(_Queue):
                 f"CycleCalendar requires monotone pushes: t="
                 f"{event.time} is before the cursor ({self._base})"
             )
-        self._live += 1
         return event
 
     def pop_next(self, limit: int | float | None = None) -> Event | None:
-        """Remove and return the earliest live event, or ``None`` when
+        """Remove and return the earliest event, or ``None`` when
         empty or when its time exceeds *limit* (the classic event
         loop's interface).
 
-        The common case — a live event next in the cursor's slot —
-        pops without a scan: nothing pending is earlier than the
-        cursor, and every event of the cursor's own cycle is in its
-        slot (overflow events lie past it)."""
+        The common case — an event next in the cursor's slot — pops
+        without a scan: nothing pending is earlier than the cursor,
+        and every event of the cursor's own cycle is in its slot
+        (overflow events lie past it)."""
         if limit is None:
             limit = _NO_LIMIT
         t = self._base
         i0 = self._cursor0
         l0 = self._lane0[t & self._mask]
         head0 = l0[i0] if i0 < len(l0) and t <= limit else None
-        if head0 is None or head0.__class__ is tuple or head0.cancelled:
-            t = self._peek(limit)
+        if head0 is None or head0.__class__ is tuple:
+            t = self.begin_cycle(limit)
             if t is None:
                 return None
             i0 = self._cursor0
@@ -352,58 +317,47 @@ class CycleCalendar(_Queue):
                     "only the batched engine's fast loop can drain them"
                 )
         rest = self._rest[t & self._mask]
-        while rest and rest[0].cancelled:
-            heappop(rest)
-            self._ring_items -= 1
         if rest and (head0 is None or rest[0] < head0):
             event = heappop(rest)
         else:
             self._cursor0 = i0 + 1
             event = head0
         self._ring_items -= 1
-        self._live -= 1
         return event
 
     def peek_time(self) -> int | None:
-        """Return the timestamp of the next live item, or None.
+        """Return the timestamp of the next item, or None.
 
         Unlike :meth:`pop_next`, a peek leaves the cursor where it
         is: the kernel's clock stays behind the peeked time when a
-        run stops on ``until`` or ``max_events``, and a push between
-        the two must stay legal.
+        run stops on ``until``, and a push between the two must stay
+        legal.
         """
-        l0 = self._lane0[self._base & self._mask]
-        if self._cursor0 < len(l0):
-            item = l0[self._cursor0]
-            if item.__class__ is tuple or not item.cancelled:
-                return self._base
+        base = self._base
+        mask = self._mask
+        if self._cursor0 < len(self._lane0[base & mask]):
+            return base
         over = self._overflow
-        while over and over[0].cancelled:
-            heappop(over)
-        end = self._base + self._size if self._ring_items else self._base
+        end = base + self._size if self._ring_items else base
         if over and over[0].time < end:
             end = over[0].time
         start = self._cursor0
-        for t in range(self._base, end):
-            for item in self._lane0[t & self._mask][start:]:
-                if item.__class__ is tuple or not item.cancelled:
-                    return t
+        for t in range(base, end):
+            if len(self._lane0[t & mask]) > start or self._rest[t & mask]:
+                return t
             start = 0
-            for event in self._rest[t & self._mask]:
-                if not event.cancelled:
-                    return t
         return over[0].time if over else None
 
     def occupancy(self) -> dict[str, int]:
-        """JSON-ready occupancy: live items plus per-tier depths."""
+        """JSON-ready occupancy: pending items plus per-tier depths."""
         return {
-            "pending": self._live,
+            "pending": len(self),
             "wheel": self._ring_items,
             "overflow": len(self._overflow),
         }
 
-    def live_events(self) -> Iterator[Event]:
-        """Iterate over live items, in storage order.
+    def pending_events(self) -> Iterator[Event]:
+        """Iterate over pending items, in storage order.
 
         Fast-path records surface as synthesized read-only
         :class:`Event` views built by :attr:`record_view`: flits on
@@ -419,36 +373,19 @@ class CycleCalendar(_Queue):
             start = self._cursor0 if offset == 0 else 0
             for index in range(start, len(l0)):
                 item = l0[index]
-                if item.__class__ is tuple:
-                    yield view(t, item)
-                elif not item.cancelled:
-                    yield item
-            for event in self._rest[t & mask]:
-                if not event.cancelled:
-                    yield event
-        for event in self._overflow:
-            if not event.cancelled:
-                yield event
+                yield view(t, item) if item.__class__ is tuple else item
+            yield from self._rest[t & mask]
+        yield from self._overflow
 
     def clear(self) -> None:
-        """Drop every pending item, marking events cancelled (see
-        :meth:`HeapEventQueue.clear` for why the mark matters).
-        Records are simply dropped."""
+        """Drop every pending item."""
         for l0 in self._lane0:
-            for item in l0:
-                if item.__class__ is not tuple:
-                    item.cancelled = True
             l0.clear()
         for rest in self._rest:
-            for event in rest:
-                event.cancelled = True
             rest.clear()
-        for event in self._overflow:
-            event.cancelled = True
         self._overflow.clear()
         self._cursor0 = 0
         self._ring_items = 0
-        self._live = 0
 
     # -- fast drain interface -------------------------------------------
 
@@ -456,28 +393,23 @@ class CycleCalendar(_Queue):
         """Advance the cursor to the earliest slot still holding
         items and return its time, or ``None`` when nothing is due at
         or before *limit*.  Far-future events entering the window are
-        migrated first.  The returned slot may hold only cancelled
-        events; the drain handles (and the scan clears) those.
+        migrated first.
         """
         over = self._overflow
         if over:
-            while over and over[0].cancelled:
-                heappop(over)
-            if over:
-                front = over[0].time
-                if not self._ring_items and front > self._base:
-                    # Idle gap: jump the window to the overflow front,
-                    # but not past `limit`, where the caller's clock
-                    # stops.  The base slot can only hold drained
-                    # items; drop them before the ring reuses it.
-                    self._lane0[self._base & self._mask].clear()
-                    self._base = (
-                        front if front <= limit
-                        else max(self._base, int(limit))
-                    )
-                    self._cursor0 = 0
-                if front < self._base + self._size:
-                    self._migrate()
+            front = over[0].time
+            if not self._ring_items and front > self._base:
+                # Idle gap: jump the window to the overflow front,
+                # but not past `limit`, where the caller's clock
+                # stops.  The base slot can only hold drained items;
+                # drop them before the ring reuses it.
+                self._lane0[self._base & self._mask].clear()
+                self._base = (
+                    front if front <= limit else max(self._base, int(limit))
+                )
+                self._cursor0 = 0
+            if front < self._base + self._size:
+                self._migrate()
         if not self._ring_items:
             return None
         lane0 = self._lane0
@@ -515,19 +447,6 @@ class CycleCalendar(_Queue):
         # _base stays at t: time only moves when the next begin_cycle
         # finds work, and pushes at the current cycle remain legal.
 
-    def rewind(self, time: int) -> None:
-        """Move the cursor back to *time* when the ring is empty.
-
-        Stepping over slots that held only cancelled events carries
-        the cursor past a clock that never reached them; with nothing
-        left to deliver the clock stays behind, and the next push may
-        land anywhere from it on.
-        """
-        if not self._ring_items and time < self._base:
-            self._lane0[self._base & self._mask].clear()
-            self._base = time
-            self._cursor0 = 0
-
     def _migrate(self) -> None:
         """Move overflow events now inside the window into their
         slots, preserving exact ``(priority, sequence)`` order."""
@@ -536,14 +455,8 @@ class CycleCalendar(_Queue):
         mask = self._mask
         base_index = self._base & mask
         prefixes: dict[int, list[Event]] = {}
-        while over:
-            head = over[0]
-            if head.cancelled:
-                heappop(over)
-                continue
-            if head.time >= horizon:
-                break
-            heappop(over)
+        while over and over[0].time < horizon:
+            head = heappop(over)
             i = head.time & mask
             if head.priority == 0:
                 prefixes.setdefault(i, []).append(head)
@@ -562,33 +475,3 @@ class CycleCalendar(_Queue):
             # the slot was inside the window, i.e. strictly after
             # every event that overflowed for it.
             self._lane0[i][:0] = items
-
-    def _peek(self, limit: int | float) -> int | None:
-        """Time of the earliest *live* item at or before *limit*
-        (cancelled fronts are pruned), or ``None``."""
-        entry = self._base
-        while True:
-            t = self.begin_cycle(limit)
-            if t is None:
-                self.rewind(entry)
-                return None
-            i = t & self._mask
-            l0 = self._lane0[i]
-            rest = self._rest[i]
-            i0 = self._cursor0
-            while i0 < len(l0):
-                item = l0[i0]
-                if item.__class__ is tuple or not item.cancelled:
-                    self._cursor0 = i0
-                    return t
-                i0 += 1
-                self._ring_items -= 1
-            self._cursor0 = i0
-            while rest and rest[0].cancelled:
-                heappop(rest)
-                self._ring_items -= 1
-            if rest:
-                return t
-            # The slot held only cancelled items; complete it (the
-            # next scan steps over it, so the cursor stays at t).
-            self.finish_cycle(t)

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.sim.engines import (
-    KERNEL_DEFAULT,
-    Engine,
-    resolve_engine,
-    select_engine,
-)
+from repro.sim.engines import KERNEL_DEFAULT, Engine, resolve_engine
 from repro.sim.errors import SchedulingError, SimulationError
 from repro.sim.events import Event
 from repro.sim.messages import Message
@@ -43,26 +38,28 @@ class Simulator:
     cycle-synchronous fast engine) — see :mod:`repro.sim.engines` and
     docs/engines.md.  Every engine delivers any schedule in the
     identical ``(time, priority, sequence)`` order, which the
-    equivalence tests assert end to end.  With no engine named, the
-    environment variable ``REPRO_ENGINE`` decides, and without it a
+    equivalence tests assert end to end.  With no engine named, a
     bare simulator runs on the heap
     (:data:`~repro.sim.engines.KERNEL_DEFAULT`), the fastest queue for
     the classic event loop: the batched engine pays off only once a
     :class:`~repro.noc.network.Network` installs its fast path, which
     is why networks default to it instead.
+
+    The kernel offers exactly the event semantics the models use:
+    zero-delay gates, FIFO order within a cycle, per-module handlers,
+    timers and a stop request.  A scheduled event is always
+    delivered: nothing is ever withdrawn from the queue.
     """
 
     def __init__(self, engine: "str | Engine | None" = None) -> None:
         self._engine = resolve_engine(
-            select_engine(engine, KERNEL_DEFAULT)
+            KERNEL_DEFAULT if engine is None else engine
         )
         self._queue = self._engine.make_queue()
         self._now = 0
         self._modules: list[SimModule] = []
         self._module_names: set[str] = set()
         self._pending_init: list[SimModule] = []
-        self._initialized = False
-        self._finalized = False
         self._events_processed = 0
         self._observers: list[Observer] = []
         # Immutable copy handed to notification rounds; rebuilt on
@@ -199,42 +196,27 @@ class Simulator:
             )
         )
 
-    def cancel(self, event: Event) -> None:
-        """Cancel *event* if it has not fired yet (idempotent)."""
-        if event.cancelled:
-            return
-        event.cancel()
-        self._queue.discard_cancelled(event)
-
     # -- run control ---------------------------------------------------
 
     def _ensure_initialized(self) -> None:
-        self._initialized = True
         while self._pending_init:
             self._pending_init.pop(0).initialize()
 
-    def run(
-        self,
-        until: int | None = None,
-        max_events: int | None = None,
-    ) -> int:
+    def run(self, until: int | None = None) -> int:
         """Process events until a stop condition is met.
 
         Args:
             until: Stop once the next event's time exceeds this value;
                 events *at* ``until`` are processed.  ``now`` is set to
                 ``until`` on a time-limited stop.
-            max_events: Stop after this many deliveries in this call.
-                A stop on this cap leaves ``now`` at the time of the
-                last delivery — the pending events are still due, so
-                the clock must not jump past them to ``until``.
 
         Returns:
             The number of events processed by this call.
 
-        Calling ``run()`` with neither stop condition is allowed: the
-        loop keeps going until the event queue drains, so it
-        terminates for any workload that stops scheduling new events.
+        Calling ``run()`` without ``until`` is allowed: the loop keeps
+        going until the event queue drains (or a handler requests a
+        stop), so it terminates for any workload that stops
+        scheduling new events.
 
         The engine owns the drive loop.  The event engines (wheel,
         heap) use :meth:`_event_loop`; the batched engine substitutes
@@ -251,13 +233,9 @@ class Simulator:
             raise SimulationError(
                 "the simulator is closed; build a new one to run again"
             )
-        return self._engine.run(self, until, max_events)
+        return self._engine.run(self, until)
 
-    def _event_loop(
-        self,
-        until: int | None = None,
-        max_events: int | None = None,
-    ) -> int:
+    def _event_loop(self, until: int | None = None) -> int:
         """The classic per-event loop (see :meth:`run` for the
         contract).  With no observers attached it runs a fused fast
         path: one ``pop_next`` call per event (on the
@@ -279,16 +257,11 @@ class Simulator:
         observers = self._observers
         queue = self._queue
         pop_next = queue.pop_next
-        # -1 never equals a (non-negative, strictly growing)
-        # processed count, so the cap check stays one int compare.
-        cap = -1 if max_events is None else max_events
         # Infinity compares above every event time, so the queue's
         # limit check stays a single comparison when there is none.
         pop_limit = float("inf") if until is None else until
         try:
-            while True:
-                if self._stop_requested or processed == cap:
-                    break
+            while not self._stop_requested:
                 if observers:
                     next_time = queue.peek_time()
                     if next_time is None:
@@ -311,11 +284,9 @@ class Simulator:
                         # delivering anything of the new time.
                         if self._stop_requested:
                             break
+                    # The peeked event is still pending (nothing is
+                    # ever withdrawn), so this pop returns an event.
                     event = pop_next(next_time)
-                    if event is None:
-                        # A callback cancelled the pending events of
-                        # this cycle; re-evaluate from the top.
-                        continue
                     processed += 1
                     self._events_processed = events_base + processed
                     message = event.message
@@ -348,26 +319,19 @@ class Simulator:
                         observer.on_event_delivered(self, event)
         finally:
             self._events_processed = events_base + processed
-        self._end_run(until, processed == cap)
+        self._end_run(until)
         return processed
 
-    def _end_run(self, until: int | None, capped: bool) -> None:
+    def _end_run(self, until: int | None) -> None:
         """Jump the clock to *until* after a time-limited stop (every
-        engine's drive loop ends with this).
-
-        A stop on the max-events cap (*capped*) that left deliverable
-        events pending is not a time-limited stop: the clock stays at
-        the last delivery so a later run() resumes exactly where this
-        one left off.
-        """
+        engine's drive loop ends with this); a requested stop leaves
+        it at the stop point."""
         if until is None or self._now >= until or self._stop_requested:
             return
-        next_time = self._queue.peek_time() if capped else None
-        if next_time is None or next_time > until:
-            previous = self._now
-            self._now = until
-            for observer in self._observer_snapshot:
-                observer.on_time_advanced(self, previous, until)
+        previous = self._now
+        self._now = until
+        for observer in self._observer_snapshot:
+            observer.on_time_advanced(self, previous, until)
 
     def request_stop(
         self, reason: str, details: dict | None = None
@@ -380,8 +344,8 @@ class Simulator:
         the stop point (a time-limited :meth:`run` does **not** jump
         to ``until``), so diagnostics read the state as it was.
 
-        The request is sticky across :meth:`run` calls until
-        :meth:`clear_stop` — the machinery the stall watchdog
+        The request is sticky: every later :meth:`run` returns at
+        once.  It is the machinery the stall watchdog
         (:class:`repro.resilience.StallWatchdog`) uses to abort
         deadlocked runs with a snapshot instead of spinning to the
         horizon.
@@ -393,12 +357,6 @@ class Simulator:
         self._stop_requested = True
         self._stop_reason = reason
         self._stop_details = details
-
-    def clear_stop(self) -> None:
-        """Reset a previous :meth:`request_stop` so runs may resume."""
-        self._stop_requested = False
-        self._stop_reason = None
-        self._stop_details = None
 
     @property
     def stop_requested(self) -> bool:
@@ -414,14 +372,6 @@ class Simulator:
     def stop_details(self) -> dict | None:
         """The diagnostic payload passed to :meth:`request_stop`."""
         return self._stop_details
-
-    def finalize(self) -> None:
-        """Invoke every module's ``finalize`` hook (once)."""
-        if self._finalized:
-            return
-        self._finalized = True
-        for module in self._modules:
-            module.finalize()
 
     def close(self) -> None:
         """Release the model graph so reference counting frees it
@@ -453,24 +403,22 @@ class Simulator:
 
     @property
     def pending_event_count(self) -> int:
-        """Number of live events still in the queue."""
+        """Number of events still in the queue."""
         return len(self._queue)
 
     def queue_occupancy(self) -> dict[str, int]:
         """Occupancy of the future-event set, per tier.
 
         Returns:
-            ``{"pending": live events, "wheel": events in the
+            ``{"pending": pending events, "wheel": events in the
             calendar's short-horizon slots, "overflow": events in
-            the far-future heap}`` — lazily-cancelled events still
-            count toward their tier until they surface.  On the heap
-            queue everything reports as overflow.
+            the far-future heap}``.  On the heap queue everything
+            reports as overflow.
         """
         return self._queue.occupancy()
 
     def pending_events(self) -> Iterator[Event]:
-        """Iterate over the live scheduled events, in no particular
-        order.
+        """Iterate over the scheduled events, in no particular order.
 
         The public window onto the pending-event set: invariant
         checkers count in-flight flits and credits through it, and
@@ -478,4 +426,4 @@ class Simulator:
         without any of them reaching into the queue's internal
         storage.  Callers must treat the events as read-only.
         """
-        return self._queue.live_events()
+        return self._queue.pending_events()

@@ -81,9 +81,8 @@ class SimModule:
     """Base class for all behavioural components.
 
     Subclasses override :meth:`handle_message` (and optionally
-    :meth:`initialize` / :meth:`finalize` / :meth:`close`).  Within a
-    handler they may call :meth:`send`, :meth:`schedule_self`, and
-    :meth:`cancel_event`.
+    :meth:`initialize` / :meth:`close`).  Within a handler they may
+    call :meth:`send` and :meth:`schedule_self`.
 
     Modules must be registered with a :class:`Simulator` before the
     simulation starts; registration happens automatically when the
@@ -128,9 +127,6 @@ class SimModule:
     def handle_message(self, message: Message) -> None:
         """Called on every delivery addressed to this module."""
         raise NotImplementedError
-
-    def finalize(self) -> None:
-        """Called once after the simulation stops."""
 
     def close(self) -> None:
         """Called by :meth:`Simulator.close
@@ -214,10 +210,6 @@ class SimModule:
         return simulator.schedule(
             now + delay, self, message, priority=priority
         )
-
-    def cancel_event(self, event: "Event") -> None:
-        """Cancel a previously scheduled event (idempotent)."""
-        self.simulator.cancel(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

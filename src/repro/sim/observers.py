@@ -24,7 +24,7 @@ Contract:
   the new time is dispatched, and once more for the final jump to the
   ``until`` horizon of a time-limited :meth:`run
   <repro.sim.kernel.Simulator.run>`.
-* Observers must not schedule, cancel, or deliver events; they read.
+* Observers must not schedule or deliver events; they read.
   (This is a convention, not an enforced sandbox — violating it
   forfeits the determinism guarantees the test suite pins.)
 * ``cycle_boundaries_only = True`` opts an observer into the batched

@@ -1,7 +1,6 @@
 """Measurement: collectors, run summaries, and sweep analysis."""
 
 from repro.stats.collectors import NetworkStats
-from repro.stats.sampling import OccupancySampler, OccupancySummary
 from repro.stats.summary import (
     RunResult,
     batch_means,
@@ -18,8 +17,6 @@ from repro.stats.utilization import LinkLoad, UtilizationReport
 __all__ = [
     "LinkLoad",
     "NetworkStats",
-    "OccupancySampler",
-    "OccupancySummary",
     "RunResult",
     "UtilizationReport",
     "batch_means",

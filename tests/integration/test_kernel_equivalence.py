@@ -21,7 +21,7 @@ from repro.obs import TimelineObserver
 from repro.resilience.injector import FaultInjector
 from repro.resilience.plan import FaultEvent, FaultPlan
 from repro.resilience.watchdog import StallWatchdog
-from repro.sim.events import CycleCalendar, Event, HeapEventQueue
+from repro.sim.events import Event, HeapEventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.observers import Observer
 from repro.topology import RingTopology
@@ -242,14 +242,7 @@ class TestDeliveryTraceEquivalence:
 
 
 class TestEnvironmentSelector:
-    def test_env_var_selects_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "wheel")
-        sim = Simulator()
-        assert isinstance(sim._queue, CycleCalendar)
-        assert sim.engine.name == "wheel"
-
-    def test_default_is_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_is_heap(self):
         sim = Simulator()
         assert isinstance(sim._queue, HeapEventQueue)
         assert sim.engine.name == "heap"

@@ -19,9 +19,7 @@ routing (which re-decides around dead ports).
 A second set of runs (:data:`RUNS`) pins the paths around the phases:
 the drain controller's positive control (forced moves on the slow
 path), a watched point whose watchdog and timeline samples enter the
-result, a trace-driven run, and a batched run driven in chunks of
-``max_events=97`` so the event cap lands inside the zero-delay credit
-bursts of the advance phase.
+result, and a trace-driven run.
 
 A digest may only change together with a deliberate change of the
 router model; update it then, and say why in the change log.
@@ -94,8 +92,6 @@ GOLDEN = {
         "ff316328ff59b7cb9d345c12dd7f42647580059b37e3d9cff9be450c64fd2190",
     "mesh4x4-uniform-saturated":
         "fa408ddc888977fa3819d46c24ea9314fe140152f4d06defcd66a51074c670e4",
-    "ring16-batched-max-events-97":
-        "08a42d9be1ad9921370ccd8f96e2719356ebfd905641be977bf2c78e824a09f2",
     "ring16-link-faults":
         "11677ff847394c460c9c01381ec335298f20c16ece63dde824f82f391e329029",
     "ring16-no-pipeline":
@@ -169,37 +165,11 @@ def run_trace_driven():
     return network.run(cycles=1500, warmup=300)
 
 
-def run_in_chunks():
-    """A saturated batched ring16 run driven ``max_events=97`` events
-    at a time, then summarised (no warmup: the chunks run before
-    ``Network.run`` would set it)."""
-    topology, routing = parse_topology_routing("ring16")
-    network = Network(
-        topology,
-        routing=routing,
-        config=NocConfig(source_queue_packets=8),
-        traffic=TrafficSpec(parse_pattern("uniform", topology), 0.4),
-        seed=7,
-        engine="batched",
-    )
-    simulator = network.simulator
-    chunks = [simulator.run(until=1500, max_events=97)]
-    while chunks[-1] == 97:
-        chunks.append(simulator.run(until=1500, max_events=97))
-    # Every chunk but the last stops exactly at the cap.
-    assert chunks[-1] < 97
-    assert sum(chunks) == simulator.events_processed
-    result = network.run(cycles=1500)
-    assert simulator.engine.mode == "fast"
-    return result
-
-
 #: Runs built by hand rather than from :data:`CASES`.
 RUNS = {
     "drain-positive-control": run_drain_control,
     "ring16-watched": run_watched,
     "spidergon16-trace-driven": run_trace_driven,
-    "ring16-batched-max-events-97": run_in_chunks,
 }
 
 

@@ -163,26 +163,6 @@ class TestFullRuns:
 
 class TestPartialRuns:
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_max_events_chunks(self, engine):
-        """Read between ``max_events`` chunks (mid-cycle), the
-        timeline matches the oracle at the same delivery."""
-        oracle_net = _network("heap")
-        oracle = DeliveryCounter(oracle_net)
-        network = _network(engine)
-        observer = TimelineObserver(network, window=WINDOW)
-        readings = 0
-        while True:
-            ran = oracle_net.simulator.run(until=600, max_events=2_000)
-            assert network.simulator.run(until=600, max_events=2_000) == ran
-            now = network.simulator.now
-            assert now == oracle_net.simulator.now
-            assert _table(observer.timeline()) == oracle.table(now)
-            readings += 1
-            if ran < 2_000:
-                break
-        assert readings > 3
-
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_detach_mid_run(self, engine):
         oracle_net = _network("heap")
         oracle = DeliveryCounter(oracle_net)

@@ -206,6 +206,25 @@ class TestHardenedSerial:
         assert results[0].ok
         assert stats.failed == 0
 
+    def test_manifest_ok_without_csv_row_gets_its_row(self, tmp_path):
+        # A campaign killed between a point's manifest line and its
+        # CSV row: the manifest says ok, the CSV lacks the row.  The
+        # next run decides by the CSV and writes the row, from cache.
+        csv_path = tmp_path / "out.csv"
+        campaign = Campaign(small_spec())
+        campaign.execute(csv_path, retries=1)
+        header, *rows = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([header, *rows[:-1]]) + "\n")
+        lost = campaign.last_manifest.completed_keys()
+        assert len(lost) == len(rows)
+        rerun = Campaign(small_spec())
+        results = rerun.execute(csv_path, retries=1)
+        assert len(results) == 1 and results[0].ok
+        assert rerun.last_stats.cache_hits == 1
+        assert csv_path.read_text().splitlines() == [header, *rows]
+        # The manifest keeps both runs' history.
+        assert len(rerun.last_manifest.entries()) == len(rows) + 1
+
 
 @pytest.mark.chaos
 class TestHardenedPool:
@@ -307,7 +326,6 @@ class TestHardenedPool:
             workers=2,
             cache=False,
             timeout=60,
-            resume=True,
         )
         # Only the failed point re-runs, and the campaign reaches 100%.
         assert len(results) == 1 and results[0].ok

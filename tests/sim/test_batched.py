@@ -94,17 +94,6 @@ class TestCycleCalendarProtocol:
         with pytest.raises(SimulationError, match="monotone"):
             calendar.push(_event(50))
 
-    def test_cancelled_phase_event_is_not_popped(self):
-        """A cancelled event of priority < 0 sorts before the slot's
-        priority-0 lane; the pop must skip it, not return it."""
-        calendar = CycleCalendar()
-        live = calendar.push(_event(5))
-        doomed = calendar.push(_event(5, priority=-1))
-        doomed.cancel()
-        calendar.discard_cancelled(doomed)
-        assert calendar.pop() is live
-        assert calendar.pop_next() is None
-
     def test_idle_gap_jump_does_not_redeliver_drained_items(self):
         """Popping the last ring item leaves it in its slot until the
         cursor moves on; a jump to the overflow front must not leave
@@ -127,30 +116,18 @@ class TestCycleCalendarProtocol:
         assert calendar.peek_time() == 200
         assert calendar.pop_next(limit=200).time == 200
 
-    def test_clear_cancels_and_empties_every_tier(self):
+    def test_clear_empties_every_tier(self):
         calendar = CycleCalendar()
-        near = calendar.push(_event(1))
-        rest = calendar.push(_event(1, priority=2))
-        far = calendar.push(_event(CycleCalendar.WINDOW + 9))
+        calendar.push(_event(1))
+        calendar.push(_event(1, priority=2))
+        calendar.push(_event(CycleCalendar.WINDOW + 9))
         calendar.clear()
-        assert near.cancelled and rest.cancelled and far.cancelled
         assert len(calendar) == 0
         assert calendar.occupancy() == {
             "pending": 0,
             "wheel": 0,
             "overflow": 0,
         }
-        assert calendar.pop_next() is None
-
-    def test_discard_cancelled_keeps_len_accurate(self):
-        calendar = CycleCalendar()
-        stale = calendar.push(_event(5))
-        calendar.push(_event(5))
-        stale.cancelled = True
-        calendar.discard_cancelled(stale)
-        assert len(calendar) == 1
-        event = calendar.pop_next()
-        assert event is not stale and not event.cancelled
         assert calendar.pop_next() is None
 
     def test_occupancy_reports_tiers(self):
@@ -219,22 +196,23 @@ class TestSlowPathKernel:
     """Without a network the batched engine is a plain event kernel
     over the calendar; the generic Simulator contract must hold."""
 
-    def test_max_events_cap_resumes_mid_cycle(self):
+    def test_stop_from_handler_leaves_rest_of_cycle_pending(self):
         sim = Simulator(engine="batched")
         module = Recorder(sim)
         for i in range(4):
             sim.schedule(2, module, Message(f"m{i}"))
-        sim.run(until=50, max_events=2)
+        sim.schedule(
+            2, module, Message("stop"), priority=-1,
+            handler=lambda m: sim.request_stop("test stop"),
+        )
+        sim.schedule(2, module, Message("m4"))
+        assert sim.run(until=50) == 1
         assert sim.now == 2
-        assert [name for _, name in module.delivered] == ["m0", "m1"]
-        sim.run(until=50)
-        assert [name for _, name in module.delivered] == [
-            "m0",
-            "m1",
-            "m2",
-            "m3",
+        assert module.delivered == []
+        assert sim.run(until=50) == 0  # the stop is sticky
+        assert sorted(e.message.name for e in sim.pending_events()) == [
+            "m0", "m1", "m2", "m3", "m4",
         ]
-        assert sim.now == 50
 
     def test_mode_is_slow_without_network(self):
         sim = Simulator(engine="batched")
@@ -378,45 +356,37 @@ class TestModeSelection:
         assert any(c[4] for c in counts)  # [200, 250) was counted
         assert not any(any(c[5:]) for c in counts)
 
-    def test_watched_max_events_resume_matches_wheel(self):
-        """A watched fast-path run drained in ``max_events`` chunks —
-        across the watchdog's trip — equals one continuous wheel
-        run."""
+    @pytest.mark.parametrize("arm_at", [0, 149], ids=["before", "after"])
+    def test_stop_mid_slot_matches_heap(self, arm_at):
+        """A handler that requests a stop in a busy cycle leaves the
+        rest of the cycle pending on the fast path exactly as on the
+        heap: same result, clock, pending events and flits on the
+        wire.  Scheduled at cycle 0 the stop comes before cycle 150's
+        flit arrivals; scheduled after cycle 149's send phase it comes
+        after them, before the credits their ejections return."""
 
-        def network(engine):
-            topology = RingTopology(16)
-            net = Network(
-                topology,
-                config=NocConfig(source_queue_packets=8, num_vcs=1),
-                traffic=TrafficSpec(UniformTraffic(topology), 0.4),
-                seed=11,
-                engine=engine,
-            )
-            StallWatchdog(net, stall_cycles=50)
-            return net
+        def stopped(engine):
+            network = _saturated(engine)
+            sim = network.simulator
 
-        whole = network("wheel").run(cycles=3000)
-        chunked = network("batched")
-        sim = chunked.simulator
-        while sim.run(until=3000, max_events=97) == 97:
-            pass
-        assert sim.engine.mode == "fast"
-        segmented = chunked.run(cycles=3000)
-        assert whole.degraded
-        assert whole.to_dict() == segmented.to_dict()
+            def arm(message):
+                sim.schedule(
+                    150, None, Message("stop"),
+                    handler=lambda m: sim.request_stop("test stop"),
+                )
 
-    def test_fast_path_max_events_resume(self):
-        """Draining the identical horizon in small ``max_events``
-        chunks — stopping mid-cycle, mid-slot — then collecting
-        normally yields the same result as one continuous run."""
-        whole = _network("batched").run(cycles=300)
-        network = _network("batched")
-        sim = network.simulator
-        while sim.run(until=300, max_events=97) == 97:
-            pass
-        assert sim.engine.mode == "fast"
-        segmented = network.run(cycles=300)
-        assert whole.to_dict() == segmented.to_dict()
+            sim.schedule(arm_at, None, Message("arm"), priority=3,
+                         handler=arm)
+            result = network.run(cycles=300)
+            assert sim.now == 150
+            pending = sorted((e.time, e.priority)
+                             for e in sim.pending_events())
+            return result.to_dict(), pending, _flits_on_wire(network)
+
+        result, pending, on_wire = stopped("batched")
+        assert result["degraded"] and (150, 0) in pending
+        assert bool(on_wire) == (arm_at == 0)
+        assert (result, pending, on_wire) == stopped("heap")
 
     def test_credits_of_a_fault_between_runs_match_heap(self):
         """The credits a link failure applied between two runs emits
@@ -424,19 +394,18 @@ class TestModeSelection:
         cycle the clock stopped at, one event each, as on the event
         engines."""
 
-        def clocks(engine):
+        def delivered(engine):
             network = _saturated(engine)
             sim = network.simulator
             sim.run(until=300)
-            dropped = network.fail_link(4, 5)["flits_dropped"]
-            assert dropped
-            seen = []
-            for _ in range(dropped + 2):
-                sim.run(max_events=1)
-                seen.append(sim.now)
-            return seen
+            assert network.fail_link(4, 5)["flits_dropped"]
+            at_stop = sim.run(until=300)  # only the credits are due
+            assert sim.now == 300
+            return at_stop, sim.run(until=320)
 
-        assert clocks("batched") == clocks("heap")
+        credits, later = delivered("batched")
+        assert credits > 0
+        assert (credits, later) == delivered("heap")
 
 
 class _SlowLinkRing(RingTopology):
@@ -450,10 +419,7 @@ class _SlowLinkRing(RingTopology):
 
 
 class TestLongLinks:
-    def test_default_engine_grows_ring_and_matches_heap(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    def test_default_engine_grows_ring_and_matches_heap(self):
         topology = _SlowLinkRing(6)
 
         def run(engine):

@@ -1,15 +1,16 @@
-"""The batched fast path delivers a cycle's records in runs, or one at
-a time under an event cap; both must give the same run.
+"""The batched fast path delivers a cycle's records in runs; the run
+must equal the heap oracle's event-by-event one.
 
-An unbounded ``run()`` applies every record up to the next event in
-one :func:`repro.noc.router.deliver_records` call.  A run driven in
-``max_events`` chunks applies them one record per call, so the cap
-can stop between any two.  Each case here runs one network both ways
-and requires a byte-identical ``RunResult`` (``events_processed``
-included): ring16 past its knee, links of two latencies (the flush
-files record by record), a fault that kills packets whose flits are
-still on the wire, and user events of negative priority due in
-cycles that hold records.
+The fast path applies every record up to the next event in one
+:func:`repro.noc.router.deliver_records` call, where the heap engine
+delivers one event per flit or credit.  Each case here runs one
+network on both engines and requires a byte-identical ``RunResult``
+(``events_processed`` included): ring16 past its knee, links of two
+latencies (the flush files record by record), a fault that kills
+packets whose flits are still on the wire, and user events of
+negative priority due in cycles that hold records.  Each case also
+runs in ``run(until=)`` steps of 1 and 7 cycles, which must equal the
+unbounded run.
 """
 
 import json
@@ -26,30 +27,30 @@ from repro.traffic import TrafficSpec, UniformTraffic
 CYCLES = 600
 
 
-def _ring16_past_knee():
+def _ring16_past_knee(engine="batched"):
     topology = RingTopology(16)
     return Network(
         topology,
         config=NocConfig(source_queue_packets=8),
         traffic=TrafficSpec(UniformTraffic(topology), 0.5),
         seed=7,
-        engine="batched",
+        engine=engine,
     )
 
 
-def _two_latencies():
+def _two_latencies(engine="batched"):
     topology = Mesh3DTopology(3, 3, 2, tsv_latency=3)
     return Network(
         topology,
         config=NocConfig(source_queue_packets=8),
         traffic=TrafficSpec(UniformTraffic(topology), 0.4),
         seed=5,
-        engine="batched",
+        engine=engine,
     )
 
 
-def _killed_on_the_wire():
-    network = _ring16_past_knee()
+def _killed_on_the_wire(engine="batched"):
+    network = _ring16_past_knee(engine)
     plan = FaultPlan.random_faults(
         network.topology, 2, at=200, repair_after=150, seed=3
     )
@@ -61,11 +62,11 @@ class _Probe(Message):
     __slots__ = ()
 
 
-def _negative_priority_probes():
+def _negative_priority_probes(engine="batched"):
     """Every third cycle, a priority -1 user event reads how many
     flits sit in the routers' buffers and how many were consumed: a
     record delivered before it, or after it, changes the reading."""
-    network = _ring16_past_knee()
+    network = _ring16_past_knee(engine)
     sim = network.simulator
     readings = network.probe_readings = []
 
@@ -98,34 +99,37 @@ CASES = {
 }
 
 
-def _run(build, chunk):
-    """Run *build*'s network for :data:`CYCLES`, first in *chunk*-event
-    ``run()`` calls when *chunk* is given; returns the canonical
-    result and the probe readings."""
-    network = build()
-    sim = network.simulator
+def _run(build, engine="batched", chunk=None):
+    """Run *build*'s network on *engine* for :data:`CYCLES`, first in
+    incremental ``run(until=)`` calls *chunk* cycles apart when *chunk*
+    is given; returns the canonical result and the probe readings."""
+    network = build(engine)
     if chunk is not None:
-        while sim.run(until=CYCLES, max_events=chunk) == chunk:
-            pass
+        for until in range(0, CYCLES, chunk):
+            network.simulator.run(until=until)
     result = network.run(cycles=CYCLES)
-    assert sim.engine.mode == "fast"
+    if engine == "batched":
+        assert network.simulator.engine.mode == "fast"
     canonical = json.dumps(result.to_dict(), sort_keys=True)
-    return canonical, getattr(network, "probe_readings", None), result
+    return canonical, getattr(network, "probe_readings", None)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fast_path_matches_heap(name):
+    assert _run(CASES[name]) == _run(CASES[name], "heap")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_chunked_run_matches_unbounded(name, chunk):
-    whole, readings, result = _run(CASES[name], None)
-    chunked, chunk_readings, chunk_result = _run(CASES[name], chunk)
-    assert chunked == whole
-    assert chunk_result.events_processed == result.events_processed
-    assert chunk_readings == readings
+    """A fast-path run stopped and resumed every *chunk* cycles equals
+    the unbounded one."""
+    assert _run(CASES[name], chunk=chunk) == _run(CASES[name])
 
 
 def test_cases_reach_their_branches():
     """Each case exercises what it is named for."""
-    _, readings, _ = _run(_negative_priority_probes, None)
+    _, readings = _run(_negative_priority_probes)
     assert len(readings) > 100 and any(r[1] for r in readings)
     # On the fast path only a killed packet's flit arriving reaches
     # the model's receive_flit.

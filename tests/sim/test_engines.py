@@ -232,12 +232,8 @@ def _sweep_point(engine=None):
 
 
 class TestDefaults:
-    """Networks, sweeps and campaigns default to batched; a bare
-    Simulator stays on the wheel."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    """Networks, sweeps and campaigns default to batched, a bare
+    Simulator to the heap; a named engine overrides either."""
 
     def test_network_default_is_batched(self):
         from repro.noc.network import Network
@@ -282,52 +278,14 @@ class TestDefaults:
         run_sweep_point(points[0])
         assert spy.engines == ["batched"]
 
-
-class TestEnginePrecedence:
-    """Explicit engine > REPRO_ENGINE > built-in default, on every
-    path."""
-
-    def test_env_reaches_sweep_points(self, monkeypatch):
-        from repro.experiments.parallel import run_sweep_point
-
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
-        spy = _Spy(monkeypatch)
-        run_sweep_point(_sweep_point())
-        assert spy.engines == ["heap"]
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
+    def test_named_engine_overrides_default(self, monkeypatch):
         from repro.experiments.parallel import run_sweep_point
         from repro.noc.network import Network
         from repro.topology import RingTopology
 
-        monkeypatch.setenv("REPRO_ENGINE", "heap")
         spy = _Spy(monkeypatch)
         run_sweep_point(_sweep_point("wheel"))
         assert spy.engines == ["wheel"]
-        network = Network(RingTopology(4), engine="batched")
-        assert network.simulator.engine.name == "batched"
+        network = Network(RingTopology(4), engine="heap")
+        assert network.simulator.engine.name == "heap"
         assert Simulator(engine="batched").engine.name == "batched"
-
-    def test_env_reaches_network_and_simulator(self, monkeypatch):
-        from repro.noc.network import Network
-        from repro.topology import RingTopology
-
-        # Neither default is the wheel, so only the variable can pick it.
-        monkeypatch.setenv("REPRO_ENGINE", "wheel")
-        assert Network(RingTopology(4)).simulator.engine.name == "wheel"
-        assert Simulator().engine.name == "wheel"
-
-    def test_campaign_validate_checks_env(self, monkeypatch):
-        from repro.experiments.campaign import Campaign
-
-        monkeypatch.setenv("REPRO_ENGINE", "warp")
-        campaign = Campaign(
-            {
-                "name": "t",
-                "topologies": ["ring8"],
-                "patterns": ["uniform"],
-                "rates": [0.1],
-            }
-        )
-        with pytest.raises(ValueError, match="unknown engine"):
-            campaign.validate()

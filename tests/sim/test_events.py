@@ -1,4 +1,4 @@
-"""Unit tests for the event queues: ordering, cancellation, laziness.
+"""Unit tests for the event queues: ordering, length, emptiness.
 
 Every test runs on both queues, :class:`HeapEventQueue` and the
 :class:`CycleCalendar` timing wheel.
@@ -68,41 +68,23 @@ class TestEventQueueOrdering:
             assert [queue.pop().time for _ in range(2)] == [20, 50]
 
 
-class TestEventQueueCancellation:
-    def test_cancelled_event_is_skipped(self):
+class TestEventQueueLength:
+    def test_len_counts_every_tier(self):
+        """``len`` is what the storage holds: the calendar's ring
+        slots plus its overflow heap (t=1000 lies past the window)."""
         for make_queue in QUEUES:
             queue = make_queue()
-            doomed = queue.push(make_event(1))
-            queue.push(make_event(2))
-            doomed.cancel()
-            queue.discard_cancelled(doomed)
-            assert queue.pop().time == 2
-
-    def test_len_tracks_cancellation(self):
-        for make_queue in QUEUES:
-            queue = make_queue()
-            doomed = queue.push(make_event(1))
-            queue.push(make_event(2))
+            for t in (1, 2, 1000):
+                queue.push(make_event(t))
+            assert len(queue) == 3
+            queue.pop()
             assert len(queue) == 2
-            doomed.cancel()
-            queue.discard_cancelled(doomed)
+            assert queue.pop_next(limit=100).time == 2
             assert len(queue) == 1
-
-    def test_discard_requires_cancelled_event(self):
-        for make_queue in QUEUES:
-            queue = make_queue()
-            event = queue.push(make_event(1))
-            with pytest.raises(ValueError):
-                queue.discard_cancelled(event)
-
-    def test_peek_time_skips_cancelled(self):
-        for make_queue in QUEUES:
-            queue = make_queue()
-            doomed = queue.push(make_event(1))
-            queue.push(make_event(7))
-            doomed.cancel()
-            queue.discard_cancelled(doomed)
-            assert queue.peek_time() == 7
+            assert queue.pop_next(limit=100) is None
+            assert len(queue) == 1
+            assert queue.pop().time == 1000
+            assert len(queue) == 0
 
 
 class TestEventQueueEmpty:
@@ -119,10 +101,9 @@ class TestEventQueueEmpty:
         for make_queue in QUEUES:
             queue = make_queue()
             assert not queue
-            event = queue.push(make_event(1))
+            queue.push(make_event(1))
             assert queue
-            event.cancel()
-            queue.discard_cancelled(event)
+            queue.pop()
             assert not queue
 
     def test_clear_drops_everything(self):

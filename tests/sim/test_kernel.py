@@ -15,16 +15,12 @@ class Recorder(SimModule):
         super().__init__(simulator, name)
         self.deliveries = []
         self.initialized = False
-        self.finalized = False
 
     def initialize(self):
         self.initialized = True
 
     def handle_message(self, message):
         self.deliveries.append((self.now, message.name))
-
-    def finalize(self):
-        self.finalized = True
 
 
 class TestScheduling:
@@ -58,23 +54,6 @@ class TestScheduling:
         sim.schedule(4, chainer, Message("first"))
         sim.run()
         assert recorder.deliveries == [(4, "same-cycle")]
-
-    def test_cancel_prevents_delivery(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        event = sim.schedule(5, recorder, Message("doomed"))
-        sim.cancel(event)
-        sim.run()
-        assert recorder.deliveries == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        event = sim.schedule(5, recorder, Message("doomed"))
-        sim.cancel(event)
-        sim.cancel(event)
-        sim.run()
-        assert recorder.deliveries == []
 
     def test_handler_override(self):
         sim = Simulator()
@@ -114,15 +93,6 @@ class TestRunControl:
         sim.run(until=100)
         assert sim.now == 100
 
-    def test_max_events_limits_processing(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        for t in range(5):
-            sim.schedule(t, recorder, Message(f"m{t}"))
-        processed = sim.run(max_events=3)
-        assert processed == 3
-        assert len(recorder.deliveries) == 3
-
     def test_run_returns_processed_count(self):
         sim = Simulator()
         recorder = Recorder(sim)
@@ -137,8 +107,8 @@ class TestRunControl:
         assert sim.run() == 0
 
     def test_run_without_stop_condition_terminates_on_drain(self):
-        # run() with neither `until` nor `max_events` is legal: the
-        # loop ends when the queue drains, even for event chains that
+        # run() without `until` is legal: the loop ends when the
+        # queue drains, even for event chains that
         # reschedule a bounded number of follow-ups.
         sim = Simulator()
         recorder = Recorder(sim)
@@ -172,15 +142,6 @@ class TestLifecycle:
         sim.run()
         assert recorder.initialized
 
-    def test_finalize_called_once(self):
-        sim = Simulator()
-        recorder = Recorder(sim)
-        sim.run()
-        sim.finalize()
-        recorder.finalized = False
-        sim.finalize()  # second call must be a no-op
-        assert not recorder.finalized
-
     def test_duplicate_module_names_rejected(self):
         sim = Simulator()
         Recorder(sim, "twin")
@@ -211,9 +172,9 @@ class TestLifecycle:
     def test_pending_events_iterates_live_events_only(self):
         sim = Simulator()
         recorder = Recorder(sim)
-        keep = sim.schedule(1, recorder, Message("keep"))
-        dropped = sim.schedule(2, recorder, Message("dropped"))
-        sim.cancel(dropped)
+        sim.schedule(1, recorder, Message("delivered"))
+        keep = sim.schedule(2, recorder, Message("keep"))
+        sim.run(until=1)
         live = list(sim.pending_events())
         assert live == [keep]
         assert sim.pending_event_count == 1

@@ -142,18 +142,6 @@ class TestSelfMessages:
         assert timer.is_self_message()
         assert timer.arrival_gate is None
 
-    def test_cancel_self_message(self):
-        sim = Simulator()
-        module = Echo(sim, "a")
-        events = []
-        sim.schedule(0, module, Message("go"), handler=lambda m: (
-            events.append(module.schedule_self(5, Message("timer")))
-        ))
-        sim.run(until=2)
-        module.cancel_event(events[0])
-        sim.run()
-        assert module.received == []
-
     def test_now_property_tracks_simulator(self):
         sim = Simulator()
         module = Echo(sim, "a")

@@ -93,29 +93,3 @@ class TestOrderingProperties:
             return [(t, k) for t, k, _ in recorder.deliveries]
 
         assert run(None) == run(split)
-
-    @given(schedule_entries)
-    @settings(max_examples=40, deadline=None)
-    def test_cancellation_removes_exactly_those(self, engine, entries):
-        sim = Simulator(engine=engine)
-        recorder = Recorder(sim)
-        events = []
-        for time, priority in entries:
-            events.append(
-                sim.schedule(
-                    time, recorder, Message(kind=priority),
-                    priority=priority,
-                )
-            )
-        cancelled = events[::2]
-        for event in cancelled:
-            sim.cancel(event)
-        sim.run()
-        cancelled_ids = {
-            e.message.message_id for e in cancelled
-        }
-        delivered_ids = {
-            message_id for _, _, message_id in recorder.deliveries
-        }
-        assert not (cancelled_ids & delivered_ids)
-        assert len(recorder.deliveries) == len(events) - len(cancelled)

@@ -2,8 +2,7 @@
 
 The kernel's correctness rests on one contract: the future-event set
 delivers events in exact ``(time, priority, sequence)`` order, no
-matter how pushes, cancellations, and (possibly limited) pops
-interleave.  These tests drive :class:`~repro.sim.events.CycleCalendar`
+matter how pushes and (possibly limited) pops interleave.  These tests drive :class:`~repro.sim.events.CycleCalendar`
 (the timing wheel) and :class:`~repro.sim.events.HeapEventQueue` (the
 reference heap) with identical operation schedules — hypothesis
 generates the schedules — and require identical observable behaviour,
@@ -27,11 +26,10 @@ _TIME = st.one_of(
     st.integers(min_value=0, max_value=CycleCalendar.WINDOW * 3),
 )
 
-# An operation schedule: push(time_delta, priority), cancel(k-th
-# oldest live handle), pop, or pop_next(limit_delta).
+# An operation schedule: push(time_delta, priority), pop, or
+# pop_next(limit_delta).
 _OP = st.one_of(
     st.tuples(st.just("push"), _TIME, st.integers(-1, 2)),
-    st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("pop"), st.just(0)),
     st.tuples(st.just("pop_limit"), _TIME),
 )
@@ -43,35 +41,23 @@ def _run_schedule(queue, ops):
     Push times are relative to a clock kept as the kernel keeps its
     own: the time of the last popped event, or the limit of a limited
     pop that found nothing due (a run stopped by ``until`` jumps the
-    clock there).  Cancellation picks among the still-pending handles
-    only — the cancel-a-pending-event protocol the kernel follows.
+    clock there).
     """
     trace = []
-    pending = {}
     clock = 0
     for op in ops:
         kind = op[0]
         if kind == "push":
             _, delta, priority = op
-            event = queue.push(
+            queue.push(
                 Event(time=clock + delta, priority=priority, sequence=0)
             )
-            pending[event.sequence] = event
-        elif kind == "cancel":
-            index = op[1]
-            if pending:
-                key = sorted(pending)[index % len(pending)]
-                event = pending.pop(key)
-                event.cancel()
-                queue.discard_cancelled(event)
-                trace.append(("cancelled", event.time, event.sequence))
         elif kind == "pop":
             event = queue.pop_next()
             if event is None:
                 trace.append(("empty",))
             else:
                 clock = event.time
-                pending.pop(event.sequence, None)
                 trace.append(
                     ("pop", event.time, event.priority, event.sequence)
                 )
@@ -83,7 +69,6 @@ def _run_schedule(queue, ops):
                 trace.append(("blocked", queue.peek_time()))
             else:
                 clock = event.time
-                pending.pop(event.sequence, None)
                 trace.append(
                     ("pop", event.time, event.priority, event.sequence)
                 )

@@ -1,63 +1,8 @@
-"""Tests for occupancy sampling and batch means."""
+"""Tests for batch means."""
 
 import pytest
 
-from repro.noc.config import NocConfig
-from repro.noc.network import Network
-from repro.stats import OccupancySampler, batch_means
-from repro.topology import SpidergonTopology
-from repro.traffic import TrafficSpec, UniformTraffic
-
-
-def sampled_network(rate, period=50, cycles=2_000):
-    topology = SpidergonTopology(8)
-    net = Network(
-        topology,
-        config=NocConfig(source_queue_packets=16),
-        traffic=TrafficSpec(UniformTraffic(topology), rate),
-        seed=4,
-    )
-    sampler = OccupancySampler(net, period=period)
-    net.run(cycles=cycles)
-    return net, sampler
-
-
-class TestOccupancySampler:
-    def test_samples_on_period(self):
-        _, sampler = sampled_network(0.2, period=100, cycles=1_000)
-        times = [t for t, _ in sampler.series]
-        assert times == list(range(100, 1_001, 100))
-
-    def test_idle_network_samples_zero(self):
-        net = Network(SpidergonTopology(8))
-        sampler = OccupancySampler(net, period=100)
-        net.run(cycles=500)
-        assert all(v == 0 for _, v in sampler.series)
-
-    def test_loaded_network_holds_flits(self):
-        _, sampler = sampled_network(0.8)
-        summary = sampler.summary(warmup=500)
-        assert summary.mean_total_flits > 0
-        assert summary.peak_total_flits >= summary.mean_total_flits
-        assert summary.peak_router.startswith("router")
-
-    def test_higher_load_higher_occupancy(self):
-        _, light = sampled_network(0.05)
-        _, heavy = sampled_network(0.8)
-        assert (
-            heavy.summary(500).mean_total_flits
-            > light.summary(500).mean_total_flits
-        )
-
-    def test_summary_requires_samples(self):
-        _, sampler = sampled_network(0.1, cycles=500)
-        with pytest.raises(ValueError):
-            sampler.summary(warmup=10_000)
-
-    def test_rejects_bad_period(self):
-        net = Network(SpidergonTopology(8))
-        with pytest.raises(ValueError):
-            OccupancySampler(net, period=0)
+from repro.stats import batch_means
 
 
 class TestBatchMeans:

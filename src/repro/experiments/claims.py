@@ -2,10 +2,12 @@
 
 Every committed artefact of :data:`repro.experiments.figures.ARTEFACTS`
 carries the claims its data must show: who wins, where curves cross,
-where saturation knees sit, and, for the uniform-traffic studies,
-that no measured throughput exceeds the analytic capacity bound
-(:mod:`repro.analysis.capacity`).  :data:`CLAIMS` maps each artefact
-to its claims by name; a claim is a function of the artefact's
+where saturation knees sit, and, for figure 10 and the
+uniform-traffic studies, that no measured throughput exceeds the
+analytic capacity bound (:mod:`repro.analysis.capacity`); figure 6
+holds its hot-spot curves to the same model's predicted knee.
+:data:`CLAIMS` maps each artefact to its claims by name; a claim is
+a function of the artefact's
 :class:`~repro.experiments.report.FigureData` that returns whether it
 holds.  Claims read values by x value (``f.at(label, x)``), never by
 list position, so they read the committed CSV
@@ -20,7 +22,7 @@ import functools
 import math
 import re
 
-from repro.analysis.capacity import uniform_capacity
+from repro.analysis.capacity import hotspot_saturation_rate, uniform_capacity
 from repro.cost.wires import total_wire_length
 from repro.experiments.drain import SWEEP_SCHEMES
 from repro.experiments.report import FigureData
@@ -68,9 +70,11 @@ def _bigger_ring_saturates_earlier(f: FigureData) -> bool:
     return math.inf in (knee16, knee24) or knee24 <= knee16
 
 
-def _specs(f: FigureData) -> list[str]:
-    """The names of a study's ``<name>-thr`` columns, in order."""
-    return [l.removesuffix("-thr") for l in f.series if l.endswith("-thr")]
+def _specs(f: FigureData, suffix: str = "-thr") -> list[str]:
+    """The names of a figure's ``<name><suffix>`` columns, in order:
+    a study's throughput columns by default, every column for
+    ``suffix=""``."""
+    return [l.removesuffix(suffix) for l in f.series if l.endswith(suffix)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,20 +90,34 @@ def _capacity(spec: str) -> float:
     return _routing_capacity(re.sub(r"@tsv\d+", "", spec))
 
 
+def _routing(spec: str):
+    """The routing of the topology *spec*: its ``:ROUTING`` suffix, or
+    the topology's default."""
+    topology, routing = parse_topology_routing(spec)
+    return routing or routing_for(topology)
+
+
 @functools.lru_cache(maxsize=None)
 def _routing_capacity(spec: str) -> float:
-    topology, routing = parse_topology_routing(spec)
-    return uniform_capacity(routing or routing_for(topology))
+    return uniform_capacity(_routing(spec))
 
 
-def _within_capacity(f: FigureData, spec_of=None) -> bool:
-    """Every throughput column stays at or below the capacity bound of
-    its spec (*spec_of* maps the column names that are not specs)."""
+@functools.lru_cache(maxsize=None)
+def _hotspot_knee(spec: str) -> float:
+    """Predicted per-source saturation rate of *spec* when every other
+    node sends to node 0, figure 6's one hot spot."""
+    return hotspot_saturation_rate(_routing(spec), [0])
+
+
+def _within_capacity(f: FigureData, spec_of=None, suffix="-thr") -> bool:
+    """Every throughput column (``<spec><suffix>``) stays at or below
+    the capacity bound of its spec (*spec_of* maps the column names
+    that are not specs)."""
     spec_of = spec_of or {}
     return all(
         value <= _capacity(spec_of.get(name, name))
-        for name in _specs(f)
-        for value in f.column(f"{name}-thr")
+        for name in _specs(f, suffix)
+        for value in f.column(name + suffix)
     )
 
 
@@ -200,6 +218,15 @@ CLAIMS = {
             if rate * (n - 1) < 0.7
             for l in PAPER_LABELS[n]
         ),
+        # Well below the channel-load model's knee (1/(N-1): the
+        # sink's ejection link) the sink takes the offered load.
+        "tracks-load-below-the-predicted-knee": lambda f: all(
+            _close(f.at(l, rate), rate * (n - 1), rel=0.15)
+            for n in (8, 24)
+            for l in PAPER_LABELS[n]
+            for rate in f.x_values
+            if rate <= 0.6 * _hotspot_knee(l)
+        ),
         # At 0.06, 23 sources already exceed the sink and 7 do not.
         "more-sources-saturate-earlier": lambda f: (
             f.at("spidergon24", 0.06) > f.at("spidergon8", 0.06)
@@ -272,6 +299,12 @@ CLAIMS = {
             _close(f.at(l, 0.05), 0.05 * n, rel=0.2)
             for n in (16, 24)
             for l in PAPER_LABELS[n]
+        ),
+        # No column exceeds its channel-load bound...
+        "within-capacity": lambda f: _within_capacity(f, suffix=""),
+        # ...and wormhole flow control reaches a fair share of it.
+        "16-nodes-reach-0.3-of-capacity": lambda f: all(
+            f.at(l, 0.7) > 0.3 * _capacity(l) for l in PAPER_LABELS[16]
         ),
     },
     "fig11": {

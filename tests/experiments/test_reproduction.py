@@ -75,13 +75,40 @@ class TestMutations:
             "s2-beats-the-spidergon"
         ]
 
+    def test_throughput_above_the_bound_fails_its_claim(self):
+        figure = committed("fig10")
+        column = figure.column("ring8")
+        column[figure.x_values.index(0.7)] = claims._capacity("ring8") + 0.1
+        assert failed_claims("fig10", figure) == ["within-capacity"]
+
+    def test_column_far_below_the_bound_fails_its_claim(self):
+        figure = committed("fig10")
+        column = figure.column("ring16")
+        column[figure.x_values.index(0.7)] = 0.25 * claims._capacity("ring16")
+        assert failed_claims("fig10", figure) == [
+            "16-nodes-reach-0.3-of-capacity"
+        ]
+
+    def test_lost_load_below_the_hotspot_knee_fails_its_claim(self):
+        # 17% under the offered 0.02 * 23: within the 20% of
+        # linear-below-saturation, outside the new claim's 15%.
+        figure = committed("fig6")
+        column = figure.column("ring24")
+        column[figure.x_values.index(0.02)] = 0.83 * 0.02 * 23
+        assert failed_claims("fig6", figure) == [
+            "tracks-load-below-the-predicted-knee"
+        ]
+
     def test_missing_measurement_fails_its_claim(self):
+        # Every claim that reads the cell fails, the capacity bound's
+        # scan of the whole column included.
         figure = committed("fig10")
         column = figure.column("mesh4x6")
         column[figure.x_values.index(0.7)] = None
         assert failed_claims("fig10", figure) == [
             "ring-below-mesh",
             "mesh-beats-spidergon-at-high-load",
+            "within-capacity",
         ]
 
 

@@ -4,7 +4,7 @@ Only the examples that finish in seconds run here; the longer studies
 (`saturation_study`, `routing_playground`, `cost_tradeoff`,
 `campaign_sweep`, `shared_memory_soc`) are exercised at reduced scale
 through the library calls they are built from (see the experiments
-and benchmarks suites); their syntax is still checked by compilation.
+suite); their syntax is still checked by compilation.
 """
 
 import pathlib

@@ -18,8 +18,8 @@
 * A charged point retries after ``backoff * attempts`` seconds,
   awaited in its own coroutine, so no retry stalls other points.
 * Requests for one ``point_key`` share one run.  An optional store is
-  read first and written before the result resolves; failures are
-  never stored.
+  read first, once, synchronously, so a hit needs no task; it is
+  written before the result resolves; failures are never stored.
 
 :mod:`repro.experiments.parallel` imports this module, and with it
 :mod:`asyncio`, only when a sweep needs it.
@@ -34,6 +34,7 @@ import os
 import signal
 import threading
 import time
+from collections.abc import Awaitable
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -47,6 +48,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import SweepPoint
 from repro.serve.store import ResultStore
+from repro.stats.summary import RunResult
 
 _CRASH = "worker process died (pool broken)"
 
@@ -165,23 +167,53 @@ class PointExecutor:
             for process in processes:
                 process.terminate()
 
+    def lookup(self, key: str) -> RunResult | None:
+        """The store tier: *key*'s stored result, or None on a miss or
+        without a store.  One synchronous read, so a caller settles a
+        hit inline, with no task."""
+        return None if self.store is None else self.store.get(key)
+
+    def claim(
+        self, key: str, point: SweepPoint
+    ) -> Awaitable[tuple[PointResult, str]]:
+        """The tiers behind the store, for *point* whose
+        :meth:`lookup` of *key* just missed: join *key*'s flight
+        (``"coalesced"``) or start one (``"simulated"``).
+
+        The choice is made here, before the returned awaitable of
+        ``(result, source)`` runs.  Called with no await after the
+        lookup, it leaves no gap in which a flight could store its
+        result and retire unseen by both.  Await the awaitable, or
+        wrap it in a task, at once.
+        """
+        flight = self._flights.get(key)
+        if flight is not None:
+            return self._join(flight)
+        self._flights[key] = asyncio.get_running_loop().create_future()
+        return self._fly(key, point)
+
     async def run(
         self, key: str, point: SweepPoint
     ) -> tuple[PointResult, str]:
         """Resolve *point*, whose ``point_key`` is *key*, to
         ``(result, source)``: the tier that answered, ``"store"``,
-        ``"coalesced"`` or ``"simulated"``."""
-        if self.store is not None:
-            hit = self.store.get(key)
-            if hit is not None:
-                return hit, "store"
-        flight = self._flights.get(key)
-        if flight is not None:
-            # shield(): one waiter's cancellation (a dropped client
-            # connection) must not cancel the shared run.
-            return await asyncio.shield(flight), "coalesced"
-        flight = asyncio.get_running_loop().create_future()
-        self._flights[key] = flight
+        ``"coalesced"`` or ``"simulated"``.  :meth:`lookup`, then
+        :meth:`claim` on a miss, so the store is read once."""
+        hit = self.lookup(key)
+        if hit is not None:
+            return hit, "store"
+        return await self.claim(key, point)
+
+    @staticmethod
+    async def _join(flight: asyncio.Future) -> tuple[PointResult, str]:
+        # shield(): one waiter's cancellation (a dropped client
+        # connection) must not cancel the shared run.
+        return await asyncio.shield(flight), "coalesced"
+
+    async def _fly(
+        self, key: str, point: SweepPoint
+    ) -> tuple[PointResult, str]:
+        flight = self._flights[key]
         try:
             result = await self._simulate(point)
             if self.store is not None and result.ok:
@@ -341,12 +373,13 @@ class PointExecutor:
 def run_points(pending, finish, **options) -> None:
     """Run each ``(index, key, point)`` of *pending* (a None key is
     computed here) on one :class:`PointExecutor` built from
-    *options*, calling ``finish(index, point, result, coalesced)``
-    as it settles."""
+    *options*, calling ``finish(index, key, point, result,
+    coalesced)`` as it settles."""
 
     async def one(executor, index, key, point) -> None:
-        result, source = await executor.run(key or point_key(point), point)
-        finish(index, point, result, source != "simulated")
+        key = key or point_key(point)
+        result, source = await executor.run(key, point)
+        finish(index, key, point, result, source != "simulated")
 
     async def main() -> None:
         executor = PointExecutor(**options)

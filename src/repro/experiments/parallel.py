@@ -79,6 +79,32 @@ def derive_seed(
     return int.from_bytes(digest[:8], "big")
 
 
+#: Field names per dataclass type, in definition order, as
+#: :func:`dataclasses.fields` lists them; filled on first use.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _plain(value):
+    """*value* as :func:`dataclasses.asdict` would render it for JSON:
+    dataclasses become dicts of their fields, tuples and lists become
+    lists.  Builds only the new containers; nothing is deep-copied."""
+    cls = type(value)
+    if cls in _SCALARS:
+        return value
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        if isinstance(value, (tuple, list)):
+            return [_plain(item) for item in value]
+        if not dataclasses.is_dataclass(value):
+            return value
+        names = _FIELD_NAMES[cls] = tuple(
+            field.name for field in dataclasses.fields(value)
+        )
+    return {name: _plain(getattr(value, name)) for name in names}
+
+
 def point_key(point: SweepPoint) -> str:
     """Stable cache key: sha256 over the point's canonical JSON form.
 
@@ -88,9 +114,14 @@ def point_key(point: SweepPoint) -> str:
     out: every engine gives a byte-identical result, so a point
     stored under one engine is a hit under any other.  This is also
     the address of the point's entry in the content-addressed
-    :class:`~repro.serve.store.ResultStore`.
+    :class:`~repro.serve.store.ResultStore`: 64 lowercase hex digits.
+
+    The JSON is ``dataclasses.asdict`` of the settings, minus the
+    engine, dumped with sorted keys; it is built field by field
+    rather than through ``asdict``'s deep copies, and the digests are
+    the same.  Compute a point's key once and pass it on.
     """
-    settings = dataclasses.asdict(point.settings)
+    settings = _plain(point.settings)
     del settings["engine"]
     payload = {
         "topology": point.topology,
@@ -174,17 +205,18 @@ class FailedResult:
 
 
 def manifest_entry(
-    point: SweepPoint, result: "PointResult", cached: bool
+    point: SweepPoint, result: "PointResult", cached: bool, key: str
 ) -> dict:
     """One :class:`CampaignManifest` line as a dict.
 
     Shared vocabulary between the on-disk manifest and the campaign
     server's streamed progress: the server emits exactly these
     entries (plus a ``source`` annotation) as chunked JSONL, so a
-    captured stream is itself a loadable manifest.
+    captured stream is itself a loadable manifest.  *key* is the
+    point's :func:`point_key`.
     """
     entry = {
-        "key": point_key(point),
+        "key": key,
         "topology": point.topology,
         "pattern": point.pattern,
         "rate": point.rate,
@@ -218,10 +250,11 @@ class CampaignManifest:
         self.path = pathlib.Path(path)
 
     def record(
-        self, point: SweepPoint, result: "PointResult", cached: bool
+        self, point: SweepPoint, result: "PointResult", cached: bool, key: str
     ) -> None:
-        """Append the outcome of *point*."""
-        entry = manifest_entry(point, result, cached)
+        """Append the outcome of *point*, whose :func:`point_key` is
+        *key*."""
+        entry = manifest_entry(point, result, cached, key)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as handle:
             handle.write(json.dumps(entry) + "\n")
@@ -407,9 +440,8 @@ def execute_points(
     start = time.perf_counter()
     stats = ExecutionStats(workers=workers, total_points=len(points))
     results: list[PointResult | None] = [None] * len(points)
-    keys: dict[int, str] = {}  # computed once, when a cache needs them
 
-    def finish(index, point, result, cached: bool) -> None:
+    def finish(index, key, point, result, cached: bool) -> None:
         results[index] = result
         if isinstance(result, FailedResult):
             stats.failed += 1
@@ -417,30 +449,33 @@ def execute_points(
             stats.executed += 1
             stats.events_processed += result.events_processed
             if cache is not None:
-                cache.store.put(keys[index], result)
+                cache.store.put(key, result)
         if manifest is not None:
-            manifest.record(point, result, cached)
+            manifest.record(point, result, cached, key)
         if on_result is not None:
             on_result(index, point, result, cached)
 
+    # A point's key is computed once, when a cache needs it here or
+    # the executor does; a serial sweep without a cache never needs it.
     pending: list[tuple[int, str | None, SweepPoint]] = []
     for index, point in enumerate(points):
+        key = None
         if cache is not None:
-            keys[index] = point_key(point)
-            hit = cache.store.get(keys[index])
+            key = point_key(point)
+            hit = cache.store.get(key)
             if hit is not None:
                 stats.cache_hits += 1
-                finish(index, point, hit, True)
+                finish(index, key, point, hit, True)
                 continue
             stats.cache_misses += 1
-        pending.append((index, keys.get(index), point))
+        pending.append((index, key, point))
 
     in_process = timeout is None and (
         workers == 1 or (len(pending) <= 1 and not hardened)
     )
     if in_process and not hardened:
-        for index, _, point in pending:
-            finish(index, point, run_sweep_point(point), False)
+        for index, key, point in pending:
+            finish(index, key, point, run_sweep_point(point), False)
     elif pending:
         from repro.experiments.executor import run_points
 

@@ -6,7 +6,8 @@ submissions cost one simulation.  Every request for a
 tiers, cheapest first:
 
 1. **Store** — the :class:`~repro.serve.store.ResultStore` holds
-   the key: a disk read, no simulation.
+   the key: one synchronous disk read (:meth:`JobManager.lookup`),
+   no task, no simulation.
 2. **Coalesce** — a request for the same key is in flight: await its
    future instead of simulating again (single-flight).
 3. **Simulate** — the point runs in the persistent pool of a
@@ -27,11 +28,13 @@ Everything runs on one event loop, so no locks are needed.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Awaitable
 
 from repro.experiments.executor import PointExecutor
 from repro.experiments.parallel import PointResult, point_key
 from repro.experiments.runner import SweepPoint
 from repro.serve.store import ResultStore
+from repro.stats.summary import RunResult
 
 __all__ = ["JobManager", "ServeStats"]
 
@@ -115,24 +118,47 @@ class JobManager:
         """Keys currently being simulated (diagnostics)."""
         return self._executor.inflight_keys
 
-    async def result_for(
-        self, point: SweepPoint
-    ) -> tuple[PointResult, str]:
-        """Resolve *point*, returning ``(result, source)``.
-
-        ``source`` is ``"store"``, ``"coalesced"`` or ``"simulated"``
-        — the dedupe tier that satisfied the request.
-        """
+    def lookup(self, key: str) -> RunResult | None:
+        """Open one point request at the store tier: *key*'s stored
+        result (a store hit), or None, after which :meth:`claim` must
+        follow with no await between."""
         self.stats.points += 1
-        result, source = await self._executor.run(
-            point_key(point), point
-        )
-        if source == "store":
+        hit = self._executor.lookup(key)
+        if hit is not None:
             self.stats.store_hits += 1
-        elif source == "coalesced":
+        return hit
+
+    def claim(
+        self, point: SweepPoint, key: str
+    ) -> Awaitable[tuple[PointResult, str]]:
+        """The coalesce and simulate tiers for a request whose
+        :meth:`lookup` just missed; see
+        :meth:`~repro.experiments.executor.PointExecutor.claim`."""
+        return self._settle(self._executor.claim(key, point))
+
+    async def _settle(
+        self, claimed: Awaitable[tuple[PointResult, str]]
+    ) -> tuple[PointResult, str]:
+        result, source = await claimed
+        if source == "coalesced":
             self.stats.coalesced += 1
         else:
             self.stats.simulated += 1
         if not result.ok:
             self.stats.failed += 1
         return result, source
+
+    async def result_for(
+        self, point: SweepPoint
+    ) -> tuple[PointResult, str]:
+        """Resolve *point*, returning ``(result, source)``:
+        :meth:`lookup`, then :meth:`claim` on a miss.
+
+        ``source`` is ``"store"``, ``"coalesced"`` or ``"simulated"``
+        — the dedupe tier that satisfied the request.
+        """
+        key = point_key(point)
+        hit = self.lookup(key)
+        if hit is not None:
+            return hit, "store"
+        return await self.claim(point, key)

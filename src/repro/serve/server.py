@@ -11,7 +11,8 @@ protocol is deliberately plain HTTP/1.1 on stdlib ``asyncio`` streams
     the number of stored results.
 ``GET /result/<key>``
     The stored :class:`~repro.stats.summary.RunResult` JSON for one
-    point key, or 404.
+    point key, or 404.  Only a point-key digest names an entry, so
+    no key reaches a path outside the store.
 ``POST /campaign``
     Body: a campaign spec JSON — the exact format
     :class:`~repro.experiments.campaign.Campaign` accepts.  The
@@ -22,7 +23,10 @@ protocol is deliberately plain HTTP/1.1 on stdlib ``asyncio`` streams
     ``simulated``), followed by a final ``{"type": "summary", ...}``
     line.  Because the per-point lines *are* manifest entries, a
     captured stream is a loadable
-    :class:`~repro.experiments.parallel.CampaignManifest`.
+    :class:`~repro.experiments.parallel.CampaignManifest`.  Each
+    chunk carries every line settled since the last, so clients read
+    lines, not chunks.  Store hits settle inline while the spec is
+    expanded; only a miss waits in a task.
 
 Dedupe semantics live in :class:`~repro.serve.jobs.JobManager`; the
 server only expands specs into sweep points (via
@@ -38,8 +42,8 @@ import json
 import threading
 from http import HTTPStatus
 
+from repro.experiments import parallel
 from repro.experiments.campaign import campaign_points
-from repro.experiments.parallel import manifest_entry
 from repro.serve.jobs import JobManager
 
 __all__ = ["BackgroundServer", "CampaignServer"]
@@ -175,7 +179,16 @@ class CampaignServer:
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
         body = b""
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            writer.write(
+                _json_response(
+                    HTTPStatus.BAD_REQUEST,
+                    {"error": "invalid Content-Length"},
+                )
+            )
+            return
+        length = int(declared)
         if length > _MAX_REQUEST_BYTES:
             writer.write(
                 _json_response(
@@ -263,64 +276,74 @@ class CampaignServer:
                 "Transfer-Encoding: chunked",
             )
         )
-        await writer.drain()
 
-        queue: asyncio.Queue = asyncio.Queue()
-
-        async def resolve(point) -> None:
-            result, source = await self.jobs.result_for(point)
-            entry = manifest_entry(
-                point, result, cached=source != "simulated"
+        def entry(point, key, result, source) -> dict:
+            line = parallel.manifest_entry(
+                point, result, source != "simulated", key
             )
-            entry["source"] = source
-            await queue.put(entry)
+            line["source"] = source
+            return line
 
+        async def resolve(point, key, claimed) -> dict:
+            return entry(point, key, *await claimed)
+
+        # A store hit settles here and now; only a miss gets a task.
         # Tasks are intentionally not cancelled if the client
         # disconnects mid-stream: the simulations are already paid
         # for, other submissions may be coalesced onto them, and
         # finishing them warms the store.
-        tasks = [
-            asyncio.create_task(resolve(point)) for point in points
-        ]
+        settled: list[dict] = []
+        pending: set[asyncio.Task] = set()
+        for point in points:
+            key = parallel.point_key(point)
+            hit = self.jobs.lookup(key)
+            if hit is None:
+                claimed = self.jobs.claim(point, key)
+                pending.add(
+                    asyncio.create_task(resolve(point, key, claimed))
+                )
+            else:
+                settled.append(entry(point, key, hit, "store"))
         counts = {"store": 0, "coalesced": 0, "simulated": 0}
         ok = failed = 0
         client_gone = False
-        for _ in points:
-            entry = await queue.get()
-            counts[entry["source"]] += 1
-            if entry["status"] == "ok":
-                ok += 1
-            else:
-                failed += 1
-            if not client_gone:
+        while True:
+            # Every entry settled since the last write goes out as one
+            # chunk, with one drain; the last chunk also carries the
+            # summary, and the body ends with it.
+            lines = []
+            for line in settled:
+                counts[line["source"]] += 1
+                if line["status"] == "ok":
+                    ok += 1
+                else:
+                    failed += 1
+                lines.append(json.dumps(line) + "\n")
+            end = b""
+            if not pending:
+                summary = {
+                    "type": "summary",
+                    "points": len(points),
+                    "ok": ok,
+                    "failed": failed,
+                    "store_hits": counts["store"],
+                    "coalesced": counts["coalesced"],
+                    "simulated": counts["simulated"],
+                }
+                lines.append(json.dumps(summary) + "\n")
+                end = b"0\r\n\r\n"
+            if lines and not client_gone:
                 try:
-                    writer.write(
-                        _chunk(
-                            (json.dumps(entry) + "\n").encode()
-                        )
-                    )
+                    writer.write(_chunk("".join(lines).encode()) + end)
                     await writer.drain()
                 except (ConnectionError, RuntimeError):
                     client_gone = True
-        await asyncio.gather(*tasks)
-        summary = {
-            "type": "summary",
-            "points": len(points),
-            "ok": ok,
-            "failed": failed,
-            "store_hits": counts["store"],
-            "coalesced": counts["coalesced"],
-            "simulated": counts["simulated"],
-        }
-        if not client_gone:
-            try:
-                writer.write(
-                    _chunk((json.dumps(summary) + "\n").encode())
-                )
-                writer.write(b"0\r\n\r\n")
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
+            if not pending:
+                return
+            done, pending = await asyncio.wait(
+                pending, return_when=asyncio.FIRST_COMPLETED
+            )
+            settled = [task.result() for task in done]
 
 
 class BackgroundServer:

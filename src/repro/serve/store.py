@@ -39,10 +39,14 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 
 from repro.stats.summary import RunResult
 
 __all__ = ["ResultStore"]
+
+#: What :func:`~repro.experiments.parallel.point_key` returns.
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class ResultStore:
@@ -52,14 +56,22 @@ class ResultStore:
         self.directory = pathlib.Path(directory)
 
     def path_for(self, key: str) -> pathlib.Path:
-        """Where *key*'s entry lives (whether or not it exists yet)."""
+        """Where *key*'s entry lives (whether or not it exists yet).
+
+        Raises:
+            ValueError: *key* is not a point key (64 lowercase hex
+                digits), so a key can never name a path outside the
+                store, such as ``../secret``.
+        """
+        if not _KEY.fullmatch(key):
+            raise ValueError(f"not a point key: {key!r}")
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> RunResult | None:
         """The stored result for *key*, or None on a miss.
 
-        A torn or unreadable entry counts as a miss: the point simply
-        re-runs and overwrites it.
+        A torn or unreadable entry, or a key that is not a point key,
+        counts as a miss: the point simply re-runs and overwrites it.
         """
         data = self.get_dict(key)
         if data is None:
@@ -70,11 +82,12 @@ class ResultStore:
         """The raw JSON payload for *key*, or None on a miss.
 
         The server's ``GET /result/<key>`` endpoint serves this
-        directly, skipping a decode/re-encode round trip.
+        directly, skipping a decode/re-encode round trip.  A key that
+        is not a point key is a miss.
         """
         try:
             data = json.loads(self.path_for(key).read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # also a bad key or torn JSON
             return None
         return data if isinstance(data, dict) else None
 
@@ -89,7 +102,10 @@ class ResultStore:
         tmp.replace(path)
 
     def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
+        try:
+            return self.path_for(key).exists()
+        except ValueError:
+            return False
 
     def keys(self) -> set[str]:
         """Every key with a stored entry (readability not checked)."""

@@ -1,6 +1,10 @@
 """Tests for the parallel execution engine and result cache."""
 
+import dataclasses
+import hashlib
+import json
 import pickle
+import random
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.experiments.parallel import (
 from repro.experiments.report import format_execution_summary
 from repro.experiments.runner import SimulationSettings, SweepPoint
 from repro.noc.config import NocConfig
+from repro.resilience.plan import FaultEvent, FaultPlan
 
 
 def quick_settings(seed=1):
@@ -394,6 +399,103 @@ class TestTimelineExport:
         assert point_key(base) != point_key(other)
 
 
+def reference_point_key(point: SweepPoint) -> str:
+    """The key formula every stored result is filed under, written
+    with ``dataclasses.asdict``; :func:`point_key` must match it byte
+    for byte or every existing store would miss."""
+    settings = dataclasses.asdict(point.settings)
+    del settings["engine"]
+    payload = {
+        "topology": point.topology,
+        "pattern": point.pattern,
+        "rate": canonical_rate(point.rate),
+        "settings": settings,
+    }
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def random_point(rng: random.Random) -> SweepPoint:
+    def maybe(value):
+        return value if rng.random() < 0.5 else None
+
+    plan = None
+    if rng.random() < 0.5:
+        events = []
+        for link in range(rng.randrange(4)):
+            fail = rng.randrange(1, 5000)
+            events.append(FaultEvent(fail, link, link + 1))
+            if rng.random() < 0.5:
+                events.append(FaultEvent(
+                    fail + rng.randrange(1, 5000), link, link + 1, "repair"
+                ))
+        plan = FaultPlan(tuple(events))
+    config = NocConfig(
+        packet_size_flits=rng.randrange(1, 9),
+        input_buffer_flits=rng.randrange(1, 5),
+        output_buffer_flits=rng.randrange(1, 5),
+        link_delay=rng.randrange(1, 4),
+        num_vcs=maybe(rng.randrange(1, 5)),
+        source_queue_packets=maybe(rng.randrange(1, 65)),
+        router_pipeline=rng.random() < 0.5,
+    )
+    settings = SimulationSettings(
+        cycles=rng.randrange(100, 30_000),
+        warmup=rng.randrange(0, 100),
+        config=config,
+        seed=rng.randrange(2**63),
+        timeline_window=maybe(rng.randrange(1, 1000)),
+        fault_plan=plan,
+        stall_cycles=maybe(rng.randrange(1, 5000)),
+        invariant_check_interval=rng.choice([0, rng.randrange(1, 900)]),
+        engine=rng.choice([None, "heap", "wheel", "batched"]),
+    )
+    return SweepPoint(
+        rng.choice(["ring8", "spidergon16", "mesh4x4:xy", "mesh3d4x4x4"]),
+        rng.choice(["uniform", "hotspot:0", "hotspot:0,8", "transpose"]),
+        rng.choice([0.1, 1, rng.random(), rng.uniform(0, 1e-9)]),
+        settings,
+    )
+
+
+class TestPointKeyFormat:
+    """Keys address every ``.repro-cache`` and serve store already on
+    disk, so their bytes may never change."""
+
+    def test_golden_digests(self):
+        default = SweepPoint(
+            "spidergon16", "uniform", 0.1, SimulationSettings()
+        )
+        watched = SweepPoint(
+            "mesh4x4", "hotspot:0", 0.05,
+            SimulationSettings(
+                cycles=3000, warmup=500, seed=7, timeline_window=100,
+                stall_cycles=2000, invariant_check_interval=500,
+            ),
+        )
+        faulted = SweepPoint(
+            "ring8", "uniform", 0.2,
+            SimulationSettings(
+                cycles=5000, warmup=1000, seed=11,
+                fault_plan=FaultPlan((
+                    FaultEvent(1000, 2, 3),
+                    FaultEvent(3000, 2, 3, "repair"),
+                )),
+            ),
+        )
+        assert [point_key(p) for p in (default, watched, faulted)] == [
+            "ddec1edf547bf2c98a3a5368388c29612c6be63e40210c6f9410c10afb962e0c",
+            "89f429bf36cce92a1c4d648d6d8a39b7623265beedccba98c487e8dad9c199a4",
+            "be527811b11c2bf5927498267f7a8660cc495ab129459c6ab92112e00a2babd7",
+        ]
+
+    def test_matches_the_asdict_formula(self):
+        rng = random.Random(2006)
+        for _ in range(500):
+            point = random_point(rng)
+            assert point_key(point) == reference_point_key(point), point
+
+
 class TestCanonicalRate:
     """derive_seed and point_key must agree on one rate spelling.
 
@@ -456,8 +558,10 @@ class TestCampaignManifestResume:
     def test_ok_then_failed_means_not_completed(self, tmp_path):
         manifest = CampaignManifest(tmp_path / "m.jsonl")
         point = self.point()
-        manifest.record(point, self._OK, cached=False)
-        manifest.record(point, self.failed(point), cached=False)
+        manifest.record(point, self._OK, cached=False, key=point_key(point))
+        manifest.record(
+            point, self.failed(point), cached=False, key=point_key(point)
+        )
         assert manifest.completed_keys() == set()
         (failure,) = manifest.failures()
         assert failure["key"] == point_key(point)
@@ -467,8 +571,10 @@ class TestCampaignManifestResume:
     def test_failed_then_ok_means_completed(self, tmp_path):
         manifest = CampaignManifest(tmp_path / "m.jsonl")
         point = self.point()
-        manifest.record(point, self.failed(point), cached=False)
-        manifest.record(point, self._OK, cached=False)
+        manifest.record(
+            point, self.failed(point), cached=False, key=point_key(point)
+        )
+        manifest.record(point, self._OK, cached=False, key=point_key(point))
         assert manifest.completed_keys() == {point_key(point)}
         assert manifest.failures() == []
 
@@ -477,10 +583,18 @@ class TestCampaignManifestResume:
         healthy = self.point(0.05)
         flaky = self.point(0.1)
         doomed = self.point(0.2)
-        manifest.record(healthy, self._OK, cached=False)
-        manifest.record(flaky, self.failed(flaky), cached=False)
-        manifest.record(doomed, self.failed(doomed), cached=False)
-        manifest.record(flaky, self._OK, cached=False)  # retried fine
+        manifest.record(
+            healthy, self._OK, cached=False, key=point_key(healthy)
+        )
+        manifest.record(
+            flaky, self.failed(flaky), cached=False, key=point_key(flaky)
+        )
+        manifest.record(
+            doomed, self.failed(doomed), cached=False, key=point_key(doomed)
+        )
+        manifest.record(
+            flaky, self._OK, cached=False, key=point_key(flaky)
+        )  # retried fine
         assert manifest.completed_keys() == {
             point_key(healthy),
             point_key(flaky),
@@ -491,7 +605,7 @@ class TestCampaignManifestResume:
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         manifest = CampaignManifest(tmp_path / "m.jsonl")
         point = self.point()
-        manifest.record(point, self._OK, cached=False)
+        manifest.record(point, self._OK, cached=False, key=point_key(point))
         with manifest.path.open("a") as handle:
             handle.write('{"key": "abc", "status": "o')  # died mid-write
         assert len(manifest.entries()) == 1
@@ -501,7 +615,7 @@ class TestCampaignManifestResume:
         with manifest.path.open("a") as handle:
             handle.write("\n")
         other = self.point(0.3)
-        manifest.record(other, self._OK, cached=False)
+        manifest.record(other, self._OK, cached=False, key=point_key(other))
         assert manifest.completed_keys() == {
             point_key(point),
             point_key(other),
@@ -513,9 +627,11 @@ class TestCampaignManifestResume:
         assert manifest.completed_keys() == set()
         assert manifest.failures() == []
         point = self.point()
-        manifest.record(point, self._OK, cached=False)
+        manifest.record(point, self._OK, cached=False, key=point_key(point))
         with manifest.path.open("a") as handle:
             handle.write("\n\n")
-        manifest.record(point, self.failed(point), cached=False)
+        manifest.record(
+            point, self.failed(point), cached=False, key=point_key(point)
+        )
         assert len(manifest.entries()) == 2
         assert manifest.completed_keys() == set()

@@ -86,12 +86,12 @@ class TestCampaignManifest:
             error="crash",
             attempts=2,
         )
-        manifest.record(point, failure, cached=False)
+        manifest.record(point, failure, cached=False, key=point_key(point))
         assert manifest.completed_keys() == set()
         assert len(manifest.failures()) == 1
 
         (result,), _ = execute_points([point])
-        manifest.record(point, result, cached=False)
+        manifest.record(point, result, cached=False, key=point_key(point))
         assert manifest.completed_keys() == {point_key(point)}
         # The later ok entry supersedes the earlier failure.
         assert manifest.failures() == []
@@ -101,7 +101,7 @@ class TestCampaignManifest:
         manifest = CampaignManifest(path)
         point = quick_point()
         (result,), _ = execute_points([point])
-        manifest.record(point, result, cached=False)
+        manifest.record(point, result, cached=False, key=point_key(point))
         with path.open("a") as handle:
             handle.write('{"key": "torn')  # crashed mid-write
         assert CampaignManifest(path).completed_keys() == {

@@ -109,6 +109,48 @@ class TestDedupeTiers:
         }
         assert len(results) == 1  # everyone got the same payload
 
+    def test_a_miss_reads_the_store_once(self, tmp_path):
+        jobs = make_jobs(tmp_path)
+        reads = []
+        get = jobs.store.get
+        jobs.store.get = lambda key: reads.append(key) or get(key)
+        point = quick_point()
+        try:
+            _, source = asyncio.run(jobs.result_for(point))
+        finally:
+            jobs.close()
+        assert source == "simulated"
+        assert reads == [point_key(point)]
+
+    def test_claim_after_a_miss_joins_a_flight_that_lands_first(
+        self, tmp_path
+    ):
+        """The coalesce-or-simulate choice is made when the claim is
+        made, so a flight that stores its result and retires before
+        the claimed awaitable first runs is still joined, not run a
+        second time."""
+        jobs = make_jobs(tmp_path)
+        point = quick_point()
+        key = point_key(point)
+
+        async def late_claim():
+            first = asyncio.ensure_future(jobs.result_for(point))
+            await asyncio.sleep(0)  # the first request is in flight
+            assert jobs.lookup(key) is None
+            claimed = jobs.claim(point, key)
+            await first  # the flight stores its result and retires
+            assert jobs.inflight_keys == set()
+            return await first, await claimed
+
+        try:
+            (r1, s1), (r2, s2) = asyncio.run(late_claim())
+        finally:
+            jobs.close()
+        assert (s1, s2) == ("simulated", "coalesced")
+        assert r1 == r2
+        assert jobs.stats.simulated == 1
+        assert jobs.stats.points == 2
+
     def test_sequential_requests_hit_the_store(self, tmp_path):
         jobs = make_jobs(tmp_path)
         point = quick_point()

@@ -10,6 +10,7 @@ one simulation per unique point.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -39,6 +40,34 @@ def small_spec(**overrides):
     }
     spec.update(overrides)
     return spec
+
+
+def raw_request(port: int, request: bytes) -> bytes:
+    """Send *request* verbatim and return the whole response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    return response
+
+
+def status_and_body(response: bytes) -> tuple[int, bytes]:
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+def dechunk(body: bytes) -> list[bytes]:
+    """The data of each chunk of a chunked body, in order."""
+    chunks = []
+    while True:
+        size, _, body = body.partition(b"\r\n")
+        size = int(size, 16)
+        if size == 0:
+            return chunks
+        chunks.append(body[:size])
+        body = body[size + 2:]
 
 
 @pytest.fixture
@@ -107,6 +136,33 @@ class TestEndpoints:
         assert payload["packets_generated"] > 0
         assert client.result("0" * 64) is None
 
+    def test_result_key_cannot_leave_the_store(self, served, tmp_path):
+        """``GET /result/<key>`` takes only a point key: a path that
+        climbs out of the store is a 404, not the file it names."""
+        client, jobs = served
+        jobs.store.directory.mkdir()
+        assert jobs.store.directory == tmp_path / "store"
+        (tmp_path / "secret.json").write_text('{"secret": 1}')
+        response = raw_request(
+            client.port, b"GET /result/../secret HTTP/1.1\r\n\r\n"
+        )
+        status, body = status_and_body(response)
+        assert status == 404, response
+        assert b"secret\": 1" not in body
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_is_400(self, served, length):
+        client, jobs = served
+        response = raw_request(
+            client.port,
+            b"POST /campaign HTTP/1.1\r\nContent-Length: " + length
+            + b"\r\n\r\n{}",
+        )
+        status, body = status_and_body(response)
+        assert status == 400, response
+        assert json.loads(body) == {"error": "invalid Content-Length"}
+        assert jobs.stats.submissions == 0
+
 
 @pytest.mark.chaos
 class TestCampaignStream:
@@ -138,6 +194,29 @@ class TestCampaignStream:
             "coalesced": 0,
             "simulated": 2,
         }
+
+    def test_settled_entries_share_a_chunk(self, served):
+        """A resubmission's entries are all store hits, settled before
+        the first write, so they and the summary arrive as one chunk
+        of several lines: clients read lines, not chunks."""
+        client, _ = served
+        spec = small_spec()
+        client.submit_campaign(spec)
+        body = json.dumps(spec).encode()
+        response = raw_request(
+            client.port,
+            b"POST /campaign HTTP/1.1\r\nContent-Length: "
+            + str(len(body)).encode() + b"\r\n\r\n" + body,
+        )
+        status, chunked = status_and_body(response)
+        assert status == 200
+        (chunk,) = dechunk(chunked)
+        lines = [json.loads(line) for line in chunk.splitlines()]
+        assert [line.get("source") for line in lines] == [
+            "store", "store", None
+        ]
+        assert lines[-1]["type"] == "summary"
+        assert lines[-1]["store_hits"] == 2
 
     def test_served_results_match_batch_execution(
         self, served, tmp_path

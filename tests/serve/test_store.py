@@ -1,5 +1,9 @@
 """Tests for the content-addressed result store."""
 
+import json
+
+import pytest
+
 from repro.experiments.parallel import (
     ResultCache,
     execute_points,
@@ -64,6 +68,25 @@ class TestResultStore:
         assert store.keys() == set()
         assert len(store) == 0
         assert store.get("anything") is None
+
+    def test_only_point_keys_name_entries(self, tmp_path):
+        """A key that is not 64 lowercase hex digits never becomes a
+        path: reads miss, even where the path it would name exists,
+        and a write is refused."""
+        store = ResultStore(tmp_path / "store")
+        result = run_point(quick_point())
+        (tmp_path / "secret.json").write_text(json.dumps(result.to_dict()))
+        store.put("a" * 64, result)
+        for key in (
+            "../secret", "A" * 64, "a" * 63, "a" * 65, "g" * 64,
+            "a" * 63 + "/", "", "no-such-key",
+        ):
+            assert store.get(key) is None, key
+            assert store.get_dict(key) is None, key
+            assert key not in store, key
+            with pytest.raises(ValueError, match="not a point key"):
+                store.put(key, result)
+        assert store.keys() == {"a" * 64}
 
     def test_overwrite_replaces_entry(self, tmp_path):
         store = ResultStore(tmp_path / "store")
